@@ -17,10 +17,8 @@ from .spaces import (
     generate_Kq,
     generate_diag_class,
     generate_sparse_class,
-    load_points,
     norm,
     pairwise_distances,
-    save_points,
 )
 from .nets import (
     EntropyBracket,
@@ -101,8 +99,6 @@ from .interp import (
     cutoff_image_radius,
     finite_rank_pipeline,
     kuhn_simplices,
-    kuhn_triangulate,
-    mollify_on_grid,
     pl_eval,
     pl_eval_batch,
 )

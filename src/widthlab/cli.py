@@ -152,8 +152,9 @@ def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     _write_report(out, "entropy", cfg, lines)
 
 
-def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
-    K = _build_class(cfg)
+def _width_series(K: ModelClassSurrogate, cfg: dict[str, str],
+                  threads: int) -> list[tuple]:
+    """Build and evaluate one stable pair per n; returns (pair, report) rows."""
     n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
     seeds = _task_seeds(int(cfg["seed"]), len(n_values))
     dim_per_level = int(cfg["dim_per_level"])
@@ -171,7 +172,12 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
                              seed=task_seed, tol=tol)
         return pair, rep
 
-    results = _parallel(task, list(zip(n_values, seeds)), threads)
+    return _parallel(task, list(zip(n_values, seeds)), threads)
+
+
+def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
+    K = _build_class(cfg)
+    results = _width_series(K, cfg, threads)
     rows = [
         (rep.n, rep.sup_error, rep.three_eps_upper, rep.lip_a, rep.lip_M,
          len(pair.net.centers), rep.seed)
@@ -180,7 +186,7 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
     write_csv(out / "stable_width.csv", "stable encoder/decoder widths", cfg,
               ["n", "sup_error", "three_eps_upper", "lip_a", "lip_M",
                "cover_size", "seed"], rows)
-    base_rows = [(n, hilbert_linear_baseline(K, n)) for n in n_values]
+    base_rows = [(rep.n, hilbert_linear_baseline(K, rep.n)) for _, rep in results]
     write_csv(out / "linear_baseline.csv", "best linear subspace error", cfg,
               ["n", "linear_error"], base_rows)
 
@@ -195,7 +201,8 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
         direction /= np.linalg.norm(direction)
         g = f + direction * eta * rng.uniform()
         record = stability_probe(pair, f, g, eta=eta, e_class=rep.sup_error,
-                                 seed=int(rng.integers(2**31)), tol=tol)
+                                 seed=int(rng.integers(2**31)),
+                                 tol=float(cfg["tol"]))
         probe_rows.append((i, record.eta, record.lhs, record.rhs, record.passed))
     write_csv(out / "stability_probes.csv", "perturbed decoding probes", cfg,
               ["probe", "eta", "lhs", "rhs", "passed"], probe_rows)
@@ -344,23 +351,12 @@ def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
     K = _build_class(cfg)
-    n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
-    seeds = _task_seeds(int(cfg["seed"]), len(n_values))
-    dim_per_level = int(cfg["dim_per_level"])
-
-    def task(item):
-        n, task_seed = item
-        pair = build_stable_pair(K, n, seed=task_seed,
-                                 dim_per_level=dim_per_level)
-        return evaluate_width(pair, K, pair_samples=int(cfg["pair_samples"]),
-                              seed=task_seed, tol=float(cfg["tol"]))
-
-    reports = _parallel(task, list(zip(n_values, seeds)), threads)
+    reports = [rep for _, rep in _width_series(K, cfg, threads)]
     delta0 = float(np.max(np.linalg.norm(K.points, axis=1)))
     gamma = max(rep.lip_M for rep in reports)
     inputs = carl_inputs_from_width_series(
         reports, delta0=delta0, gamma=gamma, r=float(cfg["r"]),
-        dim_per_level=dim_per_level,
+        dim_per_level=int(cfg["dim_per_level"]),
     )
     entropy_series = [rep.entropy for rep in reports]
     rate = carl_rate_check(inputs, entropy_series)

@@ -24,10 +24,8 @@ constant: honest measurement beats silent failure.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,11 +41,9 @@ __all__ = [
     "metric_projection_compose",
     "lipschitz_audit",
     "sample_pairs",
-    "save_map",
-    "load_map",
 ]
 
-_STRATEGIES = ("mcshane", "kirszbraun", "metric_projection_compose")
+_STRATEGIES = ("mcshane", "kirszbraun")
 
 
 class ExtensionFeasibilityError(RuntimeError):
@@ -315,46 +311,3 @@ def sample_pairs(
         if not np.array_equal(x, y):
             pairs.append((x, y))
     return pairs
-
-
-def save_map(map_: SampledLipschitzMap, stem: str | Path) -> None:
-    """Persist samples as paired CSVs sharing an index column."""
-    stem = Path(stem)
-    for suffix, arr, space in (
-        ("domain", map_.xs, map_.domain_space),
-        ("target", map_.fs, map_.target_space),
-    ):
-        with open(stem.with_name(f"{stem.name}.{suffix}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i"] + [f"x{k}" for k in range(space.dim)])
-            for i, row in enumerate(arr):
-                writer.writerow([i] + [repr(float(v)) for v in row])
-    with open(stem.with_name(f"{stem.name}.meta"), "w") as fh:
-        fh.write(f"gamma={map_.gamma!r}\n")
-        fh.write(f"strategy={map_.strategy}\n")
-        fh.write(f"domain_p={map_.domain_space.p}\n")
-        fh.write(f"target_p={map_.target_space.p}\n")
-
-
-def load_map(stem: str | Path) -> SampledLipschitzMap:
-    """Load a sample set written by save_map."""
-    stem = Path(stem)
-    xs = np.loadtxt(stem.with_name(f"{stem.name}.domain.csv"),
-                    delimiter=",", skiprows=1, ndmin=2)[:, 1:]
-    fs = np.loadtxt(stem.with_name(f"{stem.name}.target.csv"),
-                    delimiter=",", skiprows=1, ndmin=2)[:, 1:]
-    meta: dict[str, str] = {}
-    with open(stem.with_name(f"{stem.name}.meta")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    return SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(xs.shape[1], float(meta["domain_p"])),
-        target_space=FiniteNormedSpace(fs.shape[1], float(meta["target_p"])),
-        xs=xs,
-        fs=fs,
-        gamma=float(meta["gamma"]),
-        strategy=meta["strategy"],
-    )

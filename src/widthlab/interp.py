@@ -47,8 +47,6 @@ __all__ = [
     "cutoff_eval",
     "cutoff_image_radius",
     "bump_kernel",
-    "mollify_on_grid",
-    "kuhn_triangulate",
     "kuhn_simplices",
     "pl_eval",
     "pl_eval_batch",
@@ -154,27 +152,6 @@ def bump_kernel(
     return offsets, weights, moment
 
 
-def mollify_on_grid(values: np.ndarray, spacing: float, m: float) -> np.ndarray:
-    """Convolve grid samples (shape grid + (d,)) with the discrete bump kernel.
-
-    Requires spacing <= 1/(4m) so the kernel is resolved; edges extend by
-    nearest value, matching callers whose data is constant near the border.
-    """
-    from scipy import ndimage
-
-    values = np.asarray(values, dtype=float)
-    n = values.ndim - 1
-    if n < 1:
-        raise ValueError("values must have shape grid_shape + (target_dim,)")
-    if spacing > 1.0 / (4.0 * m) * (1.0 + 1e-12):
-        raise ValueError(f"grid spacing {spacing} too coarse for kernel scale 1/{m}")
-    _, _, _, stencil = _lattice_bump(m, n, spacing)
-    out = np.empty_like(values)
-    for comp in range(values.shape[-1]):
-        out[..., comp] = ndimage.convolve(values[..., comp], stencil, mode="nearest")
-    return out
-
-
 @dataclass(frozen=True)
 class KuhnMesh:
     """Uniform simplicial mesh of [-D, D]^n by sorted-coordinate subdivision.
@@ -218,11 +195,6 @@ class KuhnMesh:
     def vertex_strides(self) -> np.ndarray:
         """Row-major strides into the flattened vertex array."""
         return self.points_per_axis ** np.arange(self.n - 1, -1, -1)
-
-
-def kuhn_triangulate(n: int, D: float, subdivisions: int) -> KuhnMesh:
-    """Construct the mesh; the simplices themselves are implicit in the type."""
-    return KuhnMesh(n=n, D=D, subdivisions=subdivisions)
 
 
 def kuhn_simplices(mesh: KuhnMesh):

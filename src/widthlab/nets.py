@@ -10,6 +10,13 @@ balls cover K.  On a finite cloud we bracket it from both sides:
 Greedy farthest-point selection is a 2-approximation for both problems, and
 both bounds are certificates in their own right (an actual packing, an
 actual cover), so the bracket is valid regardless of approximation quality.
+
+Farthest-point selection is nested: every cover, packing, bracket and net
+here is a prefix of one traversal of the cloud, computed one distance row
+per pick.  The gap of a pick (its distance to the picks before it) is both
+the covering radius of those earlier picks and the separation of the set
+the pick completes, so the bracket's upper end is twice its lower end
+whenever the cloud has more than 2^n points.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import ModelClassSurrogate, pairwise_distances
+from .spaces import ModelClassSurrogate, pairwise_distances, scipy_metric
 
 __all__ = [
     "Net",
@@ -63,25 +70,32 @@ class EntropyBracket:
             )
 
 
-def _greedy_order(dist: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
-    """First m farthest-point-selection indices plus min-distance profile.
+def _farthest_first(K: ModelClassSurrogate):
+    """Yield (index, gap) for each pick of the farthest-point traversal.
 
-    Selection starts at index 0; every later pick maximizes the distance to
-    the already selected set, ties broken by lowest index (np.argmax).
-    Returns the selected indices and, for each of them, the distance to the
-    previously selected set (inf for the first pick).
+    The traversal starts at index 0; every later pick maximizes the distance
+    to the picks before it, ties broken by lowest index (np.argmax).  The
+    gap of a pick is that distance, which is also the covering radius of the
+    earlier picks (inf for the first pick).  One distance row is computed
+    per pick, so memory stays O(count).
     """
-    count = dist.shape[0]
-    m = min(m, count)
-    selected = [0]
-    gaps = [math.inf]
-    mindist = dist[0].copy()
-    for _ in range(1, m):
+    from scipy.spatial.distance import cdist
+
+    metric, kwargs = scipy_metric(K.space.p)
+    mindist = np.full(K.count, math.inf)
+    j, gap = 0, math.inf
+    for _ in range(K.count):
+        yield j, gap
+        row = cdist(K.points[j : j + 1], K.points, metric, **kwargs)[0]
+        np.minimum(mindist, row, out=mindist)
         j = int(np.argmax(mindist))
-        selected.append(j)
-        gaps.append(float(mindist[j]))
-        np.minimum(mindist, dist[j], out=mindist)
-    return selected, np.asarray(gaps)
+        gap = float(mindist[j])
+
+
+def _picks(K: ModelClassSurrogate, m: int) -> tuple[list[int], list[float]]:
+    """Indices and gaps of the first min(m, count) picks of the traversal."""
+    picks = list(itertools.islice(_farthest_first(K), m))
+    return [j for j, _ in picks], [gap for _, gap in picks]
 
 
 def greedy_packing(
@@ -96,13 +110,10 @@ def greedy_packing(
         raise ValueError("m must be positive")
     if m > K.count:
         raise ValueError(f"asked for {m} points but cloud has {K.count}")
-    if m == 1:
-        return K.points[:1].copy(), math.inf
-    dist = pairwise_distances(K.points, K.space.p)
-    selected, gaps = _greedy_order(dist, m)
+    selected, gaps = _picks(K, m)
     # the min pairwise distance of the selected set equals the last gap
     # because greedy gaps are nonincreasing
-    return K.points[selected].copy(), float(gaps[-1])
+    return K.points[selected], gaps[-1]
 
 
 def greedy_cover(K: ModelClassSurrogate, m: int) -> Net:
@@ -113,11 +124,9 @@ def greedy_cover(K: ModelClassSurrogate, m: int) -> Net:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    m = min(m, K.count)
-    dist = pairwise_distances(K.points, K.space.p)
-    selected, _ = _greedy_order(dist, m)
-    radius = float(np.max(np.min(dist[selected], axis=0)))
-    return Net(centers=K.points[selected].copy(), radius=radius)
+    selected, gaps = _picks(K, m + 1)
+    radius = gaps[m] if m < K.count else 0.0
+    return Net(centers=K.points[selected[:m]], radius=radius)
 
 
 def entropy_bracket(K: ModelClassSurrogate, n: int) -> EntropyBracket:
@@ -129,19 +138,19 @@ def entropy_bracket(K: ModelClassSurrogate, n: int) -> EntropyBracket:
     if n < 0:
         raise ValueError("n must be nonnegative")
     budget = 2**n
-    cover = greedy_cover(K, budget)
-    if budget + 1 <= K.count:
-        witness, sep = greedy_packing(K, budget + 1)
-        lower = sep / 2.0
+    selected, gaps = _picks(K, budget + 1)
+    if budget < K.count:
+        upper = gaps[budget]
+        witness = K.points[selected]
     else:
+        upper = 0.0
         witness = np.empty((0, K.space.dim))
-        lower = 0.0
     return EntropyBracket(
         n=n,
-        lower=lower,
-        upper=cover.radius,
+        lower=upper / 2.0,
+        upper=upper,
         packing_witness=witness,
-        cover_centers=cover.centers,
+        cover_centers=K.points[selected[:budget]],
     )
 
 
@@ -168,20 +177,16 @@ def exact_cover_radius(K: ModelClassSurrogate, m: int) -> float:
 def build_net(K: ModelClassSurrogate, eps: float) -> Net:
     """Smallest greedy net achieving radius <= eps (inner covering).
 
-    Greedy radii are nonincreasing in the center count, so the first count
-    whose radius drops to eps is returned.  eps = 0 returns the full cloud.
+    Greedy radii are nonincreasing in the center count, so the traversal
+    stops at the first pick whose gap (the radius of the picks before it)
+    is at most eps.  eps = 0 returns the full cloud.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    dist = pairwise_distances(K.points, K.space.p)
-    selected, _ = _greedy_order(dist, K.count)
-    mindist = dist[selected[0]].copy()
-    if np.max(mindist) <= eps:
-        return Net(centers=K.points[selected[:1]].copy(), radius=float(np.max(mindist)))
-    for used, j in enumerate(selected[1:], start=2):
-        np.minimum(mindist, dist[j], out=mindist)
-        radius = float(np.max(mindist))
-        if radius <= eps:
-            return Net(centers=K.points[selected[:used]].copy(), radius=radius)
+    selected: list[int] = []
+    for j, gap in _farthest_first(K):
+        if selected and gap <= eps:
+            return Net(centers=K.points[selected], radius=gap)
+        selected.append(j)
     # eps below the cloud's own granularity: every point is a center
-    return Net(centers=K.points[selected].copy(), radius=0.0)
+    return Net(centers=K.points[selected], radius=0.0)

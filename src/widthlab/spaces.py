@@ -8,10 +8,8 @@ ideal set (0 when the surrogate is the class itself).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +22,6 @@ __all__ = [
     "generate_Kq",
     "generate_diag_class",
     "generate_sparse_class",
-    "save_points",
-    "load_points",
 ]
 
 
@@ -57,18 +53,24 @@ def norm(x: np.ndarray, space: FiniteNormedSpace) -> np.ndarray:
     return np.sum(np.abs(x) ** space.p, axis=-1) ** (1.0 / space.p)
 
 
+def scipy_metric(p: float) -> tuple[str, dict]:
+    """Name and keyword arguments of the l_p metric in scipy.spatial.distance."""
+    if math.isinf(p):
+        return "chebyshev", {}
+    if p == 1.0:
+        return "cityblock", {}
+    if p == 2.0:
+        return "euclidean", {}
+    return "minkowski", {"p": p}
+
+
 def pairwise_distances(points: np.ndarray, p: float) -> np.ndarray:
     """Dense matrix of l_p distances between rows of ``points``."""
     from scipy.spatial import distance
 
+    metric, kwargs = scipy_metric(p)
     points = np.asarray(points, dtype=float)
-    if math.isinf(p):
-        return distance.squareform(distance.pdist(points, "chebyshev"))
-    if p == 1.0:
-        return distance.squareform(distance.pdist(points, "cityblock"))
-    if p == 2.0:
-        return distance.squareform(distance.pdist(points, "euclidean"))
-    return distance.squareform(distance.pdist(points, "minkowski", p=p))
+    return distance.squareform(distance.pdist(points, metric, **kwargs))
 
 
 @dataclass(frozen=True)
@@ -233,42 +235,4 @@ def generate_sparse_class(
         resolution=res,
         label=f"sparse(k={k})",
         convex=False,
-    )
-
-
-def save_points(K: ModelClassSurrogate, path: str | Path) -> None:
-    """Write the cloud as CSV (header x0..x{N-1}) plus a key=value sidecar."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(K.space.dim)])
-        for row in K.points:
-            writer.writerow([repr(float(v)) for v in row])
-    meta = path.with_suffix(path.suffix + ".meta")
-    with open(meta, "w") as fh:
-        fh.write(f"dim={K.space.dim}\n")
-        fh.write(f"p={K.space.p}\n")
-        fh.write(f"resolution={K.resolution!r}\n")
-        fh.write(f"label={K.label}\n")
-        fh.write(f"convex={int(K.convex)}\n")
-
-
-def load_points(path: str | Path) -> ModelClassSurrogate:
-    """Inverse of save_points; the sidecar must sit next to the CSV."""
-    path = Path(path)
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta: dict[str, str] = {}
-    with open(path.with_suffix(path.suffix + ".meta")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    space = FiniteNormedSpace(int(meta["dim"]), float(meta["p"]))
-    return ModelClassSurrogate(
-        space=space,
-        points=pts,
-        resolution=float(meta["resolution"]),
-        label=meta["label"],
-        convex=bool(int(meta.get("convex", "0"))),
     )

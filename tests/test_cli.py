@@ -77,6 +77,33 @@ def test_entropy_seed_changes_the_numbers(tmp_path):
     assert rows1 != rows2
 
 
+SMALL_WIDTHS = """
+[stable-width]
+count = 200
+n_max = 3
+pair_samples = 500
+probes = 2
+
+[carl]
+count = 200
+n_max = 3
+pair_samples = 500
+"""
+
+
+@pytest.mark.parametrize("name", ["stable-width", "carl"])
+def test_width_commands_are_thread_count_invariant(tmp_path, name):
+    outputs = []
+    for threads in (1, 2):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        out = run_cli(run_dir, name, SMALL_WIDTHS, threads=threads)
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs
+        outputs.append({path.name: path.read_bytes() for path in csvs})
+    assert outputs[0] == outputs[1]
+
+
 def test_counterexample_command_smoke(tmp_path):
     out = run_cli(tmp_path, "counterexample", "[counterexample]\nk_max = 5\nn_max = 3\n")
     body = (out / "counterexample_maps.csv").read_text()

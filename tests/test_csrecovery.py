@@ -85,6 +85,23 @@ def test_op_norm_bracket_endpoints_are_tight():
     assert (b2.upper - b2.lower) <= 1e-6 * true_spec
 
 
+@pytest.mark.parametrize("seed", [4270433696, *range(0, 200, 10)])
+def test_op_norm_bracket_contains_the_spectral_norm(seed):
+    # matrix seed 4270433696 has sigma_2 within 0.2% of sigma_1, where an
+    # iterative estimate converges slowly and from below
+    Phi = gaussian_matrix(40, 128, seed=seed)
+    sigma = float(np.linalg.norm(Phi.matrix, 2))
+    b2 = op_norm_bracket(Phi, 2.0, seed=seed)
+    assert b2.lower <= sigma <= b2.upper
+    # the p = 1.5 upper end interpolates the p = 1 and p = 2 norms, so it
+    # must reach the interpolation bound at the true spectral norm
+    theta = 2.0 / 1.5 - 1.0
+    norm_1 = float(np.max(np.linalg.norm(Phi.matrix, axis=0)))
+    b15 = op_norm_bracket(Phi, 1.5, seed=seed)
+    assert b15.upper >= norm_1**theta * sigma ** (1.0 - theta) * (1.0 - 1e-12)
+    assert b15.lower <= b15.upper
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.sampled_from([1.0, 1.25, 1.5, 1.75, 2.0]))
 @settings(max_examples=25)

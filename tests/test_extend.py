@@ -10,11 +10,9 @@ from widthlab.extend import (
     kirszbraun_eval,
     kirszbraun_eval_batch,
     lipschitz_audit,
-    load_map,
     mcshane_eval,
     metric_projection_compose,
     sample_pairs,
-    save_map,
 )
 from widthlab.spaces import FiniteNormedSpace, ModelClassSurrogate, norm, pairwise_distances
 
@@ -72,6 +70,20 @@ def test_kirszbraun_two_ball_oracle():
     )
     got = kirszbraun_eval(map_, np.array([0.0]), tol=1e-10)
     assert got[0] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("strategy", ["metric_projection_compose", "nearest"])
+def test_sample_set_validation_rejects_unknown_strategies(strategy):
+    # composing with a projection is its own function, not an extension route
+    with pytest.raises(ValueError, match="unknown strategy"):
+        SampledLipschitzMap(
+            domain_space=FiniteNormedSpace(1, 2.0),
+            target_space=FiniteNormedSpace(1, 2.0),
+            xs=np.array([[0.0], [1.0]]),
+            fs=np.array([[0.0], [1.0]]),
+            gamma=1.0,
+            strategy=strategy,
+        )
 
 
 def test_sample_set_validation_rejects_bad_budget():
@@ -226,24 +238,3 @@ def test_sample_pairs_deterministic():
     assert all(np.array_equal(x1, x2) and np.array_equal(y1, y2)
                for (x1, y1), (x2, y2) in zip(a, b))
     assert len(a) == 25
-
-
-def test_save_load_map_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    xs = rng.standard_normal((5, 2))
-    fs = rng.standard_normal((5, 3))
-    gamma = fit_gamma(xs, fs, 2.0, 2.0)
-    map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(2, 2.0),
-        target_space=FiniteNormedSpace(3, 2.0),
-        xs=xs, fs=fs, gamma=gamma,
-    )
-    path = tmp_path / "map.csv"
-    save_map(map_, path)
-    back = load_map(path)
-    assert np.array_equal(back.xs, map_.xs)
-    assert np.array_equal(back.fs, map_.fs)
-    assert back.gamma == map_.gamma
-    assert back.strategy == map_.strategy
-    assert back.domain_space == map_.domain_space
-    assert back.target_space == map_.target_space

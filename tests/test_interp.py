@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from widthlab.extend import lipschitz_audit, sample_pairs
 from widthlab.interp import (
+    _lattice_bump,
+    _smooth_grid,
     KuhnMesh,
     MeshBudgetError,
     PLInterpolant,
@@ -16,8 +18,6 @@ from widthlab.interp import (
     cutoff_image_radius,
     finite_rank_pipeline,
     kuhn_simplices,
-    kuhn_triangulate,
-    mollify_on_grid,
     pl_eval,
     pl_eval_batch,
 )
@@ -69,7 +69,7 @@ def test_cutoff_lipschitz_budget_audited(R1, lam):
 
 
 def test_kuhn_mesh_counts_oracle():
-    mesh = kuhn_triangulate(2, 1.0, 2)
+    mesh = KuhnMesh(2, 1.0, 2)
     assert mesh.points_per_axis == 3
     assert mesh.vertex_count == 9
     assert mesh.h == pytest.approx(1.0)
@@ -81,7 +81,7 @@ def test_kuhn_mesh_counts_oracle():
 @pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3), (3, 2)])
 def test_kuhn_mesh_tiles_the_cube(n, subdiv):
     D = 0.8
-    mesh = kuhn_triangulate(n, D, subdiv)
+    mesh = KuhnMesh(n, D, subdiv)
     assert mesh.vertex_count == (subdiv + 1) ** n
     total = 0.0
     for simplex in kuhn_simplices(mesh):
@@ -91,15 +91,20 @@ def test_kuhn_mesh_tiles_the_cube(n, subdiv):
     assert total == pytest.approx((2.0 * D) ** n, rel=1e-12)
 
 
-def grid_values(mesh: KuhnMesh, fn, d_out: int) -> np.ndarray:
+def grid_points(mesh: KuhnMesh) -> np.ndarray:
+    """Mesh vertices, row-major."""
     axes = [mesh.axis_coordinates() for _ in range(mesh.n)]
     grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def grid_values(mesh: KuhnMesh, fn, d_out: int) -> np.ndarray:
+    pts = grid_points(mesh)
     return np.asarray([fn(p) for p in pts], dtype=float).reshape(-1, d_out)
 
 
 def test_pl_reproduces_vertex_values_and_affine_maps():
-    mesh = kuhn_triangulate(2, 1.0, 3)
+    mesh = KuhnMesh(2, 1.0, 3)
     A = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 1.0]])
     b = np.array([0.1, -0.2, 0.3])
     affine = lambda x: A @ x + b
@@ -116,7 +121,7 @@ def test_pl_reproduces_vertex_values_and_affine_maps():
 
 
 def test_pl_outside_value_and_batch_consistency():
-    mesh = kuhn_triangulate(2, 1.0, 2)
+    mesh = KuhnMesh(2, 1.0, 2)
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, lambda x: x, 2),
                       outside_value=np.array([9.0, 9.0]))
     assert np.array_equal(pl_eval(f, np.array([1.5, 0.0])), [9.0, 9.0])
@@ -127,14 +132,14 @@ def test_pl_outside_value_and_batch_consistency():
 
 
 def test_pl_rank_bound_counts_interior_vertices():
-    mesh = kuhn_triangulate(2, 1.0, 4)
+    mesh = KuhnMesh(2, 1.0, 4)
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, lambda x: x, 2),
                       outside_value=np.zeros(2))
     assert f.rank_bound == mesh.vertex_count + 1
 
 
 def test_pl_continuous_across_shared_faces():
-    mesh = kuhn_triangulate(2, 1.0, 4)
+    mesh = KuhnMesh(2, 1.0, 4)
     wavy = lambda x: np.array([math.sin(3.0 * x[0]) * math.cos(2.0 * x[1])])
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, wavy, 1),
                       outside_value=np.zeros(1))
@@ -167,23 +172,25 @@ def test_bump_kernel_normalization_and_moment():
             assert 0.0 < moment <= 1.0 / m
 
 
-def test_mollify_preserves_constants_and_respects_the_moment_bound():
-    spacing = 1.0 / 64.0  # = 1/(4m) for m = 16
-    m = 16.0
-    grid = np.arange(-2.0, 2.0 + spacing / 2, spacing)
-    const = np.full((len(grid), 1), 3.7)
-    out = mollify_on_grid(const, spacing, m)
-    assert out == pytest.approx(const, abs=1e-12)
-    # 1-Lipschitz input: smoothing moves values at most by the first moment
-    lipschitz_input = np.abs(grid)[:, None]
-    smoothed = mollify_on_grid(lipschitz_input, spacing, m)
-    _, _, moment = bump_kernel(m, 1)
-    assert float(np.max(np.abs(smoothed - lipschitz_input))) <= moment + 1e-12
-
-
-def test_mollify_rejects_coarse_grids():
-    with pytest.raises(ValueError):
-        mollify_on_grid(np.zeros((5, 1)), spacing=0.5, m=16.0)
+@pytest.mark.parametrize("n", [1, 2])
+def test_smooth_grid_preserves_constants_and_respects_the_moment_bound(n):
+    # spacing 1/64 = 1/(4m) for m = 16; the input is a 1-Lipschitz plateau
+    # that takes the base value within one kernel radius of every face, as
+    # the pipeline's cut-off maps do
+    m, base, top = 16.0, 3.7, 0.6
+    mesh = KuhnMesh(n, 2.0, 256)
+    _, _, moment, stencil = _lattice_bump(m, n, mesh.h)
+    assert stencil.size > 1
+    r = np.linalg.norm(grid_points(mesh), axis=1)
+    values = (base + np.clip(1.5 - r, 0.0, top))[:, None]
+    smoothed = _smooth_grid(values, mesh, stencil, np.array([base]))
+    plateau = r <= 1.5 - top - 1.0 / m
+    outside = r >= 1.5 + 1.0 / m
+    assert plateau.any() and outside.any()
+    assert smoothed[plateau] == pytest.approx(values[plateau], abs=1e-12)
+    assert smoothed[outside] == pytest.approx(values[outside], abs=1e-12)
+    # smoothing a 1-Lipschitz map moves values at most by the first moment
+    assert float(np.max(np.abs(smoothed - values))) <= moment + 1e-12
 
 
 def linear_demo(X):

@@ -12,7 +12,12 @@ from widthlab.nets import (
     greedy_cover,
     greedy_packing,
 )
-from widthlab.spaces import FiniteNormedSpace, ModelClassSurrogate, pairwise_distances
+from widthlab.spaces import (
+    FiniteNormedSpace,
+    ModelClassSurrogate,
+    generate_Kq,
+    pairwise_distances,
+)
 
 
 def line_cloud(*coords):
@@ -136,3 +141,88 @@ def test_greedy_argument_validation():
         entropy_bracket(K, -1)
     with pytest.raises(ValueError):
         build_net(K, -0.1)
+
+
+def reference_order(K, m):
+    """Farthest-point order on the dense distance matrix: (indices, gaps).
+
+    The traversal written out in full, as a plain argmax loop over a
+    count x count matrix; the nets must reproduce it bit for bit.
+    """
+    dist = pairwise_distances(K.points, K.space.p)
+    m = min(m, K.count)
+    selected, gaps = [0], [math.inf]
+    mindist = dist[0].copy()
+    for _ in range(1, m):
+        j = int(np.argmax(mindist))
+        selected.append(j)
+        gaps.append(float(mindist[j]))
+        np.minimum(mindist, dist[j], out=mindist)
+    return selected, gaps, dist
+
+
+def reference_cover(K, m):
+    selected, _, dist = reference_order(K, m)
+    return selected, float(np.max(np.min(dist[selected], axis=0)))
+
+
+def reference_net(K, eps):
+    selected, _, dist = reference_order(K, K.count)
+    mindist = np.full(K.count, math.inf)
+    for used, j in enumerate(selected, start=1):
+        np.minimum(mindist, dist[j], out=mindist)
+        radius = float(np.max(mindist))
+        if radius <= eps:
+            return selected[:used], radius
+    return selected, 0.0
+
+
+@pytest.fixture(scope="module")
+def l1_ball():
+    return generate_Kq(32, 1.0, 2000, seed=0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nets_match_the_dense_reference_on_the_l1_ball(l1_ball, n):
+    K, budget = l1_ball, 2**n
+    centers, radius = reference_cover(K, budget)
+    net = greedy_cover(K, budget)
+    assert np.array_equal(net.centers, K.points[centers])
+    assert net.radius == radius
+    packed, gaps, _ = reference_order(K, budget + 1)
+    witness, sep = greedy_packing(K, budget + 1)
+    assert np.array_equal(witness, K.points[packed])
+    assert sep == gaps[-1]
+    bracket = entropy_bracket(K, n)
+    assert np.array_equal(bracket.cover_centers, K.points[centers])
+    assert np.array_equal(bracket.packing_witness, K.points[packed])
+    assert bracket.upper == radius
+    assert bracket.lower == gaps[-1] / 2.0
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_nets_match_the_dense_reference_under_other_norms(p):
+    pts = np.random.default_rng(3).standard_normal((300, 6))
+    K = ModelClassSurrogate(FiniteNormedSpace(6, p), pts)
+    for m in (1, 2, 5, 17, 64, 300):
+        centers, radius = reference_cover(K, m)
+        net = greedy_cover(K, m)
+        assert np.array_equal(net.centers, K.points[centers])
+        assert net.radius == radius
+        packed, gaps, _ = reference_order(K, m)
+        witness, sep = greedy_packing(K, m)
+        assert np.array_equal(witness, K.points[packed])
+        assert sep == gaps[-1]
+    for eps in (2.0, 1.0, 0.5, 0.0):
+        centers, radius = reference_net(K, eps)
+        net = build_net(K, eps)
+        assert np.array_equal(net.centers, K.points[centers])
+        assert net.radius == radius
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.4, 0.3, 0.25, 0.0])
+def test_build_net_matches_the_dense_reference_on_the_l1_ball(l1_ball, eps):
+    centers, radius = reference_net(l1_ball, eps)
+    net = build_net(l1_ball, eps)
+    assert np.array_equal(net.centers, l1_ball.points[centers])
+    assert net.radius == radius

@@ -12,10 +12,8 @@ from widthlab.spaces import (
     generate_Kq,
     generate_diag_class,
     generate_sparse_class,
-    load_points,
     norm,
     pairwise_distances,
-    save_points,
 )
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -166,15 +164,3 @@ def test_surrogate_validation():
         ModelClassSurrogate(space, np.zeros((1, 3)))  # wrong width
     with pytest.raises(ValueError):
         ModelClassSurrogate(space, np.zeros((0, 2)))  # empty
-
-
-def test_save_load_roundtrip(tmp_path):
-    K = generate_Kq(5, 1.0, 17, seed=9)
-    path = tmp_path / "cloud.csv"
-    save_points(K, path)
-    back = load_points(path)
-    assert np.array_equal(back.points, K.points)
-    assert back.space == K.space
-    assert back.resolution == K.resolution
-    assert back.label == K.label
-    assert back.convex == K.convex
