@@ -33,11 +33,9 @@ from .extend import (
     ExtensionFeasibilityError,
     LipschitzAudit,
     SampledLipschitzMap,
-    kirszbraun_eval,
     kirszbraun_eval_batch,
     lipschitz_audit,
     mcshane_eval,
-    metric_projection_compose,
     sample_pairs,
 )
 from .stablewidth import (

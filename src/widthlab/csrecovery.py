@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .extend import SampledLipschitzMap
 from .nets import Net
@@ -302,6 +301,8 @@ def l1_decode(
     mat = Phi.matrix
     if y.shape != (Phi.n,):
         raise ValueError(f"measurement length {y.shape} != ({Phi.n},)")
+    from scipy.linalg import cho_factor, cho_solve
+
     gram = cho_factor(mat @ mat.T)
 
     def project(v: np.ndarray) -> np.ndarray:
@@ -402,11 +403,11 @@ def build_nonlinear_pair(
     try:
         encoder = SampledLipschitzMap(
             domain_space=ambient, target_space=param_space,
-            xs=xs, fs=images, gamma=gamma_a, strategy="kirszbraun",
+            xs=xs, fs=images, gamma=gamma_a,
         )
         decoder = SampledLipschitzMap(
             domain_space=param_space, target_space=ambient,
-            xs=images, fs=xs, gamma=gamma_M, strategy="kirszbraun",
+            xs=images, fs=xs, gamma=gamma_M,
         )
     except ValueError as exc:
         raise ValueError(

@@ -226,9 +226,7 @@ def generate_sparse_class(
     # estimated covering density of the cloud in Sigma_k cap B: max distance
     # from fresh probe draws to their nearest cloud point (a lower estimate
     # of the true covering radius; callers fold in realized distances too)
-    probes = draw(4 * count)
-    d2 = np.linalg.norm(probes[:, None, :] - pts[None, :, :], axis=2)
-    res = float(np.max(np.min(d2, axis=1)))
+    res = _farthest_probe_distance(draw(4 * count), pts)
     return ModelClassSurrogate(
         space=FiniteNormedSpace(N, 2.0),
         points=pts,
@@ -236,3 +234,18 @@ def generate_sparse_class(
         label=f"sparse(k={k})",
         convex=False,
     )
+
+
+def _farthest_probe_distance(probes: np.ndarray, points: np.ndarray) -> float:
+    """Largest l_2 distance from a probe to its nearest point.
+
+    Works through 64 probes at a time, which bounds the temporary at
+    64 x len(points) x dim floats.  Each row is the same norm expression as
+    in the full probes x points tensor, so the result is identical.
+    """
+    res = -math.inf
+    for start in range(0, len(probes), 64):
+        chunk = probes[start:start + 64]
+        d2 = np.linalg.norm(chunk[:, None, :] - points[None, :, :], axis=2)
+        res = max(res, float(np.max(np.min(d2, axis=1))))
+    return res

@@ -138,12 +138,6 @@ class EncoderDecoderPair:
     def param_dim(self) -> int:
         return self.encoder.target_space.dim
 
-    def encode(self, x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        return self.encoder(np.asarray(x, dtype=float), tol=tol)
-
-    def decode(self, y: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        return self.decoder(np.asarray(y, dtype=float), tol=tol)
-
     def roundtrip_batch(self, X: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         return self.decoder.eval_batch(self.encoder.eval_batch(X, tol=tol), tol=tol)
 
@@ -191,7 +185,6 @@ def build_stable_pair(
         xs=net.centers,
         fs=images,
         gamma=1.0,
-        strategy="kirszbraun",
     )
     decoder = SampledLipschitzMap(
         domain_space=param_space,
@@ -199,7 +192,6 @@ def build_stable_pair(
         xs=images,
         fs=net.centers,
         gamma=2.0,
-        strategy="kirszbraun",
     )
     return EncoderDecoderPair(
         encoder=encoder,
@@ -223,7 +215,8 @@ def evaluate_width(
 
     Encoder pairs are sampled from the test cloud; decoder pairs from
     encoded cloud points jittered at the scale of the net radius, keeping
-    the audit in the region the decoder actually serves.
+    the audit in the region the decoder actually serves.  The audits
+    evaluate both maps at the roundtrip's tol.
     """
     X = K_test.points
     recon = pair.roundtrip_batch(X, tol=tol)
@@ -232,7 +225,10 @@ def evaluate_width(
 
     enc_pairs = sample_pairs(X, pair_samples, seed=seed)
     audit_a = lipschitz_audit(
-        pair.encoder, enc_pairs, pair.encoder.domain_space, pair.encoder.target_space
+        lambda Z: pair.encoder.eval_batch(Z, tol=tol),
+        enc_pairs,
+        pair.encoder.domain_space,
+        pair.encoder.target_space,
     )
     rng = np.random.default_rng(seed + 1)
     images = pair.encoder.eval_batch(
@@ -248,7 +244,10 @@ def evaluate_width(
     pool = np.concatenate([images, clones], axis=0)
     dec_pairs = sample_pairs(pool, pair_samples, seed=seed + 1)
     audit_M = lipschitz_audit(
-        pair.decoder, dec_pairs, pair.decoder.domain_space, pair.decoder.target_space
+        lambda Z: pair.decoder.eval_batch(Z, tol=tol),
+        dec_pairs,
+        pair.decoder.domain_space,
+        pair.decoder.target_space,
     )
     return WidthReport(
         n=pair.n,
@@ -322,8 +321,9 @@ def stability_probe(
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(pair.param_dim)
     direction /= np.linalg.norm(direction)
-    y_prime = pair.encode(g, tol=tol) + eta * direction
-    lhs = float(norm(f - pair.decode(y_prime, tol=tol), ambient))
+    y_prime = pair.encoder.eval_batch(g[None, :], tol=tol) + eta * direction
+    decoded = pair.decoder.eval_batch(y_prime, tol=tol)[0]
+    lhs = float(norm(f - decoded, ambient))
     rhs = 2.0 * e_class + eta + pair.gamma_M * eta**beta
     return ProbeRecord(eta=eta, beta=beta, lhs=lhs, rhs=rhs)
 

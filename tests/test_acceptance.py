@@ -23,7 +23,7 @@ from widthlab.csrecovery import (
 from widthlab.demos import pipeline_budget
 from widthlab.extend import (
     SampledLipschitzMap,
-    kirszbraun_eval,
+    kirszbraun_eval_batch,
     lipschitz_audit,
     mcshane_eval,
     sample_pairs,
@@ -136,7 +136,7 @@ def test_one_parameter_coders_beat_every_stable_budget():
          f"n=1..6, {elapsed:.1f}s <= 30s")
 
 
-def _random_sample_set(rng, target_p, strategy):
+def _random_sample_set(rng, target_p):
     count = int(rng.integers(4, 24))
     dim_in = int(rng.integers(1, 6))
     dim_out = int(rng.integers(1, 5))
@@ -151,7 +151,7 @@ def _random_sample_set(rng, target_p, strategy):
     return SampledLipschitzMap(
         domain_space=FiniteNormedSpace(dim_in, 2.0),
         target_space=FiniteNormedSpace(dim_out, target_p),
-        xs=xs, fs=fs, gamma=gamma, strategy=strategy,
+        xs=xs, fs=fs, gamma=gamma,
     )
 
 
@@ -161,21 +161,20 @@ def test_extension_engines_meet_tolerances():
     worst_reproduce = 0.0
     worst_excess = -math.inf
     for _ in range(20):
-        map_ = _random_sample_set(rng, math.inf, "mcshane")
-        for x, f in zip(map_.xs, map_.fs):
-            worst_reproduce = max(
-                worst_reproduce, float(np.max(np.abs(mcshane_eval(map_, x) - f))))
+        map_ = _random_sample_set(rng, math.inf)
+        worst_reproduce = max(
+            worst_reproduce,
+            float(np.max(np.abs(mcshane_eval(map_, map_.xs) - map_.fs))))
         pairs = sample_pairs(map_.xs, 10_000, seed=int(rng.integers(2**31)),
                              jitter=0.5)
-        audit = lipschitz_audit(lambda x: mcshane_eval(map_, x), pairs,
+        audit = lipschitz_audit(lambda X: mcshane_eval(map_, X), pairs,
                                 map_.domain_space, map_.target_space)
         worst_excess = max(worst_excess, audit.measured - map_.gamma)
     worst_residual = 0.0
     for _ in range(20):
-        map_ = _random_sample_set(rng, 2.0, "kirszbraun")
+        map_ = _random_sample_set(rng, 2.0)
         queries = rng.standard_normal((50, map_.domain_space.dim)) * 2.0
-        for x in queries:
-            y = kirszbraun_eval(map_, x, tol=1e-8)
+        for x, y in zip(queries, kirszbraun_eval_batch(map_, queries, tol=1e-8)):
             gaps = (np.linalg.norm(y[None, :] - map_.fs, axis=1)
                     - map_.gamma * np.linalg.norm(x[None, :] - map_.xs, axis=1))
             worst_residual = max(worst_residual, float(np.max(gaps)))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from widthlab import __version__
-from widthlab.cli import DEFAULTS, main, resolve_config
+from widthlab.cli import COMMANDS, DEFAULTS, main, resolve_config
 
 SMALL_ENTROPY = """
 [entropy]
@@ -132,9 +132,42 @@ def test_interp_command_smoke(tmp_path):
         "sup_err_smooth", "lip_excess_smooth"]
 
 
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reports.py"
+
+
 def test_reproduce_script_advertises_usage():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reports.py"
-    proc = subprocess.run([sys.executable, str(script), "--help"],
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--help"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "--quick" in proc.stdout
+
+
+def test_reproduce_script_quick_run_writes_every_artifact(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--quick",
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = {
+        "entropy": ["entropy.csv"],
+        "stable-width": ["linear_baseline.csv", "stability_probes.csv",
+                         "stable_width.csv"],
+        "counterexample": ["counterexample_entropy.csv",
+                           "counterexample_maps.csv"],
+        "cs": ["instance_optimality.csv", "operator_bounds.csv",
+               "recovery_trials.csv"],
+        "interp": ["interp_levels.csv"],
+        "carl": ["carl_cover.csv", "carl_rate.csv"],
+    }
+    assert sorted(expected) == sorted(COMMANDS)
+    for name, csvs in expected.items():
+        assert sorted(p.name for p in (tmp_path / name).glob("*.csv")) == csvs
+        assert (tmp_path / name / "report.md").is_file()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, widthlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

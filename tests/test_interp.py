@@ -64,7 +64,7 @@ def test_cutoff_lipschitz_budget_audited(R1, lam):
     anchors = np.random.default_rng(17).standard_normal((60, 2)) * (R1 + 1.0)
     pairs = sample_pairs(anchors, 10_000, seed=17, jitter=0.5 * R1)
     space = FiniteNormedSpace(2, 2.0)
-    audit = lipschitz_audit(lambda x: cutoff_eval(cut, x), pairs, space, space)
+    audit = lipschitz_audit(lambda X: cutoff_eval(cut, X), pairs, space, space)
     assert audit.measured <= 1.0 + lam * R1 + 1e-6
 
 

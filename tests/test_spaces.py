@@ -15,6 +15,7 @@ from widthlab.spaces import (
     norm,
     pairwise_distances,
 )
+from widthlab.spaces import _farthest_probe_distance
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -164,3 +165,12 @@ def test_surrogate_validation():
         ModelClassSurrogate(space, np.zeros((1, 3)))  # wrong width
     with pytest.raises(ValueError):
         ModelClassSurrogate(space, np.zeros((0, 2)))  # empty
+
+
+@pytest.mark.parametrize("probe_count", [1, 64, 150])
+def test_chunked_probe_distance_equals_the_dense_tensor(probe_count):
+    rng = np.random.default_rng(probe_count)
+    pts = rng.standard_normal((40, 12))
+    probes = rng.standard_normal((probe_count, 12))
+    dense = np.linalg.norm(probes[:, None, :] - pts[None, :, :], axis=2)
+    assert _farthest_probe_distance(probes, pts) == float(np.max(np.min(dense, axis=1)))

@@ -61,9 +61,8 @@ def small_diag_class():
 def test_stable_pair_recovers_net_centers():
     K = small_diag_class()
     pair = build_stable_pair(K, n=2, seed=0)
-    for center in pair.net.centers:
-        roundtrip = pair.decoder(pair.encoder(center))
-        assert float(np.linalg.norm(roundtrip - center)) <= 1e-7
+    roundtrip = pair.roundtrip_batch(pair.net.centers)
+    assert float(np.max(np.linalg.norm(roundtrip - pair.net.centers, axis=1))) <= 1e-7
 
 
 def test_stable_pair_budgets_and_main_inequality():
