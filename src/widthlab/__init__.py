@@ -96,8 +96,8 @@ from .interp import (
     cutoff_eval,
     cutoff_image_radius,
     finite_rank_pipeline,
+    kernel_scale,
     kuhn_simplices,
-    pl_eval,
     pl_eval_batch,
 )
 from .demos import (

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .extend import lipschitz_audit
 from .nets import entropy_bracket
-from .spaces import AlphaSequence, generate_diag_class
+from .spaces import AlphaSequence, FiniteNormedSpace, generate_diag_class
 
 __all__ = [
     "DiagMaps",
@@ -112,26 +113,24 @@ def diag_decode(maps: DiagMaps, t: float) -> np.ndarray:
 
 
 def decoder_lipschitz_lower(maps: DiagMaps, probes: int = 64) -> float:
-    """Audited lower bound for Lip(M_k) from breakpoint and probe pairs.
+    """Audited lower bound for Lip(M_k) over all pairs of breakpoints and probes.
 
     The adjacent-breakpoint pair (alpha_k, alpha_{k-1}) alone already gives
     a ratio above alpha_{k-1} / (alpha_{k-1} - alpha_k).
     """
     bp = maps.breakpoints
-    ts = list(bp) + [0.0, float(bp[-1]) * 1.5]
-    if probes > 0 and maps.k >= 1:
-        ts.extend(np.linspace(0.0, float(bp[-1]), probes).tolist())
-    ts = sorted(set(ts))
-    vals = [diag_decode(maps, t) for t in ts]
-    best = 0.0
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            gap = ts[j] - ts[i]
-            if gap <= 0:
-                continue
-            ratio = float(np.linalg.norm(vals[j] - vals[i])) / gap
-            best = max(best, ratio)
-    return best
+    ts = np.unique(np.concatenate(
+        [bp, [0.0, bp[-1] * 1.5], np.linspace(0.0, bp[-1], probes)]
+    ))
+    i, j = np.triu_indices(len(ts), k=1)
+    pairs = np.stack([ts[i], ts[j]], axis=1)[:, :, None]
+    audit = lipschitz_audit(
+        lambda T: np.array([diag_decode(maps, t) for t in T[:, 0]]),
+        pairs,
+        FiniteNormedSpace(1, 2.0),
+        FiniteNormedSpace(maps.dim, 2.0),
+    )
+    return audit.measured
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .extend import SampledLipschitzMap
 from .nets import Net
-from .spaces import FiniteNormedSpace, ModelClassSurrogate
+from .spaces import FiniteNormedSpace, ModelClassSurrogate, norm
 from .stablewidth import EncoderDecoderPair
 
 __all__ = [
@@ -123,17 +123,13 @@ def _support_delta(mat: np.ndarray, support) -> float:
 
 
 def rip_check(
-    Phi: SensingMatrix,
-    k: int,
-    samples: int = 1000,
-    seed: int = 0,
-    exhaustive: bool | None = None,
+    Phi: SensingMatrix, k: int, samples: int = 1000, seed: int = 0
 ) -> RipCertificate:
     """Certify delta_k by singular values of column submatrices.
 
-    exhaustive=None enumerates when the support count does not exceed the
-    sampling budget; forcing exhaustive=True refuses more than 10^6
-    supports.  k = 1 is always exact (column norms).
+    Every support is enumerated when their count does not exceed the
+    sampling budget, and more than 10^6 are refused; otherwise `samples`
+    random supports are drawn.  k = 1 is always exact (column norms).
     """
     if not (1 <= k <= Phi.N):
         raise ValueError(f"need 1 <= k <= N, got k={k}")
@@ -143,9 +139,7 @@ def rip_check(
         return RipCertificate(order=1, delta=delta, exhaustive=True,
                               supports_checked=Phi.N)
     total = math.comb(Phi.N, k)
-    if exhaustive is None:
-        exhaustive = total <= samples
-    if exhaustive:
+    if total <= samples:
         if total > 10**6:
             raise ValueError(f"refusing exhaustive pass over {total} supports")
         delta = max(
@@ -180,10 +174,8 @@ def _boyd_ascent(mat: np.ndarray, p: float, x0: np.ndarray,
                  iterations: int = 60) -> float:
     """Monotone fixed-point ascent for ||Phi x||_2 / ||x||_p from a start point."""
     pspace = FiniteNormedSpace(mat.shape[1], p)
-    from .spaces import norm as _norm
-
     dual_exp = 1.0 / (p - 1.0)
-    x = x0 / _norm(x0, pspace)
+    x = x0 / norm(x0, pspace)
     best = float(np.linalg.norm(mat @ x))
     for _ in range(iterations):
         y = mat @ x
@@ -192,7 +184,7 @@ def _boyd_ascent(mat: np.ndarray, p: float, x0: np.ndarray,
             break
         z = mat.T @ (y / ny)
         x = np.sign(z) * np.abs(z) ** dual_exp
-        nx = _norm(x, pspace)
+        nx = norm(x, pspace)
         if nx == 0.0:
             break
         x /= nx
@@ -283,19 +275,19 @@ def operator_norm_bound_check(
     )
 
 
-def l1_decode(
-    Phi: SensingMatrix,
-    y: np.ndarray,
-    penalty: float = 1.0,
-    tol: float = 1e-8,
-    iteration_cap: int = 20000,
-) -> np.ndarray:
+# l1_decode: shrinkage threshold, relative stopping tolerance, iteration cap
+_L1_PENALTY = 1.0
+_L1_TOL = 1e-8
+_L1_ITERATION_CAP = 20000
+
+
+def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
     """Minimum-l_1 solution of Phi x = y by operator splitting.
 
     Alternates l_1 shrinkage with exact projection onto the affine
     constraint set (Douglas-Rachford form); the returned iterate is the
     projected one, so it satisfies the measurements exactly.  Stops when
-    shrinkage and projection agree to tol.
+    shrinkage and projection agree to _L1_TOL, relative to the iterate.
     """
     y = np.asarray(y, dtype=float)
     mat = Phi.matrix
@@ -309,18 +301,18 @@ def l1_decode(
         return v - mat.T @ cho_solve(gram, mat @ v - y)
 
     def shrink(v: np.ndarray) -> np.ndarray:
-        return np.sign(v) * np.maximum(np.abs(v) - penalty, 0.0)
+        return np.sign(v) * np.maximum(np.abs(v) - _L1_PENALTY, 0.0)
 
     z = project(np.zeros(Phi.N))
     w = z
-    for _ in range(iteration_cap):
+    for _ in range(_L1_ITERATION_CAP):
         x = shrink(z)
         w = project(2.0 * x - z)
         z = z + w - x
         gap = float(np.linalg.norm(w - x))
-        if gap <= tol * max(1.0, float(np.linalg.norm(w))):
+        if gap <= _L1_TOL * max(1.0, float(np.linalg.norm(w))):
             return w
-    raise L1ConvergenceError(gap, iteration_cap, w)
+    raise L1ConvergenceError(gap, _L1_ITERATION_CAP, w)
 
 
 def brute_sparse_decode(Phi: SensingMatrix, y: np.ndarray, k: int) -> np.ndarray:
@@ -370,17 +362,13 @@ def sigma_k(x: np.ndarray, k: int, p: float = 2.0) -> float:
         return 0.0
     order = np.argsort(-np.abs(x), kind="stable")
     tail = x[order[k:]]
-    space = FiniteNormedSpace(len(tail), p)
-    from .spaces import norm as _norm
-
-    return float(_norm(tail, space))
+    return float(norm(tail, FiniteNormedSpace(len(tail), p)))
 
 
 def build_nonlinear_pair(
     Phi: SensingMatrix,
     k: int,
     sparse_net: ModelClassSurrogate,
-    rip_samples: int = 1000,
     seed: int = 0,
 ) -> tuple[EncoderDecoderPair, RipCertificate]:
     """Coder pair (x -> Phi x, ball-intersection inverse) over a sparse net.
@@ -391,7 +379,7 @@ def build_nonlinear_pair(
     """
     if 2 * k > Phi.N:
         raise ValueError("order 2k exceeds the signal dimension")
-    rip = rip_check(Phi, 2 * k, samples=rip_samples, seed=seed)
+    rip = rip_check(Phi, 2 * k, seed=seed)
     if rip.delta >= 1.0:
         raise ValueError(f"delta_2k = {rip.delta:.4f} >= 1; pair undefined")
     gamma_a = 1.0 + rip.delta
@@ -417,10 +405,7 @@ def build_nonlinear_pair(
         encoder=encoder,
         decoder=decoder,
         net=Net(centers=xs, radius=sparse_net.resolution),
-        jl_matrix=Phi.matrix,
         n=Phi.n,
-        gamma_a=gamma_a,
-        gamma_M=gamma_M,
     )
     return pair, rip
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interp import bump_kernel, cutoff_image_radius
+from .interp import UNIT_SPACING, bump_kernel, cutoff_image_radius, kernel_scale
 
 __all__ = ["DemoMap", "PipelineBudget", "DEMOS", "pipeline_budget"]
 
@@ -41,12 +41,11 @@ class DemoMap:
 
 
 def _scalar_wave(X: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(X)[:, 0]
+    x = X[:, 0]
     return np.stack([np.sin(x), np.cos(x), np.sin(2.0 * x)], axis=1)
 
 
 def _plane_wave(X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(X)
     return np.stack(
         [np.sin(X[:, 0]) * np.cos(X[:, 1]), X[:, 0] * X[:, 1] / 4.0], axis=1
     )
@@ -102,7 +101,6 @@ def pipeline_budget(
     audit_safety: float = 1.05,
     shell_safety: float = 0.75,
     min_levels: int = 4,
-    grid_per_axis: int | None = None,
 ) -> PipelineBudget:
     """Plan gamma, delta and the mesh schedule for a demo map.
 
@@ -120,8 +118,8 @@ def pipeline_budget(
     demo = DEMOS[name]
     n = demo.domain_dim
     a = demo.S_halfwidth
-    per_axis = grid_per_axis if grid_per_axis is not None else (201 if n == 1 else 41)
-    axis = np.linspace(-a, a, per_axis)
+    # S is a grid on the cube of half-width a: 201 points per axis in 1-d, 41 in 2-d
+    axis = np.linspace(-a, a, 201 if n == 1 else 41)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     S = np.stack([g.ravel() for g in grids], axis=1)
 
@@ -138,8 +136,8 @@ def pipeline_budget(
 
     h_excess = audit_safety * delta / demo.d2_bound
     h_sup = math.sqrt(8.0 * (eps / 2.0) / demo.d2_bound)
-    offsets_u, weights_u, unit_moment = bump_kernel(1.0, n)
-    m = max(1, math.ceil((gamma + delta / 2.0) * unit_moment / (eps / 2.0)))
+    m = kernel_scale(gamma, delta, eps, n)
+    offsets_u, weights_u, _, _ = bump_kernel(1.0, n, UNIT_SPACING)
     # peak of the kernel's 1-d marginal; a derivative break of size `jump`
     # mollifies to a shell with curvature jump * m * peak
     spacing_u = float(np.min(np.diff(np.unique(offsets_u[:, 0]))))

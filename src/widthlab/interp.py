@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .extend import lipschitz_audit
 from .spaces import FiniteNormedSpace, norm
 
 __all__ = [
@@ -47,8 +48,8 @@ __all__ = [
     "cutoff_eval",
     "cutoff_image_radius",
     "bump_kernel",
+    "kernel_scale",
     "kuhn_simplices",
-    "pl_eval",
     "pl_eval_batch",
     "finite_rank_pipeline",
 ]
@@ -85,17 +86,13 @@ class RadialCutoff:
 
 
 def cutoff_eval(cut: RadialCutoff, X: np.ndarray) -> np.ndarray:
-    """Apply the cutoff to one vector or to rows of a 2-d array.
+    """Apply the cutoff to the rows of a 2-d array.
 
     (1 + lam R1)-Lipschitz in l_2; fixes the R1 ball pointwise.
     """
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    X2 = np.atleast_2d(X)
-    r = norm(X2, cut.space)
-    factor = np.clip(1.0 - cut.lam * (r - cut.R1), 0.0, 1.0)
-    out = X2 * factor[:, None]
-    return out[0] if single else out
+    factor = np.clip(1.0 - cut.lam * (norm(X, cut.space) - cut.R1), 0.0, 1.0)
+    return X * factor[:, None]
 
 
 def cutoff_image_radius(R1: float, lam: float) -> float:
@@ -108,7 +105,7 @@ def cutoff_image_radius(R1: float, lam: float) -> float:
     return max(R1, peak) if 1.0 / lam >= R1 else R1
 
 
-def _lattice_bump(
+def bump_kernel(
     m: float, n: int, spacing: float
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Bump kernel at scale 1/m sampled on a lattice of the given spacing.
@@ -139,17 +136,18 @@ def _lattice_bump(
     return offsets, weights, moment, stencil
 
 
-def bump_kernel(
-    m: float, n: int, cells_per_radius: int = 4
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Discrete bump kernel at scale 1/m on a grid of spacing 1/(cells * m).
+# tap spacing, in kernel radii, of the reference kernel that fixes the scale m
+UNIT_SPACING = 0.25
 
-    Returns (offsets, weights, first_moment): physical offset vectors, their
-    normalized weights (sum 1), and sum_j w_j ||offset_j||, the quantity
-    bounding the sup change of mollifying a Lipschitz map.
+
+def kernel_scale(gamma: float, delta: float, eps: float, n: int) -> int:
+    """The m of the kernel scale 1/m at which mollifying moves a map by <= eps/2.
+
+    The sup change is at most (gamma + delta/2) times the kernel's first
+    moment, and the moment of the reference kernel shrinks as 1/m.
     """
-    offsets, weights, moment, _ = _lattice_bump(m, n, 1.0 / (m * cells_per_radius))
-    return offsets, weights, moment
+    _, _, unit_moment, _ = bump_kernel(1.0, n, UNIT_SPACING)
+    return max(1, math.ceil((gamma + delta / 2.0) * unit_moment / (eps / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -245,9 +243,6 @@ class PLInterpolant:
     def rank_bound(self) -> int:
         return self.mesh.vertex_count + 1
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return pl_eval(self, x)
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         return pl_eval_batch(self, X)
 
@@ -261,9 +256,9 @@ def pl_eval_batch(f: PLInterpolant, X: np.ndarray) -> np.ndarray:
     successive gaps of the sorted coordinates.
     """
     mesh = f.mesh
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != mesh.n:
-        raise ValueError(f"points must have length {mesh.n}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != mesh.n:
+        raise ValueError(f"points must be rows of length {mesh.n}")
     Q, n = X.shape
     out = np.tile(f.outside_value, (Q, 1))
     inside = np.all(np.abs(X) <= mesh.D * (1.0 + 1e-12), axis=1)
@@ -286,10 +281,6 @@ def pl_eval_batch(f: PLInterpolant, X: np.ndarray) -> np.ndarray:
         acc += gaps[:, step][:, None] * f.values[vidx]
     out[inside] = acc
     return out
-
-
-def pl_eval(f: PLInterpolant, x: np.ndarray) -> np.ndarray:
-    return pl_eval_batch(f, np.asarray(x, dtype=float)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -399,6 +390,31 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
     return out
 
 
+def _probe_pairs(anchor: np.ndarray, dirs: np.ndarray, scales: np.ndarray,
+                 shell_anchor: np.ndarray, shell_dirs: np.ndarray,
+                 h: float, D: float) -> tuple[np.ndarray, np.ndarray]:
+    """(count, 2, n) pairs (a, clip(a + h * scale * dir)) and their scales.
+
+    Each shell probe is appended twice, paired radially at a quarter cell
+    and at one cell.  Pairs that the clip to the cube collapses are dropped.
+    """
+    a = np.concatenate([anchor, shell_anchor, shell_anchor], axis=0)
+    dirs = np.concatenate([dirs, shell_dirs, shell_dirs], axis=0)
+    scales = np.concatenate([
+        scales,
+        np.full(shell_anchor.shape[0], 0.25),
+        np.full(shell_anchor.shape[0], 1.0),
+    ])
+    b = np.clip(a + dirs * (h * scales)[:, None], -D, D)
+    keep = norm(a - b, FiniteNormedSpace(a.shape[1], 2.0)) > 0
+    return np.stack([a[keep], b[keep]], axis=1), scales[keep]
+
+
+# random probes of the deviation audit, and random pairs of the Lipschitz audits
+_AUDIT_POINTS = 2000
+_AUDIT_PAIRS = 4000
+
+
 def finite_rank_pipeline(
     M,
     S_points: np.ndarray,
@@ -409,23 +425,20 @@ def finite_rank_pipeline(
     initial_subdivisions: int = 64,
     min_levels: int = 1,
     max_vertices: int = 32_000_000,
-    audit_points: int = 2000,
-    audit_pairs: int = 4000,
-    cells_per_radius: int = 4,
 ) -> PipelineResult:
     """Cutoff, mollify, interpolate, rescale; audit every budget along the way.
 
-    M must be a batch-evaluable map (Q, n) -> (Q, d) that is gamma-Lipschitz
-    on the ball the cutoff can reach (checked on sampled pairs).  S_points
-    are the probes on which the final deviation is reported.  The mesh is
-    halved until the audited interpolation deviation is below eps/2 and the
-    audited extra Lipschitz constant below delta/2, with at least min_levels
-    levels recorded for convergence regressions.
+    M must be a batch map (Q, n) -> (Q, d) that is gamma-Lipschitz on the
+    ball the cutoff can reach (checked on sampled pairs).  S_points are the
+    probes, one per row, on which the final deviation is reported.  The mesh
+    is halved until the audited interpolation deviation is below eps/2 and
+    the audited extra Lipschitz constant below delta/2, with at least
+    min_levels levels recorded for convergence regressions.
     """
-    S_points = np.atleast_2d(np.asarray(S_points, dtype=float))
-    n = S_points.shape[1]
-    if not (1 <= n <= 3):
+    S_points = np.asarray(S_points, dtype=float)
+    if S_points.ndim != 2 or not (1 <= S_points.shape[1] <= 3):
         raise ValueError("pipeline supports domain dimension 1..3")
+    n = S_points.shape[1]
     if eps <= 0 or delta <= 0 or gamma <= 0:
         raise ValueError("gamma, eps, delta must be positive")
     l2 = FiniteNormedSpace(n, 2.0)
@@ -441,8 +454,9 @@ def finite_rank_pipeline(
     # l_p norms the equivalence constant is 1
     R2 = R_cut
 
-    d_out = np.atleast_2d(M(S_points[:1])).shape[1]
-    M0 = np.atleast_2d(M(np.zeros((1, n))))[0]
+    M0 = M(np.zeros((1, n)))[0]
+    d_out = M0.shape[0]
+    out_space = FiniteNormedSpace(d_out, 2.0)
 
     # certificate audit: gamma must hold where the cutoff sends points
     img_radius = cutoff_image_radius(R1, lam)
@@ -450,26 +464,24 @@ def finite_rank_pipeline(
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
     probe *= img_radius * rng.uniform(size=(512, 1)) ** (1.0 / n)
     partner = probe + rng.standard_normal((512, n)) * (0.05 * img_radius)
-    gaps = norm(probe - partner, l2)
-    ratios = norm(np.atleast_2d(M(probe)) - np.atleast_2d(M(partner)), FiniteNormedSpace(d_out, 2.0)) / gaps
-    worst = float(np.max(ratios))
+    worst = lipschitz_audit(
+        M, np.stack([probe, partner], axis=1), l2, out_space
+    ).measured
     if worst > gamma * (1.0 + 1e-9):
         raise ValueError(
             f"map violates its gamma certificate: measured {worst:.6g} > {gamma:.6g}"
         )
 
     def M1(X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(M(cutoff_eval(cut, X)))
+        return M(cutoff_eval(cut, X))
 
-    # kernel scale: sup mollification change <= (gamma + delta/2) * moment.
     # The kernel itself is rebuilt per mesh level on the mesh lattice (taps at
     # spacing h): a fixed tap lattice would hand the interpolant a function
     # whose residual kinks, of size w_max times the cutoff's derivative break,
     # never shrink, so the Lipschitz-excess audit would stall at that floor no
     # matter how fine the mesh.  Taps at spacing h keep the smoothed map's
     # kinks O(h) and make the audited excess genuinely converge.
-    _, _, unit_moment = bump_kernel(1.0, n, cells_per_radius)
-    m = max(1, math.ceil((gamma + delta / 2.0) * unit_moment / (eps / 2.0)))
+    m = kernel_scale(gamma, delta, eps, n)
 
     D = R2 + 1.0 / m
 
@@ -494,23 +506,15 @@ def finite_rank_pipeline(
         return np.minimum(np.abs(r - R1), np.abs(r - R_cut))
 
     # fixed audit material across levels
-    bulk = rng.uniform(-D, D, size=(audit_points, n))
+    bulk = rng.uniform(-D, D, size=(_AUDIT_POINTS, n))
     dev_points = np.concatenate([S_points, bulk, shell_anchor], axis=0)
     dev_smooth = _shell_distance(dev_points) > 1.0 / m
-    anchor = rng.uniform(-D, D, size=(audit_pairs, n))
-    directions = rng.standard_normal((audit_pairs, n))
+    anchor = rng.uniform(-D, D, size=(_AUDIT_PAIRS, n))
+    directions = rng.standard_normal((_AUDIT_PAIRS, n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     # pair scales proportional to the current h: sub-cell pairs see the local
     # slope of the interpolation error, long ones the accumulated drift
-    scale_mix = rng.choice([0.25, 1.0, 2.0, 8.0], size=audit_pairs)
-    # shell probes are paired radially at sub-cell and cell scale
-    anchor = np.concatenate([anchor, shell_anchor, shell_anchor], axis=0)
-    directions = np.concatenate([directions, shell_dirs, shell_dirs], axis=0)
-    scale_mix = np.concatenate([
-        scale_mix,
-        np.full(shell_anchor.shape[0], 0.25),
-        np.full(shell_anchor.shape[0], 1.0),
-    ])
+    scale_mix = rng.choice([0.25, 1.0, 2.0, 8.0], size=_AUDIT_PAIRS)
 
     levels: list[PipelineLevel] = []
     subdivisions = initial_subdivisions
@@ -522,7 +526,7 @@ def finite_rank_pipeline(
         if mesh.vertex_count > max_vertices:
             raise MeshBudgetError(achieved[0], achieved[1], mesh.vertex_count)
         h = mesh.h
-        offsets, weights, moment, stencil = _lattice_bump(float(m), n, h)
+        offsets, weights, moment, stencil = bump_kernel(float(m), n, h)
         mollify_bound = (gamma + delta / 2.0) * moment
 
         def M2(X: np.ndarray) -> np.ndarray:
@@ -536,37 +540,31 @@ def finite_rank_pipeline(
         del grid_M1
         interp = PLInterpolant(mesh=mesh, values=vertex_values, outside_value=M0)
 
-        dev_target = M2(dev_points)
-        dev_errs = norm(interp.eval_batch(dev_points) - dev_target,
-                        FiniteNormedSpace(d_out, 2.0))
+        dev_errs = norm(interp.eval_batch(dev_points) - M2(dev_points), out_space)
         sup_err = float(np.max(dev_errs))
         sup_err_smooth = _upper_tail(dev_errs[dev_smooth])
-        a = anchor
-        b = anchor + directions * (h * scale_mix)[:, None]
-        b = np.clip(b, -D, D)
-        keep = norm(a - b, l2) > 0
-        ak, bk = a[keep], b[keep]
-        ea = interp.eval_batch(ak) - M2(ak)
-        eb = interp.eval_batch(bk) - M2(bk)
-        ratios = (norm(ea - eb, FiniteNormedSpace(d_out, 2.0))
-                  / norm(ak - bk, l2))
-        lip_excess = float(np.max(ratios))
+        pairs, scales = _probe_pairs(anchor, directions, scale_mix,
+                                     shell_anchor, shell_dirs, h, D)
+        audit = lipschitz_audit(lambda X: interp.eval_batch(X) - M2(X),
+                                pairs, l2, out_space)
+        lip_excess = audit.measured
         # smooth pairs: both endpoints a kernel radius clear of each shell
         # and on the same side of it, so the segment cannot cross one;
         # only the within-cell pair scales measure the local error slope
+        ak, bk = pairs[:, 0], pairs[:, 1]
         ra, rb = norm(ak, l2), norm(bk, l2)
         smooth_pair = (
             (_shell_distance(ak) > 1.0 / m)
             & (_shell_distance(bk) > 1.0 / m)
             & (np.sign(ra - R1) == np.sign(rb - R1))
             & (np.sign(ra - R_cut) == np.sign(rb - R_cut))
-            & (scale_mix[keep] <= 1.0)
+            & (scales <= 1.0)
         )
-        lip_excess_smooth = _upper_tail(ratios[smooth_pair])
         levels.append(PipelineLevel(
             subdivisions=subdivisions, h=h,
             sup_err=sup_err, lip_excess=lip_excess,
-            sup_err_smooth=sup_err_smooth, lip_excess_smooth=lip_excess_smooth,
+            sup_err_smooth=sup_err_smooth,
+            lip_excess_smooth=_upper_tail(audit.ratios[smooth_pair]),
         ))
         achieved = (sup_err, lip_excess)
         passed = sup_err <= eps / 2.0 and lip_excess <= delta / 2.0
@@ -582,30 +580,17 @@ def finite_rank_pipeline(
     )
 
     sup_dev_on_S = float(
-        np.max(norm(final.eval_batch(S_points) - np.atleast_2d(M(S_points)),
-                    FiniteNormedSpace(d_out, 2.0)))
+        np.max(norm(final.eval_batch(S_points) - M(S_points), out_space))
     )
     # final constant audit over mixed global, S-local, and shell pairs
-    h = final.mesh.h
     rng2 = np.random.default_rng(seed + 1)
-    base2 = np.concatenate([anchor[:audit_pairs], S_points], axis=0)
+    base2 = np.concatenate([anchor, S_points], axis=0)
     dirs2 = rng2.standard_normal(base2.shape)
     dirs2 /= np.linalg.norm(dirs2, axis=1, keepdims=True)
     scales2 = rng2.choice([0.25, 1.0, 8.0, 64.0], size=base2.shape[0])
-    a2 = np.concatenate([base2, shell_anchor, shell_anchor], axis=0)
-    dirs2 = np.concatenate([dirs2, shell_dirs, shell_dirs], axis=0)
-    scales2 = np.concatenate([
-        scales2,
-        np.full(shell_anchor.shape[0], 0.25),
-        np.full(shell_anchor.shape[0], 1.0),
-    ])
-    b2 = np.clip(a2 + dirs2 * (h * scales2)[:, None], -D, D)
-    keep = norm(a2 - b2, l2) > 0
-    fa = final.eval_batch(a2[keep])
-    fb = final.eval_batch(b2[keep])
-    lip_measured = float(
-        np.max(norm(fa - fb, FiniteNormedSpace(d_out, 2.0)) / norm(a2[keep] - b2[keep], l2))
-    )
+    pairs2, _ = _probe_pairs(base2, dirs2, scales2, shell_anchor, shell_dirs,
+                             final.mesh.h, D)
+    lip_measured = lipschitz_audit(final.eval_batch, pairs2, l2, out_space).measured
     return PipelineResult(
         interpolant=final,
         gamma=gamma,

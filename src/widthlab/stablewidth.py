@@ -80,12 +80,11 @@ def jl_dim(eps: float) -> int:
     return math.ceil(4.0 * math.log(2.0) / (eps**2 / 2.0 - eps**3 / 3.0))
 
 
-def jl_project(
-    points: np.ndarray,
-    target_dim: int,
-    seed: int,
-    retry_cap: int = 32,
-) -> np.ndarray:
+# independent Gaussian draws jl_project tries before it gives up
+_JL_RETRY_CAP = 32
+
+
+def jl_project(points: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
     """Gaussian projection verified on all pairs of the given points.
 
     The raw Gaussian map is rescaled so the worst pairwise expansion is
@@ -102,7 +101,7 @@ def jl_project(
     diffs = points[iu[0]] - points[iu[1]]
     true_d = np.linalg.norm(diffs, axis=1)
     worst = -math.inf
-    for attempt in range(retry_cap):
+    for attempt in range(_JL_RETRY_CAP):
         rng = np.random.default_rng([seed, attempt])
         T = rng.standard_normal((target_dim, dim)) / math.sqrt(target_dim)
         if len(true_d) == 0:
@@ -114,7 +113,7 @@ def jl_project(
         worst = max(worst, low)
         if low >= 0.5:
             return T_scaled
-    raise JLDistortionError(retry_cap, worst)
+    raise JLDistortionError(_JL_RETRY_CAP, worst)
 
 
 @dataclass(frozen=True)
@@ -123,16 +122,21 @@ class EncoderDecoderPair:
 
     The encoder is 1-Lipschitz (gamma_a), the decoder 2-Lipschitz (gamma_M)
     for the net construction; recovery is exact on the net by sample
-    interpolation.
+    interpolation.  The budgets are those of the two sampled maps.
     """
 
     encoder: SampledLipschitzMap
     decoder: SampledLipschitzMap
     net: Net
-    jl_matrix: np.ndarray | None
     n: int
-    gamma_a: float
-    gamma_M: float
+
+    @property
+    def gamma_a(self) -> float:
+        return self.encoder.gamma
+
+    @property
+    def gamma_M(self) -> float:
+        return self.decoder.gamma
 
     @property
     def param_dim(self) -> int:
@@ -197,10 +201,7 @@ def build_stable_pair(
         encoder=encoder,
         decoder=decoder,
         net=net,
-        jl_matrix=T,
         n=n,
-        gamma_a=1.0,
-        gamma_M=2.0,
     )
 
 

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import widthlab
 from widthlab import __version__
 from widthlab.cli import COMMANDS, DEFAULTS, main, resolve_config
 
@@ -135,17 +137,22 @@ def test_interp_command_smoke(tmp_path):
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reports.py"
 
 
+def run_python(args: list[str], timeout: int) -> subprocess.CompletedProcess:
+    """Run the interpreter on args, importing the widthlab these tests import."""
+    src = str(Path(widthlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_reproduce_script_advertises_usage():
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--help"],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python([str(SCRIPT), "--help"], timeout=60)
     assert proc.returncode == 0
     assert "--quick" in proc.stdout
 
 
 def test_reproduce_script_quick_run_writes_every_artifact(tmp_path):
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--quick",
-                           "--out", str(tmp_path)],
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python([str(SCRIPT), "--quick", "--out", str(tmp_path)], timeout=300)
     assert proc.returncode == 0, proc.stderr
     expected = {
         "entropy": ["entropy.csv"],
@@ -167,7 +174,6 @@ def test_reproduce_script_quick_run_writes_every_artifact(tmp_path):
 def test_cli_import_loads_no_scipy():
     code = ("import sys, widthlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -99,6 +99,34 @@ def test_decoder_lower_bound_beats_the_breakpoint_ratio():
         assert decoder_lipschitz_lower(maps) >= floor - 1e-9
 
 
+def pairwise_loop_lower(maps, probes=64):
+    """decoder_lipschitz_lower as a double loop over breakpoint/probe pairs."""
+    bp = maps.breakpoints
+    ts = list(bp) + [0.0, float(bp[-1]) * 1.5]
+    ts.extend(np.linspace(0.0, float(bp[-1]), probes).tolist())
+    ts = sorted(set(ts))
+    vals = [diag_decode(maps, t) for t in ts]
+    best = 0.0
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            ratio = float(np.linalg.norm(vals[j] - vals[i])) / (ts[j] - ts[i])
+            best = max(best, ratio)
+    return best
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_decoder_lower_bound_equals_the_pair_loop(k):
+    alpha = AlphaSequence(2.0)
+    # the report's ambient dimension: 2^(n_max + 1) at n_max = 6
+    assert decoder_lipschitz_lower(DiagMaps(k=k, alpha=alpha, dim=128)) == \
+        pairwise_loop_lower(DiagMaps(k=k, alpha=alpha, dim=128))
+    # in dimension k the loop's 1-d np.linalg.norm goes through a BLAS dot,
+    # whose fused multiply-add may round the last bit differently
+    assert decoder_lipschitz_lower(DiagMaps(k=k, alpha=alpha, dim=k)) == \
+        pytest.approx(pairwise_loop_lower(DiagMaps(k=k, alpha=alpha, dim=k)),
+                      rel=1e-15)
+
+
 def test_report_flags_and_rows():
     alpha = AlphaSequence(2.0)
     report = counterexample_report(alpha, k_max=10, n_max=6)

@@ -192,9 +192,25 @@ def test_lipschitz_audit_exact_on_linear_map():
     space = FiniteNormedSpace(3, 2.0)
     audit = lipschitz_audit(lambda X: 2.0 * X, pairs, space, space)
     assert audit.measured == pytest.approx(2.0, abs=1e-9)
-    assert audit.pair_count == 200
-    x, y = audit.argmax_pair
-    assert float(np.linalg.norm(x - y)) > 0
+    assert audit.ratios.shape == (200,)
+    assert np.allclose(audit.ratios, 2.0, rtol=0.0, atol=1e-9)
+
+
+def test_lipschitz_audit_ratios_on_pairs_sharing_endpoints():
+    # three points, each an endpoint of two pairs, and one pair listed again
+    # in reverse order; the map squares the first coordinate
+    p, q, r = [0.0, 1.0], [1.0, 1.0], [3.0, -1.0]
+    pairs = np.array([(p, q), (q, r), (r, p), (q, p)])
+    space = FiniteNormedSpace(2, 2.0)
+    audit = lipschitz_audit(
+        lambda X: np.stack([X[:, 0] ** 2, X[:, 1]], axis=1), pairs, space, space
+    )
+    # images (0, 1), (1, 1), (9, -1): image gaps 1, sqrt(68), sqrt(85)
+    # over domain gaps 1, sqrt(8), sqrt(13)
+    expected = [1.0, math.sqrt(68.0) / math.sqrt(8.0),
+                math.sqrt(85.0) / math.sqrt(13.0), 1.0]
+    assert audit.ratios.tolist() == expected
+    assert audit.measured == max(expected) == math.sqrt(68.0) / math.sqrt(8.0)
 
 
 def test_lipschitz_audit_rejects_degenerate_pairs():

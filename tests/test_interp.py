@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from widthlab.extend import lipschitz_audit, sample_pairs
 from widthlab.interp import (
-    _lattice_bump,
+    UNIT_SPACING,
     _smooth_grid,
     KuhnMesh,
     MeshBudgetError,
@@ -17,8 +17,8 @@ from widthlab.interp import (
     cutoff_eval,
     cutoff_image_radius,
     finite_rank_pipeline,
+    kernel_scale,
     kuhn_simplices,
-    pl_eval,
     pl_eval_batch,
 )
 from widthlab.spaces import FiniteNormedSpace
@@ -26,19 +26,19 @@ from widthlab.spaces import FiniteNormedSpace
 
 def test_cutoff_known_values():
     cut = RadialCutoff(R1=1.0, lam=1.0, space=FiniteNormedSpace(2, 2.0))
-    inside = np.array([0.3, -0.2])
+    inside = np.array([[0.3, -0.2]])
     assert np.array_equal(cutoff_eval(cut, inside), inside)
-    assert cutoff_eval(cut, np.array([1.5, 0.0])) == pytest.approx(
-        np.array([0.75, 0.0]), abs=1e-12)
-    assert np.array_equal(cutoff_eval(cut, np.array([3.0, 0.0])), np.zeros(2))
+    assert cutoff_eval(cut, np.array([[1.5, 0.0]])) == pytest.approx(
+        np.array([[0.75, 0.0]]), abs=1e-12)
+    assert np.array_equal(cutoff_eval(cut, np.array([[3.0, 0.0]])), np.zeros((1, 2)))
 
 
 def test_cutoff_batch_matches_single():
     cut = RadialCutoff(R1=0.5, lam=2.0, space=FiniteNormedSpace(3, 2.0))
     X = np.random.default_rng(0).standard_normal((20, 3))
     batch = cutoff_eval(cut, X)
-    for row_in, row_out in zip(X, batch):
-        assert np.array_equal(cutoff_eval(cut, row_in), row_out)
+    for i in range(len(X)):
+        assert np.array_equal(cutoff_eval(cut, X[i:i + 1]), batch[i:i + 1])
 
 
 def test_cutoff_image_radius_known_values():
@@ -114,21 +114,23 @@ def test_pl_reproduces_vertex_values_and_affine_maps():
     for x0 in axes:
         for x1 in axes:
             v = np.array([x0, x1])
-            assert pl_eval(f, v) == pytest.approx(affine(v), abs=1e-12)
+            assert pl_eval_batch(f, v[None])[0] == pytest.approx(affine(v), abs=1e-12)
     rng = np.random.default_rng(1)
     for x in rng.uniform(-1.0, 1.0, size=(50, 2)):
-        assert pl_eval(f, x) == pytest.approx(affine(x), abs=1e-12)
+        assert pl_eval_batch(f, x[None])[0] == pytest.approx(affine(x), abs=1e-12)
 
 
 def test_pl_outside_value_and_batch_consistency():
     mesh = KuhnMesh(2, 1.0, 2)
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, lambda x: x, 2),
                       outside_value=np.array([9.0, 9.0]))
-    assert np.array_equal(pl_eval(f, np.array([1.5, 0.0])), [9.0, 9.0])
+    assert np.array_equal(pl_eval_batch(f, np.array([[1.5, 0.0]])), [[9.0, 9.0]])
+    with pytest.raises(ValueError):
+        pl_eval_batch(f, np.array([1.5, 0.0]))  # one point is a one-row batch
     X = np.random.default_rng(2).uniform(-1.4, 1.4, size=(40, 2))
     batch = pl_eval_batch(f, X)
-    for x, row in zip(X, batch):
-        assert np.array_equal(pl_eval(f, x), row)
+    for i in range(len(X)):
+        assert np.array_equal(pl_eval_batch(f, X[i:i + 1]), batch[i:i + 1])
 
 
 def test_pl_rank_bound_counts_interior_vertices():
@@ -155,21 +157,37 @@ def test_pl_continuous_across_shared_faces():
         x[axis] = plane
         step = np.zeros(2)
         step[axis] = delta
-        left = pl_eval(f, x - step)
-        right = pl_eval(f, x + step)
+        left = pl_eval_batch(f, (x - step)[None])
+        right = pl_eval_batch(f, (x + step)[None])
         assert float(np.max(np.abs(left - right))) <= 1e-10
 
 
 def test_bump_kernel_normalization_and_moment():
     for m in (2.0, 8.0):
         for n in (1, 2):
-            offsets, weights, moment = bump_kernel(m, n)
+            offsets, weights, moment, stencil = bump_kernel(m, n, 1.0 / (4.0 * m))
+            # taps at |offset| < 1/m: three cells a side
+            assert stencil.shape == (7,) * n
+            assert np.array_equal(np.sort(stencil[stencil > 0]), np.sort(weights))
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.linalg.norm(offsets, axis=1) <= 1.0 / m + 1e-12)
             assert moment == pytest.approx(
                 float(np.sum(weights * np.linalg.norm(offsets, axis=1))),
                 abs=1e-15)
             assert 0.0 < moment <= 1.0 / m
+
+
+@pytest.mark.parametrize("gamma,delta,eps,n", [
+    (1.0, 0.04, 0.02, 1), (2.3, 0.1, 0.01, 2), (0.5, 0.02, 3.0, 3),
+])
+def test_kernel_scale_is_the_coarsest_kernel_within_half_eps(gamma, delta, eps, n):
+    # the mollification change (gamma + delta/2) * moment must fit eps/2 at
+    # scale 1/m; the reference kernel's moment shrinks as 1/m
+    unit_moment = bump_kernel(1.0, n, UNIT_SPACING)[2]
+    m = kernel_scale(gamma, delta, eps, n)
+    assert (gamma + delta / 2.0) * unit_moment / m <= eps / 2.0
+    if m > 1:
+        assert (gamma + delta / 2.0) * unit_moment / (m - 1) > eps / 2.0
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -179,7 +197,7 @@ def test_smooth_grid_preserves_constants_and_respects_the_moment_bound(n):
     # the pipeline's cut-off maps do
     m, base, top = 16.0, 3.7, 0.6
     mesh = KuhnMesh(n, 2.0, 256)
-    _, _, moment, stencil = _lattice_bump(m, n, mesh.h)
+    _, _, moment, stencil = bump_kernel(m, n, mesh.h)
     assert stencil.size > 1
     r = np.linalg.norm(grid_points(mesh), axis=1)
     values = (base + np.clip(1.5 - r, 0.0, top))[:, None]
@@ -194,12 +212,10 @@ def test_smooth_grid_preserves_constants_and_respects_the_moment_bound(n):
 
 
 def linear_demo(X):
-    X = np.atleast_2d(X)
     return np.stack([0.5 * X[:, 0], -0.25 * X[:, 0]], axis=1)
 
 
 def unit_wave(X):
-    X = np.atleast_2d(X)
     return np.stack([np.sin(X[:, 0]), np.cos(X[:, 0])], axis=1)
 
 
@@ -249,7 +265,7 @@ def test_pipeline_smooth_audit_slope_is_quadratic():
 
 def test_pipeline_budget_exhaustion_raises():
     S = np.linspace(-0.4, 0.4, 9)[:, None]
-    fast_wave = lambda X: np.sin(4.0 * np.atleast_2d(X)[:, :1])
+    fast_wave = lambda X: np.sin(4.0 * X[:, :1])
     with pytest.raises(MeshBudgetError) as info:
         finite_rank_pipeline(
             fast_wave, S, gamma=4.2, eps=1e-4, delta=0.05,
