@@ -20,6 +20,27 @@ intersection is again nonempty).  Without this, independently chosen
 feasible values jump between warm-start basins and the realized map is not
 Lipschitz at all.
 
+Each Kirszbraun scan is a screen followed by exact evaluation of the few
+rows that can bind.  The store keeps the squared norms of its points and
+values, so a squared distance comes in Gram form ||a||^2 - 2 a.b + ||b||^2
+from one matrix-vector product.  In floating point that form errs by at
+most gamma_{k+2} (||a|| + ||b||)^2 <= 2 gamma_{k+2} (||a||^2 + ||b||^2) for
+rows of length k, whatever the summation order of the product, with
+gamma_k = k u / (1 - k u) and u = 2^-53.  The reference expression
+sqrt(sum((a - b)**2)) in turn lies within a factor 1 +- gamma_{k+4} of the
+true squared distance.  The screen widens both by the relative margin
+8 (k + 8) u, which also covers the rounding of its own arithmetic, and by
+2^-900 absolute for underflow.  Once per query it bounds every reference
+distance d_i to the query from below, lo_i <= d_i^2, and the distance of
+the row of least lo from above; hence the few candidates for the nearest
+point and a lower bound on each radius.  At each projection step it
+yields the set S of rows whose violation may reach 0, and only the rows
+of S are evaluated with the reference expressions.  Every row outside S
+has a violation below 0 < tol, so it can neither be the argmax of a
+violation that needs a projection nor decide a stop: values, iteration
+counts and ExtensionFeasibilityError are bit-identical to scanning every
+row.
+
 Audits measure constants on a (count, 2, dim) array of sampled pairs with
 one batch call, and are lower bounds on the true constant: honest
 measurement beats silent failure.
@@ -46,6 +67,21 @@ __all__ = [
 
 # projections one Kirszbraun query may take before it counts as a failure
 _ITERATION_CAP = 100_000
+
+# unit roundoff of float64, and the screen's absolute allowance on squared
+# distances for underflow in any of their sums
+_UNIT_ROUNDOFF = 2.0**-53
+_UNDERFLOW = 2.0**-900
+
+
+def _screen_margin(k: int) -> float:
+    """Relative screen margin for rows of length k: 8 (k + 8) u.
+
+    That is over twice the 4 (k + 3) u which the Gram-form error, the
+    reference expression's rounding and the screen's own few roundings
+    need together.
+    """
+    return 8.0 * (k + 8) * _UNIT_ROUNDOFF
 
 
 class ExtensionFeasibilityError(RuntimeError):
@@ -89,6 +125,9 @@ class SampledLipschitzMap:
             raise ValueError("domain sample length != domain dim")
         if fs.shape[1] != self.target_space.dim:
             raise ValueError("target sample length != target dim")
+        bad = np.flatnonzero(~np.isfinite(np.hstack([xs, fs])).all(axis=1))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]} is not finite")
         dx = pairwise_distances(xs, self.domain_space.p)
         if np.any((dx + np.eye(len(xs))) == 0.0):
             raise ValueError("domain samples must be pairwise distinct")
@@ -152,40 +191,84 @@ def kirszbraun_eval_batch(
     The sample constraints themselves are always enforced without slack.
     Queries equal to a constraint point return that point's value (its ball
     has radius 0).  A query still infeasible after _ITERATION_CAP
-    projections raises ExtensionFeasibilityError.
+    projections raises ExtensionFeasibilityError; a query that is not
+    finite, or whose squared norm overflows, and a tol that is not
+    positive raise ValueError.  Each scan evaluates exactly only the rows
+    the Gram-form screen of the module docstring keeps.
     """
     if map_.domain_space.p != 2.0 or map_.target_space.p != 2.0:
         raise ValueError("kirszbraun evaluation needs l_2 domain and target")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    sq_x = np.einsum("ij,ij->i", X, X)
+    bad = np.flatnonzero(~np.isfinite(sq_x))
+    if bad.size:
+        raise ValueError(f"query row {bad[0]} is not finite or too large to square")
     Q = X.shape[0]
     m = map_.count
+    gamma = map_.gamma
     cx = np.concatenate([map_.xs, np.empty((Q, X.shape[1]))], axis=0)
     cf = np.concatenate([map_.fs, np.empty((Q, map_.target_space.dim))], axis=0)
+    margin_x = _screen_margin(X.shape[1])
+    margin_f = _screen_margin(map_.target_space.dim)
+    up_f, down_f = 0.5 + 0.5 * margin_f, 0.5 - 0.5 * margin_f
+    # squared row norms of the store, widened by the screen's margins
+    sq_cx = np.concatenate([np.einsum("ij,ij->i", map_.xs, map_.xs), np.empty(Q)])
+    lo_cx = (1.0 - margin_x) * sq_cx
+    hi_cf = np.concatenate([np.einsum("ij,ij->i", map_.fs, map_.fs), np.empty(Q)])
+    hi_cf = up_f * hi_cf + _UNDERFLOW
     slack = np.zeros(m + Q)
     Y = np.empty((Q, map_.target_space.dim))
     n_c = m
     for q in range(Q):
         x = X[q]
-        d = np.sqrt(np.sum((cx[:n_c] - x) ** 2, axis=1))
-        nearest = int(np.argmin(d))
-        radii = map_.gamma * d + slack[:n_c]
+        # lo_i <= d_i^2 for the reference distance d_i to each point, and
+        # d^2 <= hi at the row of least lo, so the nearest point is among
+        # the rows with lo_i <= hi
+        cross = cx[:n_c] @ (2.0 * x)
+        lo = lo_cx[:n_c] - cross
+        lo += (1.0 - margin_x) * sq_x[q] - _UNDERFLOW
+        least = int(np.argmin(lo))
+        hi = (1.0 + margin_x) * (sq_cx[least] + sq_x[q]) - cross[least] + _UNDERFLOW
+        near = (lo <= hi).nonzero()[0]
+        d_near = np.sqrt(np.sum((cx[near] - x) ** 2, axis=1))
+        k = int(np.argmin(d_near))
+        nearest = int(near[k])
+        # a lower bound on every radius; row i is kept while
+        # cf_i . y <= bound_i + up_f ||y||^2, which its violation needs in
+        # order to reach 0
+        radii_lo = np.sqrt(np.maximum(lo, 0.0, out=lo), out=lo)
+        radii_lo *= gamma
+        radii_lo += slack[:n_c]
+        bound = radii_lo * radii_lo
+        bound *= -down_f
+        bound += hi_cf[:n_c]
         y = cf[nearest].copy()
-        worst = 0.0
         for _ in range(_ITERATION_CAP):
-            dist = np.sqrt(np.sum((y - cf[:n_c]) ** 2, axis=1))
+            rows = (cf[:n_c] @ y <= bound + up_f * (y @ y)).nonzero()[0]
+            if rows.size == 0:
+                worst = -math.inf  # y lies strictly inside every ball
+                break
+            dist = np.sqrt(np.sum((y - cf[rows]) ** 2, axis=1))
+            radii = gamma * np.sqrt(np.sum((cx[rows] - x) ** 2, axis=1)) + slack[rows]
             viol = dist - radii
-            j = int(np.argmax(viol))
-            worst = float(viol[j])
+            i = int(np.argmax(viol))
+            worst = float(viol[i])
             if worst <= tol:
                 break
-            # pull y onto the violated sphere; dist[j] > radii[j] >= 0
-            y = cf[j] + (y - cf[j]) * (radii[j] / dist[j])
+            # pull y onto the violated sphere; dist[i] > radii[i] >= 0
+            j = rows[i]
+            y = cf[j] + (y - cf[j]) * (radii[i] / dist[i])
         else:
             raise ExtensionFeasibilityError(worst, _ITERATION_CAP)
         Y[q] = y
-        if d[nearest] > 0.0:
+        if d_near[k] > 0.0:
             cx[n_c] = x
             cf[n_c] = y
+            sq_cx[n_c] = sq_x[q]
+            lo_cx[n_c] = (1.0 - margin_x) * sq_x[q]
+            hi_cf[n_c] = up_f * (y @ y) + _UNDERFLOW
             slack[n_c] = max(worst, 0.0) + 100.0 * tol
             n_c += 1
     return Y
@@ -210,38 +293,54 @@ def lipschitz_audit(
     dx = norm(pairs[:, 0] - pairs[:, 1], domain_space)
     if np.any(dx == 0.0):
         raise ValueError("audit pairs must be at positive distance")
-    uniq, inverse = np.unique(
-        pairs.reshape(-1, pairs.shape[2]), axis=0, return_inverse=True
-    )
-    vals = np.asarray(fn(uniq), dtype=float)
+    # distinct endpoints in the lexicographic row order of np.unique(axis=0),
+    # which is the order a lazy extension meets them; a lexsort over the
+    # columns finds them faster than np.unique's structured-dtype sort
+    rows = pairs.reshape(-1, pairs.shape[2])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    vals = np.asarray(fn(rows[new]), dtype=float)
     ends = inverse.reshape(-1, 2)
     df = norm(vals[ends[:, 0]] - vals[ends[:, 1]], target_space)
     ratios = df / dx
     return LipschitzAudit(measured=float(np.max(ratios)), ratios=ratios)
 
 
-def sample_pairs(
-    points: np.ndarray, count: int, seed: int, jitter: float = 0.0
-) -> np.ndarray:
+def sample_pairs(points: np.ndarray, count: int, seed: int) -> np.ndarray:
     """(count, 2, dim) array of random distinct-index pairs from a cloud.
 
-    Gaussian jitter, when given, displaces both endpoints, widening the
-    audit beyond the cloud itself; pairs that collapse to zero distance are
-    redrawn.
+    Pair k is the k-th draw of rng.choice(n, 2, replace=False) that does
+    not collapse to zero distance, taken from the stream of
+    default_rng(seed).  For two of n items that call draws from [0, n-1),
+    then from [0, n), which a repeat of the first draw turns into n - 1
+    (Floyd's algorithm), and then from [0, 2), where 0 swaps the two; one
+    integers call with the bounds tiled draws every pair in stream order.
+    Collapsed pairs are redrawn from the continuing stream.
     """
     points = np.asarray(points, dtype=float)
-    if points.shape[0] < 2:
+    n = points.shape[0]
+    if n < 2:
         raise ValueError("need at least two points to form pairs")
     rng = np.random.default_rng(seed)
     pairs = np.empty((count, 2, points.shape[1]))
     filled = 0
     while filled < count:
-        i, j = rng.choice(points.shape[0], size=2, replace=False)
-        x, y = points[i], points[j]
-        if jitter > 0.0:
-            x = x + jitter * rng.standard_normal(points.shape[1])
-            y = y + jitter * rng.standard_normal(points.shape[1])
-        if not np.array_equal(x, y):
-            pairs[filled] = x, y
-            filled += 1
+        need = count - filled
+        draws = rng.integers(0, np.tile([n - 1, n, 2], need)).reshape(need, 3)
+        draws[draws[:, 1] == draws[:, 0], 1] = n - 1
+        swap = draws[:, 2] == 0
+        draws[swap, :2] = draws[swap, 1::-1]
+        block = pairs[filled:]
+        # the indices are in range; clip mode lets take write the block in place
+        np.take(points, draws[:, :2].ravel(), axis=0,
+                out=block.reshape(-1, points.shape[1]), mode="clip")
+        distinct = np.any(block[:, 0] != block[:, 1], axis=1)
+        kept = int(distinct.sum())
+        if kept < need:
+            block[:kept] = block[distinct]
+        filled += kept
     return pairs
