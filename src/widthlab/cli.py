@@ -5,15 +5,15 @@ config file, then applies command-line overrides; the resolved settings
 are embedded as comment headers in every CSV so runs are reproducible from
 their outputs alone.  Floats are written with repr so reruns are
 byte-identical.  Work items get their seeds from a spawned SeedSequence
-before any thread is started, so --threads never changes the numbers.
+before any worker starts, so --threads never changes the numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +115,23 @@ def _task_seeds(seed: int, count: int) -> list[int]:
 
 
 def _parallel(fn, items, threads: int) -> list:
-    if threads <= 1:
+    """[fn(item) for item in items], on up to `threads` worker processes.
+
+    fn, the items and the results cross a process boundary, so they must
+    pickle: fn is a module-level function, or a functools.partial of one.
+    Workers are spawned, not forked, so they inherit no thread or lock
+    state from the caller.  Each imports widthlab afresh, a few tenths of
+    a second, so no more are started than there are items, and a single
+    item runs here.
+    """
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, items))
 
 
@@ -134,16 +148,16 @@ def _build_class(cfg: dict[str, str]) -> ModelClassSurrogate:
     raise SystemExit(f"unknown class kind {kind!r} (want kq, diag or sparse)")
 
 
+def _entropy_row(K: ModelClassSurrogate, seed: int, n: int) -> tuple:
+    bracket = entropy_bracket(K, n)
+    return (n, bracket.lower, bracket.upper, len(bracket.cover_centers), seed)
+
+
 def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     K = _build_class(cfg)
     n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
-
-    def task(n: int):
-        bracket = entropy_bracket(K, n)
-        return (n, bracket.lower, bracket.upper,
-                len(bracket.cover_centers), int(cfg["seed"]))
-
-    rows = _parallel(task, n_values, threads)
+    rows = _parallel(functools.partial(_entropy_row, K, int(cfg["seed"])),
+                     n_values, threads)
     write_csv(out / "entropy.csv", "entropy brackets", cfg,
               ["n", "lower", "upper", "cover_size", "seed"], rows)
     lines = [f"- n={r[0]}: lower {_fmt(r[1])}, upper {_fmt(r[2])}" for r in rows]
@@ -152,26 +166,27 @@ def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     _write_report(out, "entropy", cfg, lines)
 
 
+def _width_pair(K: ModelClassSurrogate, dim_per_level: int, pair_samples: int,
+                tol: float, item: tuple[int, int]) -> tuple:
+    n, task_seed = item
+    pair = build_stable_pair(K, n, seed=task_seed, dim_per_level=dim_per_level)
+    rep = evaluate_width(pair, K, pair_samples=pair_samples, seed=task_seed, tol=tol)
+    return pair, rep
+
+
 def _width_series(K: ModelClassSurrogate, cfg: dict[str, str],
                   threads: int) -> list[tuple]:
     """Build and evaluate one stable pair per n; returns (pair, report) rows."""
     n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
     seeds = _task_seeds(int(cfg["seed"]), len(n_values))
-    dim_per_level = int(cfg["dim_per_level"])
 
     # evaluation tolerance: per-query feasibility target for the lazy
     # extensions; orders looser than the solver default, orders tighter
     # than any audited budget, and it keeps thin-intersection queries from
     # hitting the iteration cap at a near-miss residual
     tol = float(cfg["tol"])
-
-    def task(item):
-        n, task_seed = item
-        pair = build_stable_pair(K, n, seed=task_seed, dim_per_level=dim_per_level)
-        rep = evaluate_width(pair, K, pair_samples=int(cfg["pair_samples"]),
-                             seed=task_seed, tol=tol)
-        return pair, rep
-
+    task = functools.partial(_width_pair, K, int(cfg["dim_per_level"]),
+                             int(cfg["pair_samples"]), tol)
     return _parallel(task, list(zip(n_values, seeds)), threads)
 
 
@@ -240,25 +255,27 @@ def cmd_counterexample(cfg: dict[str, str], out: Path, threads: int) -> None:
     _write_report(out, "counterexample", cfg, lines)
 
 
+def _bound_rows(n: int, N: int, p_values: list[float],
+                item: tuple[int, int]) -> list[tuple]:
+    idx, matrix_seed = item
+    Phi = gaussian_matrix(n, N, seed=matrix_seed)
+    out_rows = []
+    for p in p_values:
+        rep = operator_norm_bound_check(Phi, p, seed=matrix_seed)
+        out_rows.append((idx, p, rep.delta, rep.bracket.lower,
+                         rep.bracket.upper, rep.upper_bound,
+                         rep.derived_lower, rep.inverted_lower,
+                         rep.upper_holds, rep.lower_holds,
+                         rep.inverted_variant_holds))
+    return out_rows
+
+
 def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     n, N, k = int(cfg["n"]), int(cfg["ambient_dim"]), int(cfg["k"])
     p_values = [float(tok) for tok in cfg["p_values"].split(",") if tok]
     matrices = int(cfg["matrices"])
     seeds = _task_seeds(int(cfg["seed"]), matrices)
-
-    def bound_task(item):
-        idx, matrix_seed = item
-        Phi = gaussian_matrix(n, N, seed=matrix_seed)
-        out_rows = []
-        for p in p_values:
-            rep = operator_norm_bound_check(Phi, p, seed=matrix_seed)
-            out_rows.append((idx, p, rep.delta, rep.bracket.lower,
-                             rep.bracket.upper, rep.upper_bound,
-                             rep.derived_lower, rep.inverted_lower,
-                             rep.upper_holds, rep.lower_holds,
-                             rep.inverted_variant_holds))
-        return out_rows
-
+    bound_task = functools.partial(_bound_rows, n, N, p_values)
     bound_rows = [row for rows in
                   _parallel(bound_task, list(enumerate(seeds)), threads)
                   for row in rows]
@@ -420,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--out", default=None,
                          help="output directory (default runs/<command>)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads; never changes the numbers")
+                         help="worker processes; never changes the numbers")
     args = parser.parse_args(argv)
 
     cfg = resolve_config(args.command, args.config, args.seed)

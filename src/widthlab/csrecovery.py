@@ -63,6 +63,9 @@ class L1ConvergenceError(RuntimeError):
         self.iterations = iterations
         self.iterate = iterate
 
+    def __reduce__(self):
+        return type(self), (self.gap, self.iterations, self.iterate)
+
 
 class NoSparseFitError(RuntimeError):
     """No support of the requested size fits the measurements exactly."""

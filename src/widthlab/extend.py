@@ -94,6 +94,9 @@ class ExtensionFeasibilityError(RuntimeError):
         self.max_residual = max_residual
         self.iterations = iterations
 
+    def __reduce__(self):
+        return type(self), (self.max_residual, self.iterations)
+
 
 @dataclass(frozen=True)
 class SampledLipschitzMap:
@@ -213,10 +216,11 @@ def kirszbraun_eval_batch(
     margin_x = _screen_margin(X.shape[1])
     margin_f = _screen_margin(map_.target_space.dim)
     up_f, down_f = 0.5 + 0.5 * margin_f, 0.5 - 0.5 * margin_f
-    # squared row norms of the store, widened by the screen's margins
-    sq_cx = np.concatenate([np.einsum("ij,ij->i", map_.xs, map_.xs), np.empty(Q)])
+    # squared row norms of the store, widened by the screen's margins; the
+    # rows queries fill start at 0, so the widening never sees garbage
+    sq_cx = np.concatenate([np.einsum("ij,ij->i", map_.xs, map_.xs), np.zeros(Q)])
     lo_cx = (1.0 - margin_x) * sq_cx
-    hi_cf = np.concatenate([np.einsum("ij,ij->i", map_.fs, map_.fs), np.empty(Q)])
+    hi_cf = np.concatenate([np.einsum("ij,ij->i", map_.fs, map_.fs), np.zeros(Q)])
     hi_cf = up_f * hi_cf + _UNDERFLOW
     slack = np.zeros(m + Q)
     Y = np.empty((Q, map_.target_space.dim))

@@ -67,6 +67,9 @@ class MeshBudgetError(RuntimeError):
         self.achieved_excess = achieved_excess
         self.vertices = vertices
 
+    def __reduce__(self):
+        return type(self), (self.achieved_dev, self.achieved_excess, self.vertices)
+
 
 @dataclass(frozen=True)
 class RadialCutoff:

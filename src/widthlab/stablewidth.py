@@ -64,6 +64,9 @@ class JLDistortionError(RuntimeError):
         self.tries = tries
         self.worst_ratio = worst_ratio
 
+    def __reduce__(self):
+        return type(self), (self.tries, self.worst_ratio)
+
 
 class PhiUndefinedError(ValueError):
     """eps lies below the last measured width, so phi(eps) is not finite."""

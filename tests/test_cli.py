@@ -1,13 +1,20 @@
+import concurrent.futures
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import widthlab
 from widthlab import __version__
-from widthlab.cli import COMMANDS, DEFAULTS, main, resolve_config
+from widthlab.cli import COMMANDS, DEFAULTS, _parallel, main, resolve_config
+from widthlab.csrecovery import L1ConvergenceError
+from widthlab.extend import ExtensionFeasibilityError
+from widthlab.interp import MeshBudgetError
+from widthlab.stablewidth import JLDistortionError
 
 SMALL_ENTROPY = """
 [entropy]
@@ -93,17 +100,99 @@ pair_samples = 500
 """
 
 
+def outputs_at_threads(tmp_path, name, ini, threads):
+    """Bytes of every CSV and the report of one run, by file name."""
+    run_dir = tmp_path / f"threads{threads}"
+    run_dir.mkdir()
+    out = run_cli(run_dir, name, ini, threads=threads)
+    files = sorted(out.glob("*.csv"))
+    assert files
+    return {path.name: path.read_bytes() for path in files + [out / "report.md"]}
+
+
 @pytest.mark.parametrize("name", ["stable-width", "carl"])
 def test_width_commands_are_thread_count_invariant(tmp_path, name):
-    outputs = []
-    for threads in (1, 2):
-        run_dir = tmp_path / f"threads{threads}"
-        run_dir.mkdir()
-        out = run_cli(run_dir, name, SMALL_WIDTHS, threads=threads)
-        csvs = sorted(out.glob("*.csv"))
-        assert csvs
-        outputs.append({path.name: path.read_bytes() for path in csvs})
-    assert outputs[0] == outputs[1]
+    assert (outputs_at_threads(tmp_path, name, SMALL_WIDTHS, 1)
+            == outputs_at_threads(tmp_path, name, SMALL_WIDTHS, 2))
+
+
+SMALL_CS = """
+[cs]
+n = 20
+n_retry = 24
+ambient_dim = 40
+k = 2
+trials = 10
+net_count = 60
+matrices = 3
+"""
+
+
+def test_cs_command_is_thread_count_invariant(tmp_path):
+    # the operator-bound rows are the work items that cross into workers
+    assert (outputs_at_threads(tmp_path, "cs", SMALL_CS, 1)
+            == outputs_at_threads(tmp_path, "cs", SMALL_CS, 2))
+
+
+SOLVER_ERRORS = [
+    (ExtensionFeasibilityError(4.5e-8, 100_000), ("max_residual", "iterations")),
+    (JLDistortionError(50, 0.4375), ("tries", "worst_ratio")),
+    (L1ConvergenceError(2.5e-7, 20_000, np.linspace(-1.0, 1.0, 7)),
+     ("gap", "iterations", "iterate")),
+    (MeshBudgetError(0.03125, 0.125, 3_533_785),
+     ("achieved_dev", "achieved_excess", "vertices")),
+]
+
+
+@pytest.mark.parametrize("error, fields", SOLVER_ERRORS,
+                         ids=[type(e).__name__ for e, _ in SOLVER_ERRORS])
+def test_solver_errors_pickle_with_message_and_fields(error, fields):
+    # a worker process hands its exception back to the caller as a pickle
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for field in fields:
+        assert np.array_equal(getattr(copy, field), getattr(error, field))
+
+
+def _fail_on_three(item: int) -> int:
+    if item == 3:
+        raise ExtensionFeasibilityError(4.5e-8, 100_000)
+    return item
+
+
+def test_parallel_runs_items_in_order_and_raises_the_worker_error():
+    assert _parallel(abs, [-3, 1, -4, 1, -5], threads=2) == [3, 1, 4, 1, 5]
+    with pytest.raises(ExtensionFeasibilityError) as info:
+        _parallel(_fail_on_three, [1, 2, 3, 4], threads=2)
+    assert info.value.max_residual == 4.5e-8
+    assert info.value.iterations == 100_000
+
+
+def test_parallel_starts_no_more_workers_than_items(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    items = [-1, -2, -3, -4]
+    assert _parallel(abs, items, threads=64) == [1, 2, 3, 4]
+    assert _parallel(abs, items, threads=3) == [1, 2, 3, 4]
+    # one item, or one thread, runs in this process
+    assert _parallel(abs, items[:1], threads=64) == [1]
+    assert _parallel(abs, items, threads=1) == [1, 2, 3, 4]
+    assert started == [4, 3]
 
 
 def test_counterexample_command_smoke(tmp_path):
@@ -174,6 +263,16 @@ def test_reproduce_script_quick_run_writes_every_artifact(tmp_path):
 def test_cli_import_loads_no_scipy():
     code = ("import sys, widthlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # --threads 1 runs never pay for the pool's import
+    code = ("import sys, widthlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'multiprocessing' or m == 'concurrent.futures.process'))")
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
