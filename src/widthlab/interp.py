@@ -375,22 +375,40 @@ def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int,
 
 def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
                  base: np.ndarray) -> np.ndarray:
-    """Convolve row-major vertex samples with a stencil, component-wise.
+    """Convolve row-major vertex samples with a stencil, component-wise, in place.
 
     Subtracting `base` (the constant value the samples take near the cube
     boundary) first makes the transform's zero padding exact: the nonconstant
     part vanishes within one kernel radius of every face.
+
+    The steps are those of scipy.signal.fftconvolve(..., mode="same"), with
+    the same transform sizes and product order, so the values agree with it
+    bit for bit; the stencil is transformed once for all components.
+    Returns grid_values, overwritten with the smoothed samples.
     """
-    from scipy.signal import fftconvolve
+    from scipy.fft import irfftn, next_fast_len, rfftn
 
     if stencil.size == 1:
-        return grid_values.copy()
+        return grid_values
+    if not grid_values.flags.c_contiguous:
+        raise ValueError("grid values must be C-contiguous to be smoothed in place")
     shape = (mesh.points_per_axis,) * mesh.n
-    out = np.empty_like(grid_values)
+    full = [s + k - 1 for s, k in zip(shape, stencil.shape)]
+    fshape = [next_fast_len(f, True) for f in full]
+    centre = tuple(slice((f - s) // 2, (f - s) // 2 + s)
+                   for f, s in zip(full, shape))
+    kernel = rfftn(stencil, fshape)
+    grid = grid_values.reshape(shape + (grid_values.shape[1],))
+    # each temporary is freed before the next one of its size is made; they
+    # set the memory peak of the finest level
     for comp in range(grid_values.shape[1]):
-        G = grid_values[:, comp].reshape(shape) - base[comp]
-        out[:, comp] = fftconvolve(G, stencil, mode="same").ravel() + base[comp]
-    return out
+        spec = rfftn(grid[..., comp] - base[comp], fshape)
+        spec *= kernel
+        smoothed = irfftn(spec, fshape)
+        del spec
+        np.add(smoothed[centre], base[comp], out=grid[..., comp])
+        del smoothed
+    return grid_values
 
 
 def _probe_pairs(anchor: np.ndarray, dirs: np.ndarray, scales: np.ndarray,
@@ -538,10 +556,14 @@ def finite_rank_pipeline(
                 acc += w * M1(X - off)
             return acc
 
+        # free the previous level's vertex values before the next grid exists;
+        # smoothing is in place, so grid_M1 becomes the vertex values
+        interp = None
         grid_M1 = _chunked_mesh_eval(mesh, M1, d_out)
-        vertex_values = _smooth_grid(grid_M1, mesh, stencil, M0)
+        interp = PLInterpolant(mesh=mesh,
+                               values=_smooth_grid(grid_M1, mesh, stencil, M0),
+                               outside_value=M0)
         del grid_M1
-        interp = PLInterpolant(mesh=mesh, values=vertex_values, outside_value=M0)
 
         dev_errs = norm(interp.eval_batch(dev_points) - M2(dev_points), out_space)
         sup_err = float(np.max(dev_errs))

@@ -244,7 +244,8 @@ def test_sparse_recovery_and_instance_optimality():
          "sparse-recovery",
          f"planted {hits}/100 (rows={n}{', retried' if retried else ''}), "
          f"instance optimality {io_hits}/100 with C={report.C:.2f} from the "
-         f"order-{cert.order} certificate, {elapsed:.1f}s <= 600s")
+         f"net's pair ratios (sampled delta_{cert.order} {cert.delta:.3f}), "
+         f"{elapsed:.1f}s <= 600s")
 
 
 def test_finite_rank_pipeline_convergence_orders():

@@ -134,6 +134,26 @@ def test_cs_command_is_thread_count_invariant(tmp_path):
             == outputs_at_threads(tmp_path, "cs", SMALL_CS, 2))
 
 
+def test_cs_report_counts_capped_l1_solves(tmp_path, monkeypatch):
+    import widthlab.cli as cli
+
+    solve = cli.l1_decode
+    calls = []
+
+    def capped_every_third(Phi, y):
+        calls.append(None)
+        xhat = solve(Phi, y)
+        if len(calls) % 3 == 0:
+            raise L1ConvergenceError(1e-3, 20_000, xhat)
+        return xhat
+
+    monkeypatch.setattr(cli, "l1_decode", capped_every_third)
+    out = run_cli(tmp_path, "cs", SMALL_CS)
+    report = (out / "report.md").read_text()
+    # the capped iterates are still scored: 10 trials, 3 of them capped
+    assert "- planted recovery: 10/10 (capped solves scored as-is: 3)" in report
+
+
 SOLVER_ERRORS = [
     (ExtensionFeasibilityError(4.5e-8, 100_000), ("max_residual", "iterations")),
     (JLDistortionError(50, 0.4375), ("tries", "worst_ratio")),
@@ -266,6 +286,31 @@ def test_cli_import_loads_no_scipy():
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_interp_pipeline_smooths_without_scipy_signal():
+    # smoothing runs on scipy.fft alone; scipy.signal costs about a second
+    # of imports, more than the whole small run below
+    code = (
+        "import sys, numpy as np\n"
+        "import widthlab.interp as wi\n"
+        "taps = []\n"
+        "smooth = wi._smooth_grid\n"
+        "def counted(grid, mesh, stencil, base):\n"
+        "    taps.append(stencil.size)\n"
+        "    return smooth(grid, mesh, stencil, base)\n"
+        "wi._smooth_grid = counted\n"
+        "wi.finite_rank_pipeline(\n"
+        "    lambda X: np.stack([0.5 * X[:, 0], -0.25 * X[:, 0]], axis=1),\n"
+        "    np.linspace(-0.5, 0.5, 41)[:, None], gamma=0.7, eps=0.5,\n"
+        "    delta=0.5, seed=0, initial_subdivisions=8, min_levels=2)\n"
+        "print(max(taps), 'scipy.fft' in sys.modules, 'scipy.signal' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    taps, fft_loaded, signal_loaded = proc.stdout.split()
+    assert int(taps) > 1 and fft_loaded == "True"  # a stencil was applied
+    assert signal_loaded == "False"
 
 
 def test_cli_import_loads_no_process_pool():

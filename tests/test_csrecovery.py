@@ -171,14 +171,36 @@ def test_brute_decode_refuses_huge_support_searches():
         brute_sparse_decode(Phi, np.zeros(10), 5)
 
 
-def test_build_nonlinear_pair_constants_come_from_the_certificate():
+def test_build_nonlinear_pair_constants_come_from_the_net_pairs():
     Phi = gaussian_matrix(24, 48, seed=6)
     net = generate_sparse_class(48, 3, 150, seed=6)
     pair, cert = build_nonlinear_pair(Phi, 3, net, seed=6)
+    xs = net.points
+    ratios = [
+        np.linalg.norm(Phi.matrix @ (xs[i] - xs[j])) / np.linalg.norm(xs[i] - xs[j])
+        for i in range(len(xs)) for j in range(i)
+    ]
+    assert pair.gamma_a == pytest.approx(max(ratios), rel=1e-12)
+    assert pair.gamma_M == pytest.approx(1.0 / min(ratios), rel=1e-12)
+    # the order-2k certificate is still computed, as a reported diagnostic
     assert cert.order == 6
+    assert not cert.exhaustive and cert.supports_checked == 1000
     assert 0.0 <= cert.delta < 1.0
-    assert pair.gamma_a == pytest.approx(1.0 + cert.delta)
-    assert pair.gamma_M == pytest.approx(1.0 / (1.0 - cert.delta))
+
+
+def test_build_nonlinear_pair_holds_where_the_sampled_certificate_understates():
+    # the default cs inputs at seed 1596810411: the sampled delta_2k is
+    # 0.6068, but one net pair stretches by 1.6100 > 1 + delta, so budgets
+    # taken from the certificate broke on the net itself
+    seed, k = 1596810411, 4
+    Phi = gaussian_matrix(40, 128, seed=seed)
+    net = generate_sparse_class(128, k, 400, seed=seed + 2)
+    pair, cert = build_nonlinear_pair(Phi, k, net, seed=seed)
+    assert pair.gamma_a > 1.0 + cert.delta
+    assert pair.gamma_a == pytest.approx(1.6100374829155297, rel=1e-12)
+    report = instance_optimality_trials(pair, k, trials=20, seed=seed + 3)
+    assert report.C == pytest.approx(pair.gamma_a * pair.gamma_M)
+    assert report.all_passed
 
 
 def test_instance_optimality_small_run_all_pass():

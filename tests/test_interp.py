@@ -202,7 +202,7 @@ def test_smooth_grid_preserves_constants_and_respects_the_moment_bound(n):
     assert stencil.size > 1
     r = np.linalg.norm(grid_points(mesh), axis=1)
     values = (base + np.clip(1.5 - r, 0.0, top))[:, None]
-    smoothed = _smooth_grid(values, mesh, stencil, np.array([base]))
+    smoothed = _smooth_grid(values.copy(), mesh, stencil, np.array([base]))
     plateau = r <= 1.5 - top - 1.0 / m
     outside = r >= 1.5 + 1.0 / m
     assert plateau.any() and outside.any()
@@ -210,6 +210,52 @@ def test_smooth_grid_preserves_constants_and_respects_the_moment_bound(n):
     assert smoothed[outside] == pytest.approx(values[outside], abs=1e-12)
     # smoothing a 1-Lipschitz map moves values at most by the first moment
     assert float(np.max(np.abs(smoothed - values))) <= moment + 1e-12
+
+
+@pytest.mark.parametrize("n,subdivisions", [
+    (1, 40), (1, 41), (2, 20), (2, 21), (3, 8), (3, 9),
+])
+@pytest.mark.parametrize("d", [1, 3])
+def test_smooth_grid_equals_fftconvolve_same_mode(n, subdivisions, d):
+    # the reference is scipy.signal's same-mode convolution of the
+    # base-shifted samples; agreement must be exact, not approximate
+    from scipy.signal import fftconvolve
+
+    mesh = KuhnMesh(n, 1.0, subdivisions)
+    _, _, _, stencil = bump_kernel(1.0 / (3.5 * mesh.h), n, mesh.h)
+    assert stencil.shape == (7,) * n
+    rng = np.random.default_rng(100 * n + subdivisions + d)
+    base = rng.uniform(-2.0, 2.0, size=d)
+    values = base + rng.standard_normal((mesh.vertex_count, d))
+    shape = (mesh.points_per_axis,) * n
+    expected = np.stack([
+        (fftconvolve(values[:, c].reshape(shape) - base[c], stencil, mode="same")
+         + base[c]).ravel()
+        for c in range(d)
+    ], axis=1)
+    smoothed = _smooth_grid(values, mesh, stencil, base)
+    assert smoothed is values  # smoothed in place
+    assert np.array_equal(smoothed, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smooth_grid_with_a_single_tap_keeps_the_values(n):
+    mesh = KuhnMesh(n, 1.0, 6)
+    _, _, _, stencil = bump_kernel(1.0 / (0.5 * mesh.h), n, mesh.h)
+    assert stencil.size == 1
+    values = np.random.default_rng(n).standard_normal((mesh.vertex_count, 3))
+    kept = values.copy()
+    smoothed = _smooth_grid(values, mesh, stencil, np.array([0.5, -1.0, 2.0]))
+    assert np.array_equal(smoothed, kept)
+
+
+def test_smooth_grid_refuses_a_strided_grid():
+    # smoothing writes through a reshaped view, which a strided array lacks
+    mesh = KuhnMesh(1, 1.0, 40)
+    _, _, _, stencil = bump_kernel(1.0 / (3.5 * mesh.h), 1, mesh.h)
+    values = np.zeros((mesh.vertex_count, 4))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _smooth_grid(values, mesh, stencil, np.zeros(2))
 
 
 def linear_demo(X):
