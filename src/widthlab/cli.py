@@ -28,7 +28,7 @@ from .csrecovery import (
     l1_decode,
     operator_norm_bound_check,
 )
-from .demos import pipeline_budget
+from .demos import DEMOS, pipeline_budget
 from .interp import finite_rank_pipeline
 from .nets import entropy_bracket
 from .spaces import (
@@ -56,27 +56,29 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "stable-width": {
         "class": "kq", "q": "1.0", "ambient_dim": "32", "count": "2000",
         "k": "4", "r": "2.0", "n_min": "2", "n_max": "5",
-        "dim_per_level": "26", "pair_samples": "10000", "seed": "0",
-        "probes": "8", "tol": "1e-7",
+        "pair_samples": "10000", "seed": "0", "probes": "8",
     },
     "counterexample": {"r": "2.0", "k_max": "10", "n_max": "6", "seed": "0"},
     "cs": {
-        "n": "40", "n_retry": "48", "ambient_dim": "128", "k": "4",
+        "n": "40", "ambient_dim": "128", "k": "4",
         "trials": "100", "net_count": "400", "p_values": "1.0,1.5,2.0",
         "matrices": "20", "seed": "0",
     },
     "interp": {
-        "map": "scalar-wave", "eps": "0.01", "penalty_frac": "0.85",
-        "audit_safety": "1.05", "shell_safety": "0.75", "min_levels": "4",
-        "seed": "0",
+        "map": "scalar-wave", "eps": "0.01", "min_levels": "4", "seed": "0",
     },
     "carl": {
         "class": "kq", "q": "1.0", "ambient_dim": "64", "count": "1500",
-        "k": "4", "r": "1.0", "n_min": "1", "n_max": "4",
-        "dim_per_level": "26", "pair_samples": "4000",
-        "eps_values": "0.5,0.25,0.125", "seed": "0", "tol": "1e-7",
+        "k": "4", "r": "1.0", "n_min": "1", "n_max": "4", "pair_samples": "4000",
+        "eps_values": "0.5,0.25,0.125", "seed": "0",
     },
 }
+
+# evaluation tolerance of stable-width and carl: per-query feasibility target
+# for the lazy extensions; orders looser than the solver default, orders
+# tighter than any audited budget, and it keeps thin-intersection queries
+# from hitting the iteration cap at a near-miss residual
+EVAL_TOL = 1e-7
 
 
 def _fmt(value) -> str:
@@ -166,11 +168,12 @@ def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     _write_report(out, "entropy", cfg, lines)
 
 
-def _width_pair(K: ModelClassSurrogate, dim_per_level: int, pair_samples: int,
-                tol: float, item: tuple[int, int]) -> tuple:
+def _width_pair(K: ModelClassSurrogate, pair_samples: int,
+                item: tuple[int, int]) -> tuple:
     n, task_seed = item
-    pair = build_stable_pair(K, n, seed=task_seed, dim_per_level=dim_per_level)
-    rep = evaluate_width(pair, K, pair_samples=pair_samples, seed=task_seed, tol=tol)
+    pair = build_stable_pair(K, n, seed=task_seed)
+    rep = evaluate_width(pair, K, pair_samples=pair_samples, seed=task_seed,
+                         tol=EVAL_TOL)
     return pair, rep
 
 
@@ -179,14 +182,7 @@ def _width_series(K: ModelClassSurrogate, cfg: dict[str, str],
     """Build and evaluate one stable pair per n; returns (pair, report) rows."""
     n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
     seeds = _task_seeds(int(cfg["seed"]), len(n_values))
-
-    # evaluation tolerance: per-query feasibility target for the lazy
-    # extensions; orders looser than the solver default, orders tighter
-    # than any audited budget, and it keeps thin-intersection queries from
-    # hitting the iteration cap at a near-miss residual
-    tol = float(cfg["tol"])
-    task = functools.partial(_width_pair, K, int(cfg["dim_per_level"]),
-                             int(cfg["pair_samples"]), tol)
+    task = functools.partial(_width_pair, K, int(cfg["pair_samples"]))
     return _parallel(task, list(zip(n_values, seeds)), threads)
 
 
@@ -216,8 +212,7 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
         direction /= np.linalg.norm(direction)
         g = f + direction * eta * rng.uniform()
         record = stability_probe(pair, f, g, eta=eta, e_class=rep.sup_error,
-                                 seed=int(rng.integers(2**31)),
-                                 tol=float(cfg["tol"]))
+                                 seed=int(rng.integers(2**31)), tol=EVAL_TOL)
         probe_rows.append((i, record.eta, record.lhs, record.rhs, record.passed))
     write_csv(out / "stability_probes.csv", "perturbed decoding probes", cfg,
               ["probe", "eta", "lhs", "rhs", "passed"], probe_rows)
@@ -340,13 +335,10 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 
 def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
-    budget = pipeline_budget(
-        cfg["map"], float(cfg["eps"]),
-        penalty_frac=float(cfg["penalty_frac"]),
-        audit_safety=float(cfg["audit_safety"]),
-        shell_safety=float(cfg["shell_safety"]),
-        min_levels=int(cfg["min_levels"]),
-    )
+    if cfg["map"] not in DEMOS:
+        raise SystemExit(f"unknown map {cfg['map']!r} (want {', '.join(DEMOS)})")
+    budget = pipeline_budget(cfg["map"], float(cfg["eps"]),
+                             min_levels=int(cfg["min_levels"]))
     result = finite_rank_pipeline(
         budget.demo.fn, budget.S_points, gamma=budget.gamma,
         delta=budget.delta, eps=budget.eps, seed=int(cfg["seed"]),
@@ -378,10 +370,8 @@ def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
     reports = [rep for _, rep in _width_series(K, cfg, threads)]
     delta0 = float(np.max(np.linalg.norm(K.points, axis=1)))
     gamma = max(rep.lip_M for rep in reports)
-    inputs = carl_inputs_from_width_series(
-        reports, delta0=delta0, gamma=gamma, r=float(cfg["r"]),
-        dim_per_level=int(cfg["dim_per_level"]),
-    )
+    inputs = carl_inputs_from_width_series(reports, delta0=delta0, gamma=gamma,
+                                           r=float(cfg["r"]))
     entropy_series = [rep.entropy for rep in reports]
     rate = carl_rate_check(inputs, entropy_series)
     write_csv(out / "carl_rate.csv", "entropy decay vs width decay", cfg,
@@ -421,7 +411,10 @@ def resolve_config(section: str, config_path: str | None,
         if not parser.read(config_path):
             raise SystemExit(f"config file not found: {config_path}")
         if parser.has_section(section):
-            cfg.update({k: v for k, v in parser.items(section)})
+            for key, value in parser.items(section):
+                if key not in cfg:
+                    raise SystemExit(f"unknown setting {key!r} in [{section}]")
+                cfg[key] = value
     if seed is not None:
         cfg["seed"] = str(seed)
     return cfg

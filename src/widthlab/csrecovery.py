@@ -79,7 +79,6 @@ class SensingMatrix:
     """Measurement matrix, n rows (measurements) by N columns (signal dim)."""
 
     matrix: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -101,7 +100,7 @@ def gaussian_matrix(n: int, N: int, seed: int) -> SensingMatrix:
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
     rng = np.random.default_rng(seed)
-    return SensingMatrix(rng.standard_normal((n, N)) / math.sqrt(n), seed=seed)
+    return SensingMatrix(rng.standard_normal((n, N)) / math.sqrt(n))
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,13 @@ DEMOS = {
 }
 
 
+# share of eps the final rescale may spend, and the safety factors on the
+# Lipschitz-excess and shell mesh scales
+PENALTY_FRAC = 0.85
+AUDIT_SAFETY = 1.05
+SHELL_SAFETY = 0.75
+
+
 @dataclass(frozen=True)
 class PipelineBudget:
     """Consistent pipeline settings for one demo map at one accuracy."""
@@ -94,18 +101,11 @@ class PipelineBudget:
     min_levels: int
 
 
-def pipeline_budget(
-    name: str,
-    eps: float,
-    penalty_frac: float = 0.85,
-    audit_safety: float = 1.05,
-    shell_safety: float = 0.75,
-    min_levels: int = 4,
-) -> PipelineBudget:
+def pipeline_budget(name: str, eps: float, min_levels: int = 4) -> PipelineBudget:
     """Plan gamma, delta and the mesh schedule for a demo map.
 
     The final rescale costs delta / (gamma + delta) times the largest value
-    on S; penalty_frac says how much of eps that rescale may spend.  That
+    on S; PENALTY_FRAC says how much of eps that rescale may spend.  That
     fixes delta / gamma, hence the cutoff slope, the reachable radius, and
     gamma itself, with no fixed-point iteration.  The mesh target is the
     smallest of three scales: interpolation error ~ h^2 d2 / 8, smooth-region
@@ -124,7 +124,7 @@ def pipeline_budget(
     S = np.stack([g.ravel() for g in grids], axis=1)
 
     B = float(np.max(np.linalg.norm(demo.fn(S), axis=1)))
-    q = penalty_frac * eps / B
+    q = PENALTY_FRAC * eps / B
     if q >= 0.5:
         raise ValueError("accuracy budget too loose for this map: shrink eps")
     ratio = q / (1.0 - q)  # delta / gamma
@@ -134,7 +134,7 @@ def pipeline_budget(
     gamma = demo.gamma_of_radius(rho)
     delta = gamma * ratio
 
-    h_excess = audit_safety * delta / demo.d2_bound
+    h_excess = AUDIT_SAFETY * delta / demo.d2_bound
     h_sup = math.sqrt(8.0 * (eps / 2.0) / demo.d2_bound)
     m = kernel_scale(gamma, delta, eps, n)
     offsets_u, weights_u, _, _ = bump_kernel(1.0, n, UNIT_SPACING)
@@ -144,7 +144,7 @@ def pipeline_budget(
     on_axis = np.abs(offsets_u[:, 0]) < spacing_u / 2.0
     peak = float(np.sum(weights_u[on_axis])) / spacing_u
     jump = gamma * (1.0 + lam * R1)
-    h_shell = shell_safety * delta / (jump * m * peak)
+    h_shell = SHELL_SAFETY * delta / (jump * m * peak)
     h_target = min(h_excess, h_sup, h_shell)
     D = R1 + 1.0 / lam + 1.0 / m
     final_subdivisions = math.ceil(2.0 * D / h_target)

@@ -315,14 +315,11 @@ class PipelineResult:
     gamma: float
     delta: float
     eps: float
-    R1: float
-    lam: float
     m: int
     D: float
     rank: int
     sup_dev_on_S: float
     lip_measured: float
-    mollify_bound: float
     levels: tuple[PipelineLevel, ...]
 
 
@@ -540,15 +537,13 @@ def finite_rank_pipeline(
     levels: list[PipelineLevel] = []
     subdivisions = initial_subdivisions
     interp: PLInterpolant | None = None
-    mollify_bound = math.nan
     achieved = (math.inf, math.inf)
     while True:
         mesh = KuhnMesh(n=n, D=D, subdivisions=subdivisions)
         if mesh.vertex_count > max_vertices:
             raise MeshBudgetError(achieved[0], achieved[1], mesh.vertex_count)
         h = mesh.h
-        offsets, weights, moment, stencil = bump_kernel(float(m), n, h)
-        mollify_bound = (gamma + delta / 2.0) * moment
+        offsets, weights, _, stencil = bump_kernel(float(m), n, h)
 
         def M2(X: np.ndarray) -> np.ndarray:
             acc = np.zeros((X.shape[0], d_out))
@@ -621,13 +616,10 @@ def finite_rank_pipeline(
         gamma=gamma,
         delta=delta,
         eps=eps,
-        R1=R1,
-        lam=lam,
         m=m,
         D=D,
         rank=final.rank_bound,
         sup_dev_on_S=sup_dev_on_S,
         lip_measured=lip_measured,
-        mollify_bound=mollify_bound,
         levels=tuple(levels),
     )

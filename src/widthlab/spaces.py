@@ -9,7 +9,7 @@ ideal set (0 when the surrogate is the class itself).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,15 +78,12 @@ class ModelClassSurrogate:
     """Finite point cloud standing in for a compact class K.
 
     resolution: guaranteed (or estimated) density of the cloud in the ideal
-    class, 0 when the cloud is exact.  convex: whether the ideal class is
-    convex, which nearest-point projection steps rely on.
+    class, 0 when the cloud is exact.
     """
 
     space: FiniteNormedSpace
     points: np.ndarray
     resolution: float = 0.0
-    label: str = "custom"
-    convex: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -173,8 +170,6 @@ def generate_Kq(
         space=FiniteNormedSpace(N, ambient_p),
         points=pts,
         resolution=0.0,
-        label=f"Kq(q={q})",
-        convex=True,
     )
 
 
@@ -193,8 +188,6 @@ def generate_diag_class(alpha: AlphaSequence, m: int) -> ModelClassSurrogate:
         space=FiniteNormedSpace(m, 2.0),
         points=pts,
         resolution=float(alpha.alpha(m + 1)),
-        label=f"diag(r={alpha.r})",
-        convex=False,
     )
 
 
@@ -231,8 +224,6 @@ def generate_sparse_class(
         space=FiniteNormedSpace(N, 2.0),
         points=pts,
         resolution=res,
-        label=f"sparse(k={k})",
-        convex=False,
     )
 
 

@@ -18,20 +18,16 @@ eps_n <= C (n+1)^(-r) * sup_m (m+1)^r delta_m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .extend import (
-    LipschitzAudit,
-    SampledLipschitzMap,
-    lipschitz_audit,
-    sample_pairs,
-)
+from .extend import SampledLipschitzMap, lipschitz_audit, sample_pairs
 from .nets import EntropyBracket, Net, entropy_bracket, greedy_cover
 from .spaces import FiniteNormedSpace, ModelClassSurrogate, norm
 
 __all__ = [
+    "DIM_PER_LEVEL",
     "EncoderDecoderPair",
     "WidthReport",
     "CarlInputs",
@@ -81,6 +77,10 @@ def jl_dim(eps: float) -> int:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return math.ceil(4.0 * math.log(2.0) / (eps**2 / 2.0 - eps**3 / 3.0))
+
+
+# parameters per net level: a level-n pair encodes into R^(DIM_PER_LEVEL * n)
+DIM_PER_LEVEL = jl_dim(3.0 / 5.0)
 
 
 # independent Gaussian draws jl_project tries before it gives up
@@ -158,7 +158,6 @@ class WidthReport:
     entropy: EntropyBracket
     lip_a: float
     lip_M: float
-    pair_count: int
     seed: int
 
     @property
@@ -166,13 +165,11 @@ class WidthReport:
         return 3.0 * self.entropy.upper
 
 
-def build_stable_pair(
-    K: ModelClassSurrogate, n: int, seed: int, dim_per_level: int = 26
-) -> EncoderDecoderPair:
+def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecoderPair:
     """Net + verified projection + two ball-intersection extensions.
 
     Requires an l_2 ambient norm and at least 2^n cloud points.  The
-    parameter space is R^(dim_per_level * n) with its l_2 norm.
+    parameter space is R^(DIM_PER_LEVEL * n) with its l_2 norm.
     """
     if K.space.p != 2.0:
         raise ValueError("stable pair construction needs an l_2 ambient space")
@@ -181,7 +178,7 @@ def build_stable_pair(
     if 2**n > K.count:
         raise ValueError(f"need at least 2^{n} cloud points, have {K.count}")
     net = greedy_cover(K, 2**n)
-    target_dim = dim_per_level * n
+    target_dim = DIM_PER_LEVEL * n
     T = jl_project(net.centers, target_dim, seed)
     images = net.centers @ T.T
     ambient = K.space
@@ -259,7 +256,6 @@ def evaluate_width(
         entropy=bracket,
         lip_a=audit_a.measured,
         lip_M=audit_M.measured,
-        pair_count=pair_samples,
         seed=seed,
     )
 
@@ -290,7 +286,6 @@ class ProbeRecord:
     """One perturbation trial of the stability inequality."""
 
     eta: float
-    beta: float
     lhs: float
     rhs: float
 
@@ -305,14 +300,13 @@ def stability_probe(
     g: np.ndarray,
     eta: float,
     e_class: float,
-    beta: float = 1.0,
     seed: int = 0,
     tol: float = 1e-8,
 ) -> ProbeRecord:
     """Decode a corrupted code of a perturbed input and compare to the budget.
 
     With ||f - g|| <= eta and a code y' within eta of a(g), the decoded
-    error obeys ||f - M(y')|| <= 2 * e_class + eta + gamma_M * eta^beta,
+    error obeys ||f - M(y')|| <= 2 * e_class + eta + gamma_M * eta,
     where e_class is the pair's measured class error.  The corruption is
     drawn adversarially on the eta-sphere in parameter space.
     """
@@ -328,8 +322,8 @@ def stability_probe(
     y_prime = pair.encoder.eval_batch(g[None, :], tol=tol) + eta * direction
     decoded = pair.decoder.eval_batch(y_prime, tol=tol)[0]
     lhs = float(norm(f - decoded, ambient))
-    rhs = 2.0 * e_class + eta + pair.gamma_M * eta**beta
-    return ProbeRecord(eta=eta, beta=beta, lhs=lhs, rhs=rhs)
+    rhs = 2.0 * e_class + eta + pair.gamma_M * eta
+    return ProbeRecord(eta=eta, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -445,20 +439,19 @@ def carl_inputs_from_width_series(
     delta0: float,
     gamma: float,
     r: float,
-    dim_per_level: int = 26,
 ) -> CarlInputs:
     """Step-fill measured roundtrip errors into a width-per-parameter sequence.
 
     A report at net level n certifies width sup_error at parameter budget
-    dim_per_level * n, and every larger budget inherits it.  Budgets below
+    DIM_PER_LEVEL * n, and every larger budget inherits it.  Budgets below
     the first report fall back to delta0, the no-parameter width (sup of
     the class norms).
     """
     if not reports:
         raise ValueError("need at least one width report")
-    top = dim_per_level * max(rep.n for rep in reports)
+    top = DIM_PER_LEVEL * max(rep.n for rep in reports)
     seq = np.full(top + 1, float(delta0))
     for rep in sorted(reports, key=lambda rep: rep.n):
-        m = dim_per_level * rep.n
+        m = DIM_PER_LEVEL * rep.n
         seq[m:] = np.minimum(seq[m:], rep.sup_error)
     return CarlInputs(delta_sequence=seq, gamma=gamma, r=r)

@@ -10,7 +10,8 @@ import pytest
 
 import widthlab
 from widthlab import __version__
-from widthlab.cli import COMMANDS, DEFAULTS, _parallel, main, resolve_config
+from widthlab.cli import (COMMANDS, DEFAULTS, _build_class, _parallel, main,
+                          resolve_config)
 from widthlab.csrecovery import L1ConvergenceError
 from widthlab.extend import ExtensionFeasibilityError
 from widthlab.interp import MeshBudgetError
@@ -119,7 +120,6 @@ def test_width_commands_are_thread_count_invariant(tmp_path, name):
 SMALL_CS = """
 [cs]
 n = 20
-n_retry = 24
 ambient_dim = 40
 k = 2
 trials = 10
@@ -230,6 +230,46 @@ def test_unknown_class_label_fails_without_artifacts(tmp_path):
     with pytest.raises(SystemExit):
         main(["entropy", "--config", str(cfg), "--out", str(out)])
     assert not list(out.glob("*.csv"))
+
+
+def test_unknown_setting_fails_naming_key_and_section(tmp_path):
+    # a misspelt key would otherwise run at the default and be echoed into
+    # every header as if it had been applied
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[stable-width]\npair_sample = 500\n")
+    with pytest.raises(SystemExit, match=r"'pair_sample' in \[stable-width\]"):
+        resolve_config("stable-width", str(cfg), None)
+
+
+def test_unknown_interp_map_fails_listing_the_maps(tmp_path):
+    out = tmp_path / "interp"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[interp]\nmap = bogus\n")
+    with pytest.raises(SystemExit, match="'bogus' .*scalar-wave, plane-wave"):
+        main(["interp", "--config", str(cfg), "--out", str(out)])
+    assert not list(out.glob("*.csv"))
+
+
+def test_every_default_setting_is_read_by_the_cli():
+    import widthlab.cli as cli
+
+    source = Path(cli.__file__).read_text()
+    unread = sorted({key for section in DEFAULTS.values() for key in section
+                     if f'cfg["{key}"]' not in source})
+    assert unread == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_ini_example_runs_as_written(tmp_path):
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert block.startswith("[stable-width]\n")
+    cfg = resolve_config("stable-width", str(path), None)
+    K = _build_class(cfg)
+    assert K.count == int(cfg["count"]) and K.space.dim == int(cfg["ambient_dim"])
 
 
 def test_interp_command_smoke(tmp_path):

@@ -117,7 +117,7 @@ def test_diag_class_two_atoms_oracle():
     rows = {tuple(np.round(row, 12)) for row in K.points}
     assert rows == {(1.0, 0.0), (0.0, 0.5), (0.0, 0.0)}
     assert K.resolution == pytest.approx((1.0 + math.log2(3.0)) ** -1.0)
-    assert K.space.p == 2.0 and not K.convex
+    assert K.space.p == 2.0
 
 
 def test_diag_class_atom_separation_formula():
@@ -139,7 +139,7 @@ def test_kq_points_stay_in_unit_ball(q, seed):
     K = generate_Kq(6, q, 40, seed)
     radii = norm(K.points, FiniteNormedSpace(6, q))
     assert np.all(radii <= 1.0 + 1e-9)
-    assert K.count == 40 and K.convex
+    assert K.count == 40
 
 
 def test_kq_deterministic_by_seed():

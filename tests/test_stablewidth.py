@@ -75,6 +75,8 @@ def test_stable_pair_budgets_and_main_inequality():
         assert rep.lip_a <= 1.05
         assert rep.lip_M <= 2.1
         assert pair.gamma_a == 1.0 and pair.gamma_M == 2.0
+        # the budget is the projection dimension of a 2^n-point net, per level
+        assert pair.param_dim == 26 * n
 
 
 def test_evaluate_width_deterministic():
@@ -100,8 +102,8 @@ def test_stability_probe_inequality_fields():
         record = stability_probe(pair, f, g, eta=eta, e_class=rep.sup_error,
                                  seed=int(rng.integers(2**31)))
         assert record.rhs == pytest.approx(
-            2.0 * rep.sup_error + record.eta + pair.gamma_M * record.eta
-            * record.beta, rel=1e-12)
+            2.0 * rep.sup_error + record.eta + pair.gamma_M * record.eta,
+            rel=1e-12)
         assert record.passed
         assert record.lhs <= record.rhs + 1e-9
 
