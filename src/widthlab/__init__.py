@@ -42,6 +42,8 @@ from .stablewidth import (
     CarlCoverBound,
     CarlInputs,
     CarlRateReport,
+    DIM_PER_LEVEL,
+    EVAL_TOL,
     EncoderDecoderPair,
     JLDistortionError,
     PhiUndefinedError,
@@ -70,6 +72,7 @@ from .counterexample import (
 from .csrecovery import (
     InstanceOptimalityReport,
     L1ConvergenceError,
+    NoSparseFitError,
     NormBracket,
     OperatorBoundReport,
     RecoveryTrial,

@@ -27,6 +27,7 @@ from .csrecovery import (
     instance_optimality_trials,
     l1_decode,
     operator_norm_bound_check,
+    rip_check,
 )
 from .demos import DEMOS, pipeline_budget
 from .interp import finite_rank_pipeline
@@ -73,13 +74,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "eps_values": "0.5,0.25,0.125", "seed": "0",
     },
 }
-
-# evaluation tolerance of stable-width and carl: per-query feasibility target
-# for the lazy extensions; orders looser than the solver default, orders
-# tighter than any audited budget, and it keeps thin-intersection queries
-# from hitting the iteration cap at a near-miss residual
-EVAL_TOL = 1e-7
-
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -172,8 +166,7 @@ def _width_pair(K: ModelClassSurrogate, pair_samples: int,
                 item: tuple[int, int]) -> tuple:
     n, task_seed = item
     pair = build_stable_pair(K, n, seed=task_seed)
-    rep = evaluate_width(pair, K, pair_samples=pair_samples, seed=task_seed,
-                         tol=EVAL_TOL)
+    rep = evaluate_width(pair, K, pair_samples=pair_samples, seed=task_seed)
     return pair, rep
 
 
@@ -212,7 +205,7 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
         direction /= np.linalg.norm(direction)
         g = f + direction * eta * rng.uniform()
         record = stability_probe(pair, f, g, eta=eta, e_class=rep.sup_error,
-                                 seed=int(rng.integers(2**31)), tol=EVAL_TOL)
+                                 seed=int(rng.integers(2**31)))
         probe_rows.append((i, record.eta, record.lhs, record.rhs, record.passed))
     write_csv(out / "stability_probes.csv", "perturbed decoding probes", cfg,
               ["probe", "eta", "lhs", "rhs", "passed"], probe_rows)
@@ -307,7 +300,7 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
 
     net = generate_sparse_class(N, k, int(cfg["net_count"]),
                                 seed=int(cfg["seed"]) + 2)
-    pair, rip = build_nonlinear_pair(Phi, k, net, seed=int(cfg["seed"]))
+    pair = build_nonlinear_pair(Phi, net)
     report = instance_optimality_trials(pair, k, trials=trials,
                                         seed=int(cfg["seed"]) + 3)
     io_rows = [
@@ -318,6 +311,7 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     write_csv(out / "instance_optimality.csv", "dense-input recovery bound", cfg,
               ["trial", "sigma_k", "net_distance", "error", "bound", "passed"],
               io_rows)
+    rip = rip_check(Phi, 2 * k, seed=int(cfg["seed"]))
     lines = [
         f"- operator bound rows holding (derived form): "
         f"{sum(r[8] and r[9] for r in bound_rows)}/{len(bound_rows)}",
@@ -372,7 +366,7 @@ def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
     gamma = max(rep.lip_M for rep in reports)
     inputs = carl_inputs_from_width_series(reports, delta0=delta0, gamma=gamma,
                                            r=float(cfg["r"]))
-    entropy_series = [rep.entropy for rep in reports]
+    entropy_series = [entropy_bracket(K, rep.n) for rep in reports]
     rate = carl_rate_check(inputs, entropy_series)
     write_csv(out / "carl_rate.csv", "entropy decay vs width decay", cfg,
               ["n", "entropy_lower", "rate_bound"], rate.rows)
@@ -414,6 +408,9 @@ def resolve_config(section: str, config_path: str | None,
             for key, value in parser.items(section):
                 if key not in cfg:
                     raise SystemExit(f"unknown setting {key!r} in [{section}]")
+                if "\n" in value:
+                    raise SystemExit(
+                        f"setting {key!r} in [{section}] spans several lines")
                 cfg[key] = value
     if seed is not None:
         cfg["seed"] = str(seed)

@@ -12,6 +12,7 @@ which diverges because the alpha sequence decays slowly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,63 +53,62 @@ class DiagMaps:
         return self.alpha.alpha(np.arange(self.k, 0, -1))
 
 
-def _atom_index(maps: DiagMaps, x: np.ndarray) -> int:
-    """Index j of an atom alpha_j e_j, or 0 for the origin; errors otherwise."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (maps.dim,):
-        raise ValueError(f"expected a vector of length {maps.dim}")
-    nz = np.nonzero(x)[0]
-    if len(nz) == 0:
-        return 0
-    if len(nz) != 1:
-        raise ValueError("not a class atom: more than one nonzero coordinate")
-    j = int(nz[0]) + 1
-    if not math.isclose(x[nz[0]], maps.alpha.alpha(j), rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(
-            f"not a class atom: coordinate {j} is {x[nz[0]]!r}, "
-            f"expected alpha_{j} = {maps.alpha.alpha(j)!r}"
-        )
+def _atom_indices(maps: DiagMaps, X: np.ndarray) -> np.ndarray:
+    """Index j of each row's atom alpha_j e_j, 0 for the origin; errors otherwise."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != maps.dim:
+        raise ValueError(f"expected rows of length {maps.dim}")
+    nonzero = X != 0.0
+    j = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1) + 1, 0)
+    atoms = np.zeros_like(X)
+    rows = np.flatnonzero(j)
+    atoms[rows, j[rows] - 1] = maps.alpha.alpha(j[rows])
+    bad = np.flatnonzero((nonzero.sum(axis=1) > 1)
+                         | ~(np.max(np.abs(X - atoms), axis=1) <= 1e-12))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is neither an atom alpha_j e_j nor 0")
     return j
 
 
-def diag_encode(maps: DiagMaps, x: np.ndarray) -> float:
-    """Scalar code alpha_min(j, k) for atom j, alpha_k for the origin.
+def diag_encode(maps: DiagMaps, X: np.ndarray) -> np.ndarray:
+    """Codes (count, 1): alpha_min(j, k) for atom j, alpha_k for the origin.
 
-    1-Lipschitz on the class into R with absolute value.
+    1-Lipschitz on the class into R with absolute value.  X holds one
+    class point per row.
     """
-    j = _atom_index(maps, x)
-    if j == 0:
-        return float(maps.alpha.alpha(maps.k))
-    return float(maps.alpha.alpha(min(j, maps.k)))
+    j = _atom_indices(maps, X)
+    levels = np.where(j == 0, maps.k, np.minimum(j, maps.k))
+    return maps.alpha.alpha(levels)[:, None]
 
 
-def diag_decode(maps: DiagMaps, t: float) -> np.ndarray:
-    """Piecewise-linear curve through 0 and the first k atoms.
+def diag_decode(maps: DiagMaps, T: np.ndarray) -> np.ndarray:
+    """Piecewise-linear curve through 0 and the first k atoms, row by row.
 
-    Clamped to 0 for t <= 0 and to alpha_1 e_1 for t >= alpha_1; on
-    [alpha_{j+1}, alpha_j] it interpolates atom j+1 to atom j linearly, and
-    on [0, alpha_k] it interpolates the origin to atom k.
+    T holds one code per row, shape (count, 1).  Clamped to 0 for t <= 0
+    and to alpha_1 e_1 for t >= alpha_1; on [alpha_{j+1}, alpha_j] it
+    interpolates atom j+1 to atom j linearly, and on [0, alpha_k] it
+    interpolates the origin to atom k.
     """
-    t = float(t)
-    out = np.zeros(maps.dim)
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 2 or T.shape[1] != 1:
+        raise ValueError("expected codes of shape (count, 1)")
+    t = T[:, 0]
+    out = np.zeros((len(t), maps.dim))
     bp = maps.breakpoints  # ascending: alpha_k .. alpha_1
     k = maps.k
-    if t <= 0.0:
-        return out
-    if t >= bp[-1]:
-        out[0] = bp[-1]
-        return out
-    if t <= bp[0]:
-        # segment origin -> atom k
-        out[k - 1] = t
-        return out
+    inside = (t > 0.0) & (t < bp[-1])
+    out[t >= bp[-1], 0] = bp[-1]
+    # segment origin -> atom k
+    seg = np.flatnonzero(inside & (t <= bp[0]))
+    out[seg, k - 1] = t[seg]
     # bp[i-1] < t <= bp[i]; bp[i] = alpha_{k-i}, between atoms k-i+1 and k-i
-    i = int(np.searchsorted(bp, t))
+    mid = np.flatnonzero(inside & (t > bp[0]))
+    i = np.searchsorted(bp, t[mid])
     lo, hi = bp[i - 1], bp[i]
-    w = (t - lo) / (hi - lo)
+    w = (t[mid] - lo) / (hi - lo)
     j_hi = k - i  # atom j sits at 0-indexed coordinate j - 1
-    out[j_hi - 1] = w * hi
-    out[j_hi] = (1.0 - w) * lo
+    out[mid, j_hi - 1] = w * hi
+    out[mid, j_hi] = (1.0 - w) * lo
     return out
 
 
@@ -125,7 +125,7 @@ def decoder_lipschitz_lower(maps: DiagMaps, probes: int = 64) -> float:
     i, j = np.triu_indices(len(ts), k=1)
     pairs = np.stack([ts[i], ts[j]], axis=1)[:, :, None]
     audit = lipschitz_audit(
-        lambda T: np.array([diag_decode(maps, t) for t in T[:, 0]]),
+        functools.partial(diag_decode, maps),
         pairs,
         FiniteNormedSpace(1, 2.0),
         FiniteNormedSpace(maps.dim, 2.0),
@@ -187,15 +187,13 @@ def counterexample_report(
     rows = []
     for k in range(2, k_max + 1):
         maps = DiagMaps(k=k, alpha=alpha, dim=m)
-        errs = [
-            float(np.linalg.norm(x - diag_decode(maps, diag_encode(maps, x))))
-            for x in K.points
-        ]
+        recon = diag_decode(maps, diag_encode(maps, K.points))
+        errs = np.linalg.norm(K.points - recon, axis=1)
         a_prev, a_k = alpha.alpha(k - 1), alpha.alpha(k)
         rows.append(
             CounterexampleRow(
                 k=k,
-                sup_error=max(errs),
+                sup_error=float(np.max(errs)),
                 sqrt2_alpha_k=math.sqrt(2.0) * a_k,
                 lip_Mk_lower=decoder_lipschitz_lower(maps),
                 lip_Mk_predicted=a_prev / (a_prev - a_k),

@@ -6,8 +6,9 @@ forward, 1 / (1 - delta) backward.  Extending both directions off a finite
 sparse net gives a coder pair whose error on arbitrary inputs is controlled
 by the best k-term approximation error plus the net's resolution.  The pair's
 budgets are the net's own extreme pair ratios, which the true delta_2k bounds
-and which the Kirszbraun extensions keep exactly; a sampled delta_2k can only
-understate the true one, so it is reported beside them but not relied on.
+and which the Kirszbraun extensions keep exactly.  A sampled delta_2k can
+only understate the true one, so the pair does not use it; rip_check
+computes it separately.
 
 The certificate used throughout is the norm form of restricted isometry,
 (1 - delta)||x|| <= ||Phi x|| <= (1 + delta)||x||, not the squared form.
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extend import SampledLipschitzMap
 from .nets import Net
 from .spaces import FiniteNormedSpace, ModelClassSurrogate, norm
 from .stablewidth import EncoderDecoderPair
@@ -371,23 +371,16 @@ def sigma_k(x: np.ndarray, k: int, p: float = 2.0) -> float:
 
 
 def build_nonlinear_pair(
-    Phi: SensingMatrix,
-    k: int,
-    sparse_net: ModelClassSurrogate,
-    seed: int = 0,
-) -> tuple[EncoderDecoderPair, RipCertificate]:
+    Phi: SensingMatrix, sparse_net: ModelClassSurrogate
+) -> EncoderDecoderPair:
     """Coder pair (x -> Phi x, ball-intersection inverse) over a sparse net.
 
     gamma_a is the largest net-pair ratio ||Phi(x_i - x_j)|| / ||x_i - x_j||
     and gamma_M one over the smallest, so the pair's constants describe the
-    map that is extended.  The returned order-2k certificate is a sampled
-    lower estimate of delta_2k, a diagnostic that construction does not use.
+    map that is extended.
     """
     from scipy.spatial.distance import pdist
 
-    if 2 * k > Phi.N:
-        raise ValueError("order 2k exceeds the signal dimension")
-    rip = rip_check(Phi, 2 * k, seed=seed)
     xs = sparse_net.points
     if len(xs) < 2:
         raise ValueError("the net needs two points to fix the budgets")
@@ -398,25 +391,10 @@ def build_nonlinear_pair(
     ratios = pdist(images) / gaps
     if not ratios.min() > 0.0:
         raise ValueError("Phi maps two net points to one image; pair undefined")
-    gamma_a = float(ratios.max())
-    gamma_M = 1.0 / float(ratios.min())
-    ambient = FiniteNormedSpace(Phi.N, 2.0)
-    param_space = FiniteNormedSpace(Phi.n, 2.0)
-    encoder = SampledLipschitzMap(
-        domain_space=ambient, target_space=param_space,
-        xs=xs, fs=images, gamma=gamma_a,
+    return EncoderDecoderPair.over_net(
+        Net(centers=xs, radius=sparse_net.resolution), images,
+        float(ratios.max()), 1.0 / float(ratios.min()),
     )
-    decoder = SampledLipschitzMap(
-        domain_space=param_space, target_space=ambient,
-        xs=images, fs=xs, gamma=gamma_M,
-    )
-    pair = EncoderDecoderPair(
-        encoder=encoder,
-        decoder=decoder,
-        net=Net(centers=xs, radius=sparse_net.resolution),
-        n=Phi.n,
-    )
-    return pair, rip
 
 
 @dataclass(frozen=True)

@@ -139,15 +139,14 @@ def _dedupe_resample(draw, count: int, max_rounds: int = 16) -> np.ndarray:
     raise RuntimeError("could not draw pairwise distinct points")
 
 
-def generate_Kq(
-    N: int, q: float, count: int, seed: int, ambient_p: float = 2.0
-) -> ModelClassSurrogate:
+def generate_Kq(N: int, q: float, count: int, seed: int) -> ModelClassSurrogate:
     """Sample ``count`` points uniformly from the unit l_q ball in R^N.
 
     Direction is drawn from the cone measure of the l_q sphere (coordinates
     sign * Gamma(1/q)^(1/q)), radius from the U^(1/N) law, which together
     give the uniform distribution on the ball.  q = inf uses uniform
     coordinates in [-1, 1], which is that ball's uniform law directly.
+    The class is measured in l_2^N.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -167,7 +166,7 @@ def generate_Kq(
 
     pts = _dedupe_resample(draw, count)
     return ModelClassSurrogate(
-        space=FiniteNormedSpace(N, ambient_p),
+        space=FiniteNormedSpace(N, 2.0),
         points=pts,
         resolution=0.0,
     )

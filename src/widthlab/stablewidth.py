@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extend import SampledLipschitzMap, lipschitz_audit, sample_pairs
-from .nets import EntropyBracket, Net, entropy_bracket, greedy_cover
+from .nets import EntropyBracket, Net, greedy_cover
 from .spaces import FiniteNormedSpace, ModelClassSurrogate, norm
 
 __all__ = [
     "DIM_PER_LEVEL",
+    "EVAL_TOL",
     "EncoderDecoderPair",
     "WidthReport",
     "CarlInputs",
@@ -83,6 +84,14 @@ def jl_dim(eps: float) -> int:
 DIM_PER_LEVEL = jl_dim(3.0 / 5.0)
 
 
+# evaluation tolerance of evaluate_width and stability_probe: per-query
+# feasibility target for the lazy extensions; orders looser than the solver
+# default, orders tighter than any audited budget, and it keeps
+# thin-intersection queries from hitting the iteration cap at a near-miss
+# residual
+EVAL_TOL = 1e-7
+
+
 # independent Gaussian draws jl_project tries before it gives up
 _JL_RETRY_CAP = 32
 
@@ -123,15 +132,32 @@ def jl_project(points: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
 class EncoderDecoderPair:
     """Encoder a: K -> R^param_dim and decoder M back, built over a net.
 
-    The encoder is 1-Lipschitz (gamma_a), the decoder 2-Lipschitz (gamma_M)
-    for the net construction; recovery is exact on the net by sample
-    interpolation.  The budgets are those of the two sampled maps.
+    The encoder extends net -> images with budget gamma_a, the decoder
+    images -> net with budget gamma_M; recovery is exact on the net by
+    sample interpolation.  The budgets are those of the two sampled maps.
     """
 
     encoder: SampledLipschitzMap
     decoder: SampledLipschitzMap
     net: Net
-    n: int
+
+    @classmethod
+    def over_net(cls, net: Net, images: np.ndarray, gamma_a: float,
+                 gamma_M: float) -> EncoderDecoderPair:
+        """The pair interpolating net.centers <-> images, both spaces l_2.
+
+        The ambient dimension is the net's row length, the parameter
+        dimension the images'.
+        """
+        ambient = FiniteNormedSpace(net.centers.shape[1], 2.0)
+        param_space = FiniteNormedSpace(images.shape[1], 2.0)
+        return cls(
+            encoder=SampledLipschitzMap(ambient, param_space, net.centers,
+                                        images, gamma_a),
+            decoder=SampledLipschitzMap(param_space, ambient, images,
+                                        net.centers, gamma_M),
+            net=net,
+        )
 
     @property
     def gamma_a(self) -> float:
@@ -151,18 +177,22 @@ class EncoderDecoderPair:
 
 @dataclass(frozen=True)
 class WidthReport:
-    """Measured roundtrip error and audited constants for one pair."""
+    """Measured roundtrip error and audited constants for one pair.
+
+    net_radius is the covering radius of the pair's own net, so the
+    roundtrip error is at most three_eps_upper = 3 * net_radius.
+    """
 
     n: int
     sup_error: float
-    entropy: EntropyBracket
+    net_radius: float
     lip_a: float
     lip_M: float
     seed: int
 
     @property
     def three_eps_upper(self) -> float:
-        return 3.0 * self.entropy.upper
+        return 3.0 * self.net_radius
 
 
 def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecoderPair:
@@ -178,55 +208,32 @@ def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecod
     if 2**n > K.count:
         raise ValueError(f"need at least 2^{n} cloud points, have {K.count}")
     net = greedy_cover(K, 2**n)
-    target_dim = DIM_PER_LEVEL * n
-    T = jl_project(net.centers, target_dim, seed)
-    images = net.centers @ T.T
-    ambient = K.space
-    param_space = FiniteNormedSpace(target_dim, 2.0)
-    encoder = SampledLipschitzMap(
-        domain_space=ambient,
-        target_space=param_space,
-        xs=net.centers,
-        fs=images,
-        gamma=1.0,
-    )
-    decoder = SampledLipschitzMap(
-        domain_space=param_space,
-        target_space=ambient,
-        xs=images,
-        fs=net.centers,
-        gamma=2.0,
-    )
-    return EncoderDecoderPair(
-        encoder=encoder,
-        decoder=decoder,
-        net=net,
-        n=n,
-    )
+    T = jl_project(net.centers, DIM_PER_LEVEL * n, seed)
+    return EncoderDecoderPair.over_net(net, net.centers @ T.T, 1.0, 2.0)
 
 
 def evaluate_width(
     pair: EncoderDecoderPair,
-    K_test: ModelClassSurrogate,
+    K: ModelClassSurrogate,
     pair_samples: int = 10000,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> WidthReport:
     """Roundtrip sup error over the cloud plus audited encoder/decoder constants.
 
-    Encoder pairs are sampled from the test cloud; decoder pairs from
-    encoded cloud points jittered at the scale of the net radius, keeping
-    the audit in the region the decoder actually serves.  The audits
-    evaluate both maps at the roundtrip's tol.
+    K must be the class the pair was built on: the 3x bound is the radius
+    of the pair's net over K, and the level is read off the net, since a
+    level-n net has 2^n centers.  Encoder pairs are sampled from the cloud;
+    decoder pairs from encoded cloud points jittered at the scale of the
+    net radius, keeping the audit in the region the decoder actually
+    serves.  Every evaluation runs at EVAL_TOL.
     """
-    X = K_test.points
-    recon = pair.roundtrip_batch(X, tol=tol)
-    sup_error = float(np.max(norm(X - recon, K_test.space)))
-    bracket = entropy_bracket(K_test, pair.n)
+    X = K.points
+    recon = pair.roundtrip_batch(X, tol=EVAL_TOL)
+    sup_error = float(np.max(norm(X - recon, K.space)))
 
     enc_pairs = sample_pairs(X, pair_samples, seed=seed)
     audit_a = lipschitz_audit(
-        lambda Z: pair.encoder.eval_batch(Z, tol=tol),
+        lambda Z: pair.encoder.eval_batch(Z, tol=EVAL_TOL),
         enc_pairs,
         pair.encoder.domain_space,
         pair.encoder.target_space,
@@ -234,7 +241,7 @@ def evaluate_width(
     rng = np.random.default_rng(seed + 1)
     images = pair.encoder.eval_batch(
         X[rng.choice(X.shape[0], size=min(512, X.shape[0]), replace=False)],
-        tol=tol,
+        tol=EVAL_TOL,
     )
     # audit the decoder on a bounded endpoint pool (images plus jittered
     # copies at the net scale) so the pair count can stay high while the
@@ -245,15 +252,15 @@ def evaluate_width(
     pool = np.concatenate([images, clones], axis=0)
     dec_pairs = sample_pairs(pool, pair_samples, seed=seed + 1)
     audit_M = lipschitz_audit(
-        lambda Z: pair.decoder.eval_batch(Z, tol=tol),
+        lambda Z: pair.decoder.eval_batch(Z, tol=EVAL_TOL),
         dec_pairs,
         pair.decoder.domain_space,
         pair.decoder.target_space,
     )
     return WidthReport(
-        n=pair.n,
+        n=len(pair.net.centers).bit_length() - 1,
         sup_error=sup_error,
-        entropy=bracket,
+        net_radius=pair.net.radius,
         lip_a=audit_a.measured,
         lip_M=audit_M.measured,
         seed=seed,
@@ -301,14 +308,14 @@ def stability_probe(
     eta: float,
     e_class: float,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> ProbeRecord:
     """Decode a corrupted code of a perturbed input and compare to the budget.
 
     With ||f - g|| <= eta and a code y' within eta of a(g), the decoded
     error obeys ||f - M(y')|| <= 2 * e_class + eta + gamma_M * eta,
     where e_class is the pair's measured class error.  The corruption is
-    drawn adversarially on the eta-sphere in parameter space.
+    drawn adversarially on the eta-sphere in parameter space.  Both maps
+    run at EVAL_TOL.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -319,8 +326,8 @@ def stability_probe(
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(pair.param_dim)
     direction /= np.linalg.norm(direction)
-    y_prime = pair.encoder.eval_batch(g[None, :], tol=tol) + eta * direction
-    decoded = pair.decoder.eval_batch(y_prime, tol=tol)[0]
+    y_prime = pair.encoder.eval_batch(g[None, :], tol=EVAL_TOL) + eta * direction
+    decoded = pair.decoder.eval_batch(y_prime, tol=EVAL_TOL)[0]
     lhs = float(norm(f - decoded, ambient))
     rhs = 2.0 * e_class + eta + pair.gamma_M * eta
     return ProbeRecord(eta=eta, lhs=lhs, rhs=rhs)

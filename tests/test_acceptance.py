@@ -19,6 +19,7 @@ from widthlab.csrecovery import (
     instance_optimality_trials,
     l1_decode,
     operator_norm_bound_check,
+    rip_check,
 )
 from widthlab.demos import pipeline_budget
 from widthlab.extend import (
@@ -235,7 +236,8 @@ def test_sparse_recovery_and_instance_optimality():
         assert hits >= 95
     Phi = gaussian_matrix(n, N, seed=0)
     net = generate_sparse_class(N, k, 400, seed=2)
-    pair, cert = build_nonlinear_pair(Phi, k, net, seed=0)
+    pair = build_nonlinear_pair(Phi, net)
+    cert = rip_check(Phi, 2 * k, seed=0)
     report = instance_optimality_trials(pair, k, trials=trials, seed=3)
     io_hits = sum(trial.passed for trial in report.trials)
     assert report.C == pytest.approx(pair.gamma_a * pair.gamma_M)

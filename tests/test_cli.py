@@ -241,6 +241,17 @@ def test_unknown_setting_fails_naming_key_and_section(tmp_path):
         resolve_config("stable-width", str(cfg), None)
 
 
+def test_multi_line_setting_fails_naming_key_and_section(tmp_path):
+    # configparser joins an indented continuation line into the value, and
+    # the newline would split the "# key = value" header of every CSV
+    out = tmp_path / "cs"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[cs]\np_values = 1.0,\n    2.0\n")
+    with pytest.raises(SystemExit, match=r"'p_values' in \[cs\]"):
+        main(["cs", "--config", str(cfg), "--out", str(out)])
+    assert not list(out.glob("*.csv"))
+
+
 def test_unknown_interp_map_fails_listing_the_maps(tmp_path):
     out = tmp_path / "interp"
     cfg = tmp_path / "cfg.ini"
@@ -361,3 +372,15 @@ def test_cli_import_loads_no_process_pool():
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_exports_every_public_module_name():
+    import importlib
+
+    missing = []
+    for name in ("spaces", "nets", "extend", "stablewidth", "counterexample",
+                 "csrecovery", "interp", "demos"):
+        module = importlib.import_module(f"widthlab.{name}")
+        missing += [f"{name}.{attr}" for attr in module.__all__
+                    if not hasattr(widthlab, attr)]
+    assert not missing

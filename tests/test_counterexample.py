@@ -21,35 +21,45 @@ def atom(alpha, j, dim):
     return x
 
 
+def encode(maps, x):
+    """Code of one point, through a one-row batch."""
+    return float(diag_encode(maps, x[None, :])[0, 0])
+
+
+def decode(maps, t):
+    """Point of one code, through a one-row batch."""
+    return diag_decode(maps, np.array([[t]]))[0]
+
+
 def test_encode_known_values():
     alpha = AlphaSequence(2.0)
     maps = DiagMaps(k=2, alpha=alpha, dim=4)
-    assert diag_encode(maps, atom(alpha, 1, 4)) == pytest.approx(1.0)
-    assert diag_encode(maps, atom(alpha, 2, 4)) == pytest.approx(0.5)
+    assert encode(maps, atom(alpha, 1, 4)) == pytest.approx(1.0)
+    assert encode(maps, atom(alpha, 2, 4)) == pytest.approx(0.5)
     # beyond level k everything reads as the k-th code
-    assert diag_encode(maps, atom(alpha, 3, 4)) == pytest.approx(0.5)
-    assert diag_encode(maps, np.zeros(4)) == pytest.approx(0.5)
+    assert encode(maps, atom(alpha, 3, 4)) == pytest.approx(0.5)
+    assert encode(maps, np.zeros(4)) == pytest.approx(0.5)
 
 
 def test_encode_rejects_non_atoms():
     alpha = AlphaSequence(2.0)
     maps = DiagMaps(k=2, alpha=alpha, dim=3)
     with pytest.raises(ValueError):
-        diag_encode(maps, np.array([1.0, 1.0, 0.0]))
+        encode(maps, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
-        diag_encode(maps, np.array([0.9, 0.0, 0.0]))
+        encode(maps, np.array([0.9, 0.0, 0.0]))
 
 
 def test_decode_known_values():
     alpha = AlphaSequence(2.0)  # alpha_1 = 1, alpha_2 = 1/2
     maps = DiagMaps(k=2, alpha=alpha, dim=2)
-    assert np.array_equal(diag_decode(maps, -0.3), np.zeros(2))
-    assert np.array_equal(diag_decode(maps, 2.0), np.array([1.0, 0.0]))
+    assert np.array_equal(decode(maps, -0.3), np.zeros(2))
+    assert np.array_equal(decode(maps, 2.0), np.array([1.0, 0.0]))
     # halfway between the two breakpoints
-    got = diag_decode(maps, 0.75)
+    got = decode(maps, 0.75)
     assert got == pytest.approx(np.array([0.5, 0.25]), abs=1e-12)
     # below the smallest breakpoint the curve heads to the origin
-    got = diag_decode(maps, 0.25)
+    got = decode(maps, 0.25)
     assert got == pytest.approx(np.array([0.0, 0.25]), abs=1e-12)
 
 
@@ -60,7 +70,7 @@ def test_roundtrip_exact_up_to_level_k(k, r):
     maps = DiagMaps(k=k, alpha=alpha, dim=max(k, 10))
     for j in range(1, k + 1):
         x = atom(alpha, j, maps.dim)
-        got = diag_decode(maps, diag_encode(maps, x))
+        got = decode(maps, encode(maps, x))
         assert got == pytest.approx(x, abs=1e-12)
 
 
@@ -73,7 +83,7 @@ def test_error_formula_beyond_level_k(k, r):
     a_k = alpha.alpha(k)
     for j in range(k + 1, dim + 1):
         x = atom(alpha, j, dim)
-        err = float(np.linalg.norm(x - diag_decode(maps, diag_encode(maps, x))))
+        err = float(np.linalg.norm(x - decode(maps, encode(maps, x))))
         expected = math.hypot(alpha.alpha(j), a_k)
         assert err == pytest.approx(expected, abs=1e-12)
         assert err < math.sqrt(2.0) * a_k
@@ -87,8 +97,24 @@ def test_encoder_is_one_lipschitz_on_atom_pairs(k):
     pts = [np.zeros(dim)] + [atom(alpha, j, dim) for j in range(1, dim + 1)]
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            gap = abs(diag_encode(maps, x) - diag_encode(maps, y))
+            gap = abs(encode(maps, x) - encode(maps, y))
             assert gap <= float(np.linalg.norm(x - y)) + 1e-12
+
+
+def test_batch_maps_agree_with_one_row_batches():
+    alpha = AlphaSequence(2.0)
+    maps = DiagMaps(k=3, alpha=alpha, dim=8)
+    X = np.vstack([np.zeros(8)] + [atom(alpha, j, 8) for j in range(1, 9)])
+    codes = diag_encode(maps, X)
+    assert codes.shape == (9, 1)
+    assert codes[:, 0].tolist() == [encode(maps, x) for x in X]
+    ts = np.array([[-0.5], [0.0], [0.3], [0.6], [0.7], [0.9], [1.0], [1.4]])
+    rows = diag_decode(maps, ts)
+    assert rows.shape == (8, 8)
+    for t, row in zip(ts[:, 0], rows):
+        assert np.array_equal(row, decode(maps, t))
+    with pytest.raises(ValueError, match="row 2"):
+        diag_encode(maps, np.vstack([X[:2], [[0.5, 0.5] + [0.0] * 6]]))
 
 
 def test_decoder_lower_bound_beats_the_breakpoint_ratio():
@@ -105,7 +131,7 @@ def pairwise_loop_lower(maps, probes=64):
     ts = list(bp) + [0.0, float(bp[-1]) * 1.5]
     ts.extend(np.linspace(0.0, float(bp[-1]), probes).tolist())
     ts = sorted(set(ts))
-    vals = [diag_decode(maps, t) for t in ts]
+    vals = [decode(maps, t) for t in ts]
     best = 0.0
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):

@@ -174,7 +174,8 @@ def test_brute_decode_refuses_huge_support_searches():
 def test_build_nonlinear_pair_constants_come_from_the_net_pairs():
     Phi = gaussian_matrix(24, 48, seed=6)
     net = generate_sparse_class(48, 3, 150, seed=6)
-    pair, cert = build_nonlinear_pair(Phi, 3, net, seed=6)
+    pair = build_nonlinear_pair(Phi, net)
+    cert = rip_check(Phi, 6, seed=6)
     xs = net.points
     ratios = [
         np.linalg.norm(Phi.matrix @ (xs[i] - xs[j])) / np.linalg.norm(xs[i] - xs[j])
@@ -182,10 +183,25 @@ def test_build_nonlinear_pair_constants_come_from_the_net_pairs():
     ]
     assert pair.gamma_a == pytest.approx(max(ratios), rel=1e-12)
     assert pair.gamma_M == pytest.approx(1.0 / min(ratios), rel=1e-12)
-    # the order-2k certificate is still computed, as a reported diagnostic
+    # the order-2k certificate is computed beside the pair, as a diagnostic
     assert cert.order == 6
     assert not cert.exhaustive and cert.supports_checked == 1000
     assert 0.0 <= cert.delta < 1.0
+
+
+def test_build_nonlinear_pair_computes_no_certificate(monkeypatch):
+    import widthlab.csrecovery as csrecovery
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_nonlinear_pair ran rip_check")
+
+    monkeypatch.setattr(csrecovery, "rip_check", refuse)
+    Phi = gaussian_matrix(12, 24, seed=3)
+    net = generate_sparse_class(24, 2, 30, seed=3)
+    pair = build_nonlinear_pair(Phi, net)
+    assert pair.param_dim == 12
+    assert np.array_equal(pair.net.centers, net.points)
+    assert pair.net.radius == net.resolution
 
 
 def test_build_nonlinear_pair_holds_where_the_sampled_certificate_understates():
@@ -195,7 +211,8 @@ def test_build_nonlinear_pair_holds_where_the_sampled_certificate_understates():
     seed, k = 1596810411, 4
     Phi = gaussian_matrix(40, 128, seed=seed)
     net = generate_sparse_class(128, k, 400, seed=seed + 2)
-    pair, cert = build_nonlinear_pair(Phi, k, net, seed=seed)
+    pair = build_nonlinear_pair(Phi, net)
+    cert = rip_check(Phi, 2 * k, seed=seed)
     assert pair.gamma_a > 1.0 + cert.delta
     assert pair.gamma_a == pytest.approx(1.6100374829155297, rel=1e-12)
     report = instance_optimality_trials(pair, k, trials=20, seed=seed + 3)
@@ -206,7 +223,7 @@ def test_build_nonlinear_pair_holds_where_the_sampled_certificate_understates():
 def test_instance_optimality_small_run_all_pass():
     Phi = gaussian_matrix(24, 48, seed=8)
     net = generate_sparse_class(48, 3, 150, seed=8)
-    pair, cert = build_nonlinear_pair(Phi, 3, net, seed=8)
+    pair = build_nonlinear_pair(Phi, net)
     report = instance_optimality_trials(pair, 3, trials=20, seed=8)
     assert report.C == pytest.approx(pair.gamma_a * pair.gamma_M)
     assert report.net_resolution > 0

@@ -71,12 +71,30 @@ def test_stable_pair_budgets_and_main_inequality():
         pair = build_stable_pair(K, n=n, seed=1)
         rep = evaluate_width(pair, K, pair_samples=2000, seed=1)
         assert rep.sup_error <= rep.three_eps_upper + 1e-9
-        assert rep.three_eps_upper == pytest.approx(3.0 * rep.entropy.upper)
+        assert rep.three_eps_upper == 3.0 * pair.net.radius
+        # the pair's net is the entropy bracket's cover: one traversal
+        assert pair.net.radius == entropy_bracket(K, n).upper
+        assert rep.n == n
         assert rep.lip_a <= 1.05
         assert rep.lip_M <= 2.1
         assert pair.gamma_a == 1.0 and pair.gamma_M == 2.0
         # the budget is the projection dimension of a 2^n-point net, per level
         assert pair.param_dim == 26 * n
+
+
+def test_evaluate_width_runs_no_farthest_point_traversal(monkeypatch):
+    import widthlab.nets as nets
+
+    K = small_diag_class()
+    pair = build_stable_pair(K, n=2, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_width ran a farthest-point traversal")
+
+    monkeypatch.setattr(nets, "_farthest_first", refuse)
+    rep = evaluate_width(pair, K, pair_samples=200, seed=3)
+    assert rep.n == 2
+    assert rep.net_radius == pair.net.radius
 
 
 def test_evaluate_width_deterministic():
