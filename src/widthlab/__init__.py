@@ -17,6 +17,7 @@ from .spaces import (
     generate_Kq,
     generate_diag_class,
     generate_sparse_class,
+    nearest_distances,
     norm,
     pairwise_distances,
 )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import Net
-from .spaces import FiniteNormedSpace, ModelClassSurrogate, norm
+from .spaces import FiniteNormedSpace, ModelClassSurrogate, nearest_distances, norm
 from .stablewidth import EncoderDecoderPair
 
 __all__ = [
@@ -226,7 +226,9 @@ def op_norm_bracket(Phi: SensingMatrix, p: float, seed: int = 0) -> NormBracket:
     theta = 2.0 / p - 1.0
     upper = norm_1**theta * norm_2 ** (1.0 - theta)
     rng = np.random.default_rng(seed)
-    candidates = [np.eye(Phi.N)[int(np.argmax(col_norms))], vt[0]]
+    column = np.zeros(Phi.N)
+    column[int(np.argmax(col_norms))] = 1.0
+    candidates = [column, vt[0]]
     candidates.extend(rng.standard_normal((6, Phi.N)))
     lower = max(_boyd_ascent(mat, p, c) for c in candidates)
     # float noise can push the ascent a hair past the interpolation bound
@@ -293,17 +295,30 @@ def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
     constraint set (Douglas-Rachford form); the returned iterate is the
     projected one, so it satisfies the measurements exactly.  Stops when
     shrinkage and projection agree to _L1_TOL, relative to the iterate.
+    Phi Phi^T is factored once per solve, and each projection makes one
+    call of LAPACK's potrs on that factor, bound once per solve: the call
+    cho_solve makes, without its per-call input checks, so the iterates
+    are cho_solve's bit for bit.  y is checked once instead: a y that is
+    not finite raises ValueError.  A solve still apart after
+    _L1_ITERATION_CAP iterations raises L1ConvergenceError with its last
+    projected iterate.
     """
     y = np.asarray(y, dtype=float)
     mat = Phi.matrix
     if y.shape != (Phi.n,):
         raise ValueError(f"measurement length {y.shape} != ({Phi.n},)")
-    from scipy.linalg import cho_factor, cho_solve
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements must be finite")
+    from scipy.linalg import cho_factor, get_lapack_funcs
 
-    gram = cho_factor(mat @ mat.T)
+    factor, lower = cho_factor(mat @ mat.T)
+    (potrs,) = get_lapack_funcs(("potrs",), (factor,))
 
     def project(v: np.ndarray) -> np.ndarray:
-        return v - mat.T @ cho_solve(gram, mat @ v - y)
+        coef, info = potrs(factor, mat @ v - y, lower=lower, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return v - mat.T @ coef
 
     def shrink(v: np.ndarray) -> np.ndarray:
         return np.sign(v) * np.maximum(np.abs(v) - _L1_PENALTY, 0.0)
@@ -314,8 +329,10 @@ def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
         x = shrink(z)
         w = project(2.0 * x - z)
         z = z + w - x
-        gap = float(np.linalg.norm(w - x))
-        if gap <= _L1_TOL * max(1.0, float(np.linalg.norm(w))):
+        # the 2-norm as np.linalg.norm takes it for a 1-d real vector
+        d = w - x
+        gap = math.sqrt(d.dot(d))
+        if gap <= _L1_TOL * max(1.0, math.sqrt(w.dot(w))):
             return w
     raise L1ConvergenceError(gap, _L1_ITERATION_CAP, w)
 
@@ -438,7 +455,8 @@ def instance_optimality_trials(
     """Check ||x - M(a(x))|| <= (C+1) sigma_k(x) + (1+C) res on random dense x.
 
     C = gamma_a * gamma_M.  Inputs are uniform in the unit ball, so their
-    best k-term parts stay inside the region the net samples.
+    best k-term parts stay inside the region the net samples.  Each trial's
+    net_distance is that part's distance to its nearest net point.
     """
     rng = np.random.default_rng(seed)
     N = pair.decoder.target_space.dim
@@ -448,24 +466,22 @@ def instance_optimality_trials(
     X *= rng.uniform(size=(trials, 1)) ** (1.0 / N)
     recon = pair.roundtrip_batch(X, tol=tol)
     errors = np.linalg.norm(X - recon, axis=1)
-    rows = []
-    max_dist = 0.0
+    heads = np.zeros((trials, N))
+    sigmas = []
     for i in range(trials):
         x = X[i]
         order = np.argsort(-np.abs(x), kind="stable")
-        head = np.zeros(N)
-        head[order[:k]] = x[order[:k]]
-        dist = float(np.min(np.linalg.norm(pair.net.centers - head, axis=1)))
-        max_dist = max(max_dist, dist)
-        rows.append((float(sigma_k(x, k)), dist, float(errors[i])))
-    res = max(float(pair.net.radius), max_dist)
+        heads[i, order[:k]] = x[order[:k]]
+        sigmas.append(float(sigma_k(x, k)))
+    dists = nearest_distances(heads, pair.net.centers)
+    res = max(float(pair.net.radius), float(np.max(dists, initial=0.0)))
     out = tuple(
         RecoveryTrial(
             sigma=s,
-            net_distance=d,
-            error=e,
+            net_distance=float(d),
+            error=float(e),
             bound=(C + 1.0) * s + (1.0 + C) * res,
         )
-        for (s, d, e) in rows
+        for (s, d, e) in zip(sigmas, dists, errors)
     )
     return InstanceOptimalityReport(C=C, k=k, net_resolution=res, trials=out)

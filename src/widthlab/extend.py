@@ -23,17 +23,12 @@ Lipschitz at all.
 Each Kirszbraun scan is a screen followed by exact evaluation of the few
 rows that can bind.  The store keeps the squared norms of its points and
 values, so a squared distance comes in Gram form ||a||^2 - 2 a.b + ||b||^2
-from one matrix-vector product.  In floating point that form errs by at
-most gamma_{k+2} (||a|| + ||b||)^2 <= 2 gamma_{k+2} (||a||^2 + ||b||^2) for
-rows of length k, whatever the summation order of the product, with
-gamma_k = k u / (1 - k u) and u = 2^-53.  The reference expression
-sqrt(sum((a - b)**2)) in turn lies within a factor 1 +- gamma_{k+4} of the
-true squared distance.  The screen widens both by the relative margin
-8 (k + 8) u, which also covers the rounding of its own arithmetic, and by
-2^-900 absolute for underflow.  Once per query it bounds every reference
-distance d_i to the query from below, lo_i <= d_i^2, and the distance of
-the row of least lo from above; hence the few candidates for the nearest
-point and a lower bound on each radius.  At each projection step it
+from one matrix-vector product, widened by the margin and underflow
+allowance whose float bound the widthlab.spaces docstring proves.  Once
+per query the screen bounds every reference distance d_i to the query from
+below, lo_i <= d_i^2, and the distance of the row of least lo from above;
+hence the few candidates for the nearest point and a lower bound on each
+radius.  At each projection step it
 yields the set S of rows whose violation may reach 0, and only the rows
 of S are evaluated with the reference expressions.  Every row outside S
 has a violation below 0 < tol, so it can neither be the argmax of a
@@ -53,7 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FiniteNormedSpace, norm, pairwise_distances
+from .spaces import (
+    _UNDERFLOW,
+    FiniteNormedSpace,
+    _screen_margin,
+    norm,
+    pairwise_distances,
+)
 
 __all__ = [
     "SampledLipschitzMap",
@@ -67,22 +68,6 @@ __all__ = [
 
 # projections one Kirszbraun query may take before it counts as a failure
 _ITERATION_CAP = 100_000
-
-# unit roundoff of float64, and the screen's absolute allowance on squared
-# distances for underflow in any of their sums
-_UNIT_ROUNDOFF = 2.0**-53
-_UNDERFLOW = 2.0**-900
-
-
-def _screen_margin(k: int) -> float:
-    """Relative screen margin for rows of length k: 8 (k + 8) u.
-
-    That is over twice the 4 (k + 3) u which the Gram-form error, the
-    reference expression's rounding and the screen's own few roundings
-    need together.
-    """
-    return 8.0 * (k + 8) * _UNIT_ROUNDOFF
-
 
 class ExtensionFeasibilityError(RuntimeError):
     """Ball-intersection iteration hit its cap before reaching tolerance."""

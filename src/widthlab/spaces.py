@@ -4,6 +4,23 @@ Everything downstream (nets, extensions, width experiments) works on finite
 point clouds carrying an ambient l_p norm.  A surrogate stands in for an
 ideal compact class; its ``resolution`` records how densely it fills the
 ideal set (0 when the surrogate is the class itself).
+
+Nearest distances are screened in Gram form and then evaluated exactly on
+the few rows that can be nearest.  Given squared row norms, a squared
+distance comes as ||a||^2 - 2 a.b + ||b||^2 from one matrix product.  In
+floating point that form errs by at most
+gamma_{k+2} (||a|| + ||b||)^2 <= 2 gamma_{k+2} (||a||^2 + ||b||^2) for rows
+of length k, whatever the summation order of the product, with
+gamma_k = k u / (1 - k u) and u = 2^-53.  The reference expression
+sqrt(sum((a - b)**2)) in turn lies within a factor 1 +- gamma_{k+4} of the
+true squared distance.  The screen widens both by the relative margin
+8 (k + 8) u of _screen_margin, which also covers the rounding of its own
+arithmetic, and by 2^-900 absolute for underflow.  It thus bounds every
+reference distance d_i to a query from below, lo_i <= d_i^2, and the
+distance of the row of least lo from above, d^2 <= hi.  A row with
+lo_i > hi is strictly farther than that row, so the nearest reference
+distance is the least over the rows with lo_i <= hi, bit for bit.
+widthlab.extend runs the same screen inside its Kirszbraun scans.
 """
 
 from __future__ import annotations
@@ -19,6 +36,7 @@ __all__ = [
     "AlphaSequence",
     "norm",
     "pairwise_distances",
+    "nearest_distances",
     "generate_Kq",
     "generate_diag_class",
     "generate_sparse_class",
@@ -71,6 +89,78 @@ def pairwise_distances(points: np.ndarray, p: float) -> np.ndarray:
     metric, kwargs = scipy_metric(p)
     points = np.asarray(points, dtype=float)
     return distance.squareform(distance.pdist(points, metric, **kwargs))
+
+
+# unit roundoff of float64, and the screen's absolute allowance on squared
+# distances for underflow in any of their sums
+_UNIT_ROUNDOFF = 2.0**-53
+_UNDERFLOW = 2.0**-900
+
+# entries of one block's Gram matrix, and of one batch of difference rows
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _screen_margin(k: int) -> float:
+    """Relative screen margin for rows of length k: 8 (k + 8) u.
+
+    That is over twice the 4 (k + 3) u which the Gram-form error, the
+    reference expression's rounding and the screen's own few roundings
+    need together.
+    """
+    return 8.0 * (k + 8) * _UNIT_ROUNDOFF
+
+
+def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """l_2 distance from each query row to its nearest row of ``points``.
+
+    Entry i is np.min(np.linalg.norm(queries[i] - points, axis=-1)), bit
+    for bit.  Queries go through in blocks of _BLOCK_ELEMENTS / len(points)
+    rows.  One matrix product per block screens every query-point pair in
+    Gram form (module docstring), and the reference expression runs only on
+    the pairs the screen keeps, _BLOCK_ELEMENTS / dim pairs at a time, so
+    no temporary grows as queries x points x dim.  When the squared norms
+    are large enough for the Gram form to overflow, or not finite, every
+    pair goes to the reference expression.
+    """
+    queries = np.asarray(queries, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or len(points) == 0:
+        raise ValueError("points must be a 2-d array of at least one row")
+    if queries.ndim != 2 or queries.shape[1] != points.shape[1]:
+        raise ValueError(
+            f"queries of shape {queries.shape} do not match rows of length "
+            f"{points.shape[1]}"
+        )
+    m, dim = points.shape
+    sq_q = np.einsum("ij,ij->i", queries, queries)
+    sq_p = np.einsum("ij,ij->i", points, points)
+    # 4 (||q||^2 + ||p||^2) finite keeps every Gram-form quantity finite
+    screen = bool(np.isfinite(4.0 * (np.max(sq_q, initial=0.0) + sq_p.max())))
+    margin = _screen_margin(dim)
+    lo_p = (1.0 - margin) * sq_p
+    out = np.full(len(queries), math.inf)
+    block_rows = max(1, _BLOCK_ELEMENTS // m)
+    batch = max(1, _BLOCK_ELEMENTS // max(dim, 1))
+    for start in range(0, len(queries), block_rows):
+        block = queries[start:start + block_rows]
+        if screen:
+            sq_b = sq_q[start:start + block_rows]
+            cross = block @ points.T
+            cross *= 2.0
+            lo = lo_p - cross
+            lo += ((1.0 - margin) * sq_b - _UNDERFLOW)[:, None]
+            least = np.argmin(lo, axis=1)
+            hi = (1.0 + margin) * (sq_p[least] + sq_b)
+            hi -= cross[np.arange(len(block)), least]
+            hi += _UNDERFLOW
+            rows, cols = (lo <= hi[:, None]).nonzero()
+        else:
+            rows, cols = np.divmod(np.arange(len(block) * m), m)
+        best = out[start:start + block_rows]
+        for s in range(0, len(rows), batch):
+            r, c = rows[s:s + batch], cols[s:s + batch]
+            np.minimum.at(best, r, np.linalg.norm(block[r] - points[c], axis=-1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,7 +287,9 @@ def generate_sparse_class(
 
     Supports are uniform among the k-subsets; on each support the entries
     are uniform in the k-dimensional unit ball (sphere direction times a
-    U^(1/k) radius).  resolution is estimated below by probe sampling.
+    U^(1/k) radius).  resolution is the largest distance from 4 * count
+    fresh draws of the same law to their nearest cloud point, found by
+    nearest_distances: a lower estimate of the covering radius.
     """
     if not (1 <= k <= N):
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
@@ -229,13 +321,8 @@ def generate_sparse_class(
 def _farthest_probe_distance(probes: np.ndarray, points: np.ndarray) -> float:
     """Largest l_2 distance from a probe to its nearest point.
 
-    Works through 64 probes at a time, which bounds the temporary at
-    64 x len(points) x dim floats.  Each row is the same norm expression as
-    in the full probes x points tensor, so the result is identical.
+    The max of nearest_distances, so it equals the max over probes of the
+    min over points of the full probes x points norm tensor, while its
+    temporaries hold about _BLOCK_ELEMENTS entries each.
     """
-    res = -math.inf
-    for start in range(0, len(probes), 64):
-        chunk = probes[start:start + 64]
-        d2 = np.linalg.norm(chunk[:, None, :] - points[None, :, :], axis=2)
-        res = max(res, float(np.max(np.min(d2, axis=1))))
-    return res
+    return float(np.max(nearest_distances(probes, points), initial=-math.inf))

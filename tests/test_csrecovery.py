@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widthlab.csrecovery as csrecovery
 from widthlab.csrecovery import (
+    L1ConvergenceError,
     SensingMatrix,
     brute_sparse_decode,
     build_nonlinear_pair,
@@ -163,6 +165,72 @@ def test_l1_decode_matches_brute_oracle_on_small_instances():
         via_brute = brute_sparse_decode(Phi, y, 2)
         assert float(np.linalg.norm(via_l1 - via_brute)) <= 1e-6
         assert float(np.linalg.norm(via_brute - x0)) <= 1e-8
+
+
+def reference_l1_decode(Phi, y, cap=20000):
+    """The l1_decode loop that solves through cho_solve and np.linalg.norm."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    y = np.asarray(y, dtype=float)
+    mat = Phi.matrix
+    gram = cho_factor(mat @ mat.T)
+
+    def project(v):
+        return v - mat.T @ cho_solve(gram, mat @ v - y)
+
+    def shrink(v):
+        return np.sign(v) * np.maximum(np.abs(v) - 1.0, 0.0)
+
+    z = project(np.zeros(Phi.N))
+    w = z
+    for _ in range(cap):
+        x = shrink(z)
+        w = project(2.0 * x - z)
+        z = z + w - x
+        gap = float(np.linalg.norm(w - x))
+        if gap <= 1e-8 * max(1.0, float(np.linalg.norm(w))):
+            return w
+    raise L1ConvergenceError(gap, cap, w)
+
+
+def _planted(Phi, k, seed):
+    rng = np.random.default_rng(seed)
+    x0 = np.zeros(Phi.N)
+    x0[rng.choice(Phi.N, size=k, replace=False)] = rng.standard_normal(k)
+    return Phi.matrix @ (x0 / np.linalg.norm(x0))
+
+
+@pytest.mark.parametrize("n, N, k", [(40, 128, 4), (12, 32, 2), (20, 24, 5)])
+def test_l1_decode_equals_the_cho_solve_loop(n, N, k):
+    for seed in range(10):
+        Phi = gaussian_matrix(n, N, seed=seed)
+        y = _planted(Phi, k, seed + 100)
+        assert np.array_equal(l1_decode(Phi, y), reference_l1_decode(Phi, y))
+    # a dense signal, which l_1 does not recover
+    y = Phi.matrix @ np.random.default_rng(7).standard_normal(N)
+    assert np.array_equal(l1_decode(Phi, y), reference_l1_decode(Phi, y))
+
+
+def test_capped_l1_decode_equals_the_capped_cho_solve_loop(monkeypatch):
+    monkeypatch.setattr(csrecovery, "_L1_ITERATION_CAP", 7)
+    Phi = gaussian_matrix(40, 128, seed=0)
+    y = _planted(Phi, 4, 1)
+    with pytest.raises(L1ConvergenceError) as got:
+        l1_decode(Phi, y)
+    with pytest.raises(L1ConvergenceError) as want:
+        reference_l1_decode(Phi, y, cap=7)
+    assert got.value.gap == want.value.gap
+    assert got.value.iterations == want.value.iterations == 7
+    assert np.array_equal(got.value.iterate, want.value.iterate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l1_decode_rejects_non_finite_measurements(bad):
+    Phi = gaussian_matrix(12, 32, seed=4)
+    y = _planted(Phi, 2, 0)
+    y[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        l1_decode(Phi, y)
 
 
 def test_brute_decode_refuses_huge_support_searches():

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import widthlab.spaces as spaces
 from widthlab.spaces import (
     AlphaSequence,
     FiniteNormedSpace,
@@ -12,6 +15,7 @@ from widthlab.spaces import (
     generate_Kq,
     generate_diag_class,
     generate_sparse_class,
+    nearest_distances,
     norm,
     pairwise_distances,
 )
@@ -174,3 +178,125 @@ def test_chunked_probe_distance_equals_the_dense_tensor(probe_count):
     probes = rng.standard_normal((probe_count, 12))
     dense = np.linalg.norm(probes[:, None, :] - pts[None, :, :], axis=2)
     assert _farthest_probe_distance(probes, pts) == float(np.max(np.min(dense, axis=1)))
+
+
+def dense_nearest(P, X):
+    """Nearest distances through the full probes x points x dim tensor."""
+    return np.min(np.linalg.norm(P[:, None] - X[None], axis=2), axis=1)
+
+
+def test_nearest_distances_of_cloud_points_are_zero():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((50, 9))
+    P = np.concatenate([X[[3, 7, 7, 0, 49]], rng.standard_normal((6, 9))])
+    got = nearest_distances(P, X)
+    assert np.array_equal(got, dense_nearest(P, X))
+    assert np.all(got[:5] == 0.0)
+
+
+def test_nearest_distances_with_duplicate_rows_and_ties():
+    # (1, 0) is at distance exactly 1 from (0, 0) twice, (2, 0) and (1, 1)
+    X = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
+    P = np.array([[1.0, 0.0], [1.0, 0.5], [0.0, 0.0], [3.0, 3.0]])
+    got = nearest_distances(P, X)
+    assert np.array_equal(got, dense_nearest(P, X))
+    assert got[0] == 1.0
+
+
+def test_nearest_distances_to_a_one_point_cloud():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((1, 7))
+    P = rng.standard_normal((20, 7))
+    assert np.array_equal(nearest_distances(P, X), dense_nearest(P, X))
+
+
+def test_nearest_distances_of_zero_queries():
+    X = np.random.default_rng(13).standard_normal((5, 4))
+    P = np.empty((0, 4))
+    got = nearest_distances(P, X)
+    assert got.shape == (0,)
+    assert np.array_equal(got, dense_nearest(P, X))
+
+
+def test_nearest_distances_refuse_an_empty_cloud_like_the_dense_form():
+    P = np.ones((3, 4))
+    with pytest.raises(ValueError):
+        dense_nearest(P, np.empty((0, 4)))
+    with pytest.raises(ValueError):
+        nearest_distances(P, np.empty((0, 4)))
+    with pytest.raises(ValueError):
+        nearest_distances(np.ones((3, 5)), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("probe_count", [63, 64, 65, 130])
+def test_nearest_distances_across_the_block_size(probe_count):
+    # 1024 points make blocks of 64 probes
+    rng = np.random.default_rng(probe_count)
+    X = rng.standard_normal((1024, 3))
+    assert spaces._BLOCK_ELEMENTS // len(X) == 64
+    P = rng.standard_normal((probe_count, 3))
+    assert np.array_equal(nearest_distances(P, X), dense_nearest(P, X))
+
+
+def test_nearest_distances_where_the_gram_form_cancels():
+    # at 1e6 the squared norms swamp the distances, so the screen keeps
+    # many rows and only the reference expression tells them apart
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((80, 16)) + 1e6
+    P = np.concatenate([X[:3], rng.standard_normal((40, 16)) + 1e6])
+    assert np.array_equal(nearest_distances(P, X), dense_nearest(P, X))
+
+
+def test_nearest_distances_off_the_screen_for_huge_and_non_finite_rows():
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((30, 6)) * 1e160
+    P = rng.standard_normal((10, 6)) * 1e160
+    with np.errstate(over="ignore"):
+        assert np.array_equal(nearest_distances(P, X), dense_nearest(P, X))
+    P = rng.standard_normal((4, 6))
+    P[1, 2] = np.nan
+    P[2, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(nearest_distances(P, X[:5] * 1e-160),
+                              dense_nearest(P, X[:5] * 1e-160), equal_nan=True)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    queries=st.integers(0, 40),
+    points=st.integers(1, 30),
+    dim=st.integers(1, 12),
+    grid=st.booleans(),
+    shift=st.sampled_from([0.0, 1.0, 1e3, 1e8]),
+    budget=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+def test_nearest_distances_equal_the_dense_tensor(seed, queries, points, dim,
+                                                  grid, shift, budget):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((points, dim))
+    P = rng.standard_normal((queries, dim))
+    if grid:
+        # small integer coordinates: duplicate rows, exact ties
+        X, P = np.round(2.0 * X), np.round(2.0 * P)
+    if queries:
+        P[: queries // 3] = X[rng.integers(0, points, queries // 3)]
+    X, P = X + shift, P + shift
+    with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget):
+        got = nearest_distances(P, X)
+    assert np.array_equal(got, dense_nearest(P, X))
+
+
+def test_probe_search_holds_no_probes_by_points_by_dim_temporary():
+    # the default cs shape: 1,600 probes against a 400-point cloud in R^128;
+    # the chunked tensor it replaced held 64 x 400 x 128 doubles (26 MB)
+    points = generate_sparse_class(128, 4, 400, seed=0).points
+    probes = generate_sparse_class(128, 4, 1600, seed=1).points
+    old_chunk = 64 * 400 * 128 * 8
+    tracemalloc.start()
+    try:
+        res = _farthest_probe_distance(probes, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == float(np.max(dense_nearest(probes, points)))
+    assert peak < old_chunk / 3
