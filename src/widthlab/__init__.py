@@ -26,7 +26,6 @@ from .nets import (
     Net,
     build_net,
     entropy_bracket,
-    exact_cover_radius,
     greedy_cover,
     greedy_packing,
 )
@@ -73,13 +72,11 @@ from .counterexample import (
 from .csrecovery import (
     InstanceOptimalityReport,
     L1ConvergenceError,
-    NoSparseFitError,
     NormBracket,
     OperatorBoundReport,
     RecoveryTrial,
     RipCertificate,
     SensingMatrix,
-    brute_sparse_decode,
     build_nonlinear_pair,
     gaussian_matrix,
     instance_optimality_trials,
@@ -101,7 +98,6 @@ from .interp import (
     cutoff_image_radius,
     finite_rank_pipeline,
     kernel_scale,
-    kuhn_simplices,
     pl_eval_batch,
 )
 from .demos import (

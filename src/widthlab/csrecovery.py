@@ -44,13 +44,11 @@ __all__ = [
     "RecoveryTrial",
     "InstanceOptimalityReport",
     "L1ConvergenceError",
-    "NoSparseFitError",
     "gaussian_matrix",
     "rip_check",
     "op_norm_bracket",
     "operator_norm_bound_check",
     "l1_decode",
-    "brute_sparse_decode",
     "sigma_k",
     "build_nonlinear_pair",
     "instance_optimality_trials",
@@ -68,10 +66,6 @@ class L1ConvergenceError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.gap, self.iterations, self.iterate)
-
-
-class NoSparseFitError(RuntimeError):
-    """No support of the requested size fits the measurements exactly."""
 
 
 @dataclass(frozen=True)
@@ -335,40 +329,6 @@ def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
         if gap <= _L1_TOL * max(1.0, math.sqrt(w.dot(w))):
             return w
     raise L1ConvergenceError(gap, _L1_ITERATION_CAP, w)
-
-
-def brute_sparse_decode(Phi: SensingMatrix, y: np.ndarray, k: int) -> np.ndarray:
-    """Oracle decoder: least squares on every size-k support.
-
-    Among supports fitting the measurements exactly (residual <= 1e-9) the
-    reconstruction of minimal l_1 norm wins, lexicographically first support
-    on ties.  Refuses more than 10^5 supports.
-    """
-    y = np.asarray(y, dtype=float)
-    if k == 0:
-        if np.linalg.norm(y) <= 1e-9:
-            return np.zeros(Phi.N)
-        raise NoSparseFitError("k = 0 but measurements are nonzero")
-    if not (1 <= k <= Phi.N):
-        raise ValueError(f"need 0 <= k <= N, got k={k}")
-    total = math.comb(Phi.N, k)
-    if total > 10**5:
-        raise ValueError(f"refusing enumeration over {total} supports")
-    best: np.ndarray | None = None
-    best_l1 = math.inf
-    for support in itertools.combinations(range(Phi.N), k):
-        sub = Phi.matrix[:, list(support)]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        if np.linalg.norm(sub @ coef - y) > 1e-9:
-            continue
-        candidate = np.zeros(Phi.N)
-        candidate[list(support)] = coef
-        l1 = float(np.sum(np.abs(candidate)))
-        if l1 < best_l1 - 1e-15:
-            best, best_l1 = candidate, l1
-    if best is None:
-        raise NoSparseFitError(f"no exact fit on any support of size {k}")
-    return best
 
 
 def sigma_k(x: np.ndarray, k: int, p: float = 2.0) -> float:

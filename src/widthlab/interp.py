@@ -11,7 +11,11 @@ M on S to a requested accuracy:
   2. mollification by a discrete bump kernel at scale 1/m, chosen so the
      sup change stays below half the accuracy budget; averaging never
      increases a Lipschitz constant; the kernel's tap lattice is rebuilt on
-     each mesh so the smoothed map carries no sub-mesh structure;
+     each mesh so the smoothed map carries no sub-mesh structure; on the
+     vertex grid the kernel is a stencil, convolved by overlap-add over
+     blocks of the first axis, each transformed at about eight stencil
+     lengths, so the transforms never grow with the mesh; a grid that fits
+     one block is convolved as scipy.signal.fftconvolve does, bit for bit;
   3. interpolation on a Kuhn (sorted-coordinate) simplicial mesh, halving
      the mesh size until the audited interpolation error and the audited
      extra Lipschitz constant fit their budgets;
@@ -49,7 +53,6 @@ __all__ = [
     "cutoff_image_radius",
     "bump_kernel",
     "kernel_scale",
-    "kuhn_simplices",
     "pl_eval_batch",
     "finite_rank_pipeline",
 ]
@@ -198,25 +201,6 @@ class KuhnMesh:
         return self.points_per_axis ** np.arange(self.n - 1, -1, -1)
 
 
-def kuhn_simplices(mesh: KuhnMesh):
-    """Yield each simplex as an (n+1, n) array of vertex multi-indices.
-
-    Enumeration is per subcube, per coordinate ordering; intended for tests
-    on tiny meshes (count grows as subdivisions^n * n!).
-    """
-    import itertools
-
-    n = mesh.n
-    for corner in itertools.product(range(mesh.subdivisions), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            chain = np.empty((n + 1, n), dtype=int)
-            chain[0] = corner
-            for step, axis in enumerate(perm, start=1):
-                chain[step] = chain[step - 1]
-                chain[step, axis] += 1
-            yield chain
-
-
 @dataclass(frozen=True)
 class PLInterpolant:
     """Continuous piecewise-linear map: mesh vertex values inside the cube,
@@ -356,18 +340,32 @@ def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int,
                        chunk: int = 1 << 18) -> np.ndarray:
     """Evaluate a batch map at all mesh vertices, row-major, memory-bounded."""
     axis = mesh.axis_coordinates()
-    per = mesh.points_per_axis
+    n, per = mesh.n, mesh.points_per_axis
+    plane = mesh.vertex_count // per  # vertices per index of the first axis
     total = mesh.vertex_count
     out = np.empty((total, d_out))
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.empty((len(idx), mesh.n))
-        rem = idx
-        for ax in range(mesh.n - 1, -1, -1):
-            coords[:, ax] = axis[rem % per]
-            rem = rem // per
-        out[start : start + len(idx)] = fn_batch(coords)
+        stop = min(start + chunk, total)
+        first, last = start // plane, (stop - 1) // plane + 1
+        # the whole first-axis planes the chunk touches, then the chunk's rows
+        block = np.empty((last - first,) + (per,) * (n - 1) + (n,))
+        for ax in range(n):
+            coords = axis[first:last] if ax == 0 else axis
+            block[..., ax] = coords.reshape((1,) * ax + (-1,) + (1,) * (n - ax - 1))
+        offset = first * plane
+        out[start:stop] = fn_batch(block.reshape(-1, n)[start - offset:stop - offset])
     return out
+
+
+# Overlap-add blocks along the first grid axis are transformed at
+# F = next_fast_len(_BLOCK_STENCILS * L) for a stencil of length L, so the
+# stencil's overlap costs about 1/_BLOCK_STENCILS of each transform; 4 to 16
+# timed alike on the default finest level (3.5M vertices, 295 taps, 2 cores)
+_BLOCK_STENCILS = 8
+# transform samples per batch of blocks; it bounds the smoothing temporaries
+# (a few arrays of this many doubles) whatever the length of the first axis,
+# unless one block's transform alone is larger
+_BATCH_SAMPLES = 1 << 16
 
 
 def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
@@ -378,9 +376,19 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
     boundary) first makes the transform's zero padding exact: the nonconstant
     part vanishes within one kernel radius of every face.
 
-    The steps are those of scipy.signal.fftconvolve(..., mode="same"), with
-    the same transform sizes and product order, so the values agree with it
-    bit for bit; the stencil is transformed once for all components.
+    The convolution is overlap-add along the first grid axis; the other
+    axes are padded whole.  With L the stencil length, the transform length
+    is F = next_fast_len(_BLOCK_STENCILS * L) and the base-shifted samples
+    are cut into blocks of B = F - L + 1 rows, so that a block's full
+    convolution fits its transform.  The blocks are transformed a batch at
+    a time against the stencil, transformed once at F.  Each block's full
+    convolution is added into place, its last L - 1 rows onto the next
+    block's first, and the same-mode centre is written back over the
+    samples.  When the P points of an axis fit one block, B = P and
+    F = next_fast_len(P + L - 1): the steps are then those of
+    scipy.signal.fftconvolve(..., mode="same"), with the same transform
+    sizes and product order, so the values agree with it bit for bit.
+    Several blocks agree with it to rounding.
     Returns grid_values, overwritten with the smoothed samples.
     """
     from scipy.fft import irfftn, next_fast_len, rfftn
@@ -389,22 +397,48 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
         return grid_values
     if not grid_values.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be smoothed in place")
-    shape = (mesh.points_per_axis,) * mesh.n
-    full = [s + k - 1 for s, k in zip(shape, stencil.shape)]
-    fshape = [next_fast_len(f, True) for f in full]
-    centre = tuple(slice((f - s) // 2, (f - s) // 2 + s)
-                   for f, s in zip(full, shape))
+    n, P, L = mesh.n, mesh.points_per_axis, stencil.shape[0]
+    F = next_fast_len(_BLOCK_STENCILS * L, True)
+    if P + L - 1 <= F:
+        B, F = P, next_fast_len(P + L - 1, True)
+    else:
+        B = F - L + 1
+    rest = (P,) * (n - 1)
+    fshape = (F,) + (next_fast_len(P + L - 1, True),) * (n - 1)
+    axes = tuple(range(1, n + 1))
+    c = (L - 1) // 2  # full row c + i is same-mode row i
+    inner = (slice(0, P),) * (n - 1)
+    centre = (slice(None), slice(0, B + L - 1)) + (slice(c, c + P),) * (n - 1)
+    per_batch = max(1, _BATCH_SAMPLES // math.prod(fshape))
     kernel = rfftn(stencil, fshape)
-    grid = grid_values.reshape(shape + (grid_values.shape[1],))
-    # each temporary is freed before the next one of its size is made; they
-    # set the memory peak of the finest level
+    grid = grid_values.reshape((P,) * n + (grid_values.shape[1],))
     for comp in range(grid_values.shape[1]):
-        spec = rfftn(grid[..., comp] - base[comp], fshape)
-        spec *= kernel
-        smoothed = irfftn(spec, fshape)
-        del spec
-        np.add(smoothed[centre], base[comp], out=grid[..., comp])
-        del smoothed
+        samples, shift = grid[..., comp], base[comp]
+        for start in range(0, P, per_batch * B):
+            count = min(per_batch, -(-(P - start) // B))
+            stop = min(start + count * B, P)
+            whole, part = divmod(stop - start, B)
+            blocks = np.zeros((count,) + fshape)
+            np.subtract(samples[start:start + whole * B].reshape((whole, B) + rest),
+                        shift, out=blocks[(slice(0, whole), slice(0, B)) + inner])
+            if part:
+                np.subtract(samples[start + whole * B:stop], shift,
+                            out=blocks[(whole, slice(0, part)) + inner])
+            spec = rfftn(blocks, fshape, axes=axes)
+            spec *= kernel
+            full = irfftn(spec, fshape, axes=axes)[centre]
+            # full row t of block j is convolution row start + j B + t
+            full[1:, :L - 1] += full[:-1, B:]
+            if start:
+                full[0, :L - 1] += carry
+            carry = full[-1, B:].copy()  # the last block's tail
+            # same-mode rows below start + count B - c are complete, and the
+            # input rows they overwrite are already in this batch's blocks
+            lo, hi = max(start - c, 0), max(min(start + count * B - c, P), 0)
+            done = full[:, :B].reshape((count * B,) + rest)
+            np.add(done[lo + c - start:hi + c - start], shift, out=samples[lo:hi])
+        end = start + count * B  # the tail holds convolution rows from end on
+        np.add(carry[hi + c - end:P + c - end], shift, out=samples[hi:P])
     return grid_values
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import ModelClassSurrogate, pairwise_distances, scipy_metric
+from .spaces import ModelClassSurrogate, scipy_metric
 
 __all__ = [
     "Net",
@@ -35,7 +35,6 @@ __all__ = [
     "greedy_packing",
     "greedy_cover",
     "entropy_bracket",
-    "exact_cover_radius",
     "build_net",
 ]
 
@@ -152,26 +151,6 @@ def entropy_bracket(K: ModelClassSurrogate, n: int) -> EntropyBracket:
         packing_witness=witness,
         cover_centers=K.points[selected[:budget]],
     )
-
-
-def exact_cover_radius(K: ModelClassSurrogate, m: int) -> float:
-    """Best m-center cover radius with centers in the cloud, by enumeration.
-
-    Exponential in the cloud size; refuses clouds larger than 14 points.
-    Serves as the oracle for the greedy bounds.
-    """
-    if K.count > 14:
-        raise ValueError("exact enumeration limited to clouds of <= 14 points")
-    if m < 1:
-        raise ValueError("m must be positive")
-    m = min(m, K.count)
-    dist = pairwise_distances(K.points, K.space.p)
-    best = math.inf
-    for subset in itertools.combinations(range(K.count), m):
-        radius = np.max(np.min(dist[list(subset)], axis=0))
-        if radius < best:
-            best = float(radius)
-    return best
 
 
 def build_net(K: ModelClassSurrogate, eps: float) -> Net:

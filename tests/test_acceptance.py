@@ -30,7 +30,7 @@ from widthlab.extend import (
     sample_pairs,
 )
 from widthlab.interp import finite_rank_pipeline
-from widthlab.nets import build_net, entropy_bracket, exact_cover_radius
+from widthlab.nets import build_net, entropy_bracket
 from widthlab.spaces import (
     AlphaSequence,
     FiniteNormedSpace,
@@ -48,6 +48,8 @@ from widthlab.stablewidth import (
     evaluate_width,
     stability_probe,
 )
+
+from test_nets import exact_cover_radius
 
 
 def emit(ok: bool, name: str, detail: str) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import widthlab.csrecovery as csrecovery
 from widthlab.csrecovery import (
     L1ConvergenceError,
     SensingMatrix,
-    brute_sparse_decode,
     build_nonlinear_pair,
     gaussian_matrix,
     instance_optimality_trials,
@@ -150,6 +150,44 @@ def test_l1_decode_satisfies_measurements_exactly():
     y = Phi.matrix @ x0
     xhat = l1_decode(Phi, y)
     assert float(np.linalg.norm(Phi.matrix @ xhat - y)) <= 1e-9
+
+
+class NoSparseFitError(RuntimeError):
+    """No support of the requested size fits the measurements exactly."""
+
+
+def brute_sparse_decode(Phi: SensingMatrix, y: np.ndarray, k: int) -> np.ndarray:
+    """Oracle decoder: least squares on every size-k support.
+
+    Among supports fitting the measurements exactly (residual <= 1e-9) the
+    reconstruction of minimal l_1 norm wins, lexicographically first support
+    on ties.  Refuses more than 10^5 supports.
+    """
+    y = np.asarray(y, dtype=float)
+    if k == 0:
+        if np.linalg.norm(y) <= 1e-9:
+            return np.zeros(Phi.N)
+        raise NoSparseFitError("k = 0 but measurements are nonzero")
+    if not (1 <= k <= Phi.N):
+        raise ValueError(f"need 0 <= k <= N, got k={k}")
+    total = math.comb(Phi.N, k)
+    if total > 10**5:
+        raise ValueError(f"refusing enumeration over {total} supports")
+    best: np.ndarray | None = None
+    best_l1 = math.inf
+    for support in itertools.combinations(range(Phi.N), k):
+        sub = Phi.matrix[:, list(support)]
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        if np.linalg.norm(sub @ coef - y) > 1e-9:
+            continue
+        candidate = np.zeros(Phi.N)
+        candidate[list(support)] = coef
+        l1 = float(np.sum(np.abs(candidate)))
+        if l1 < best_l1 - 1e-15:
+            best, best_l1 = candidate, l1
+    if best is None:
+        raise NoSparseFitError(f"no exact fit on any support of size {k}")
+    return best
 
 
 def test_l1_decode_matches_brute_oracle_on_small_instances():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab.extend import lipschitz_audit, sample_pairs
+import widthlab.interp as interp
 from widthlab.interp import (
     UNIT_SPACING,
+    _BLOCK_STENCILS,
     _smooth_grid,
     KuhnMesh,
     MeshBudgetError,
@@ -18,7 +22,6 @@ from widthlab.interp import (
     cutoff_image_radius,
     finite_rank_pipeline,
     kernel_scale,
-    kuhn_simplices,
     pl_eval_batch,
 )
 from widthlab.spaces import FiniteNormedSpace
@@ -67,6 +70,23 @@ def test_cutoff_lipschitz_budget_audited(R1, lam):
     space = FiniteNormedSpace(2, 2.0)
     audit = lipschitz_audit(lambda X: cutoff_eval(cut, X), pairs, space, space)
     assert audit.measured <= 1.0 + lam * R1 + 1e-6
+
+
+def kuhn_simplices(mesh: KuhnMesh):
+    """Yield each simplex as an (n+1, n) array of vertex multi-indices.
+
+    Enumeration is per subcube, per coordinate ordering; for tiny meshes
+    only (count grows as subdivisions^n * n!).
+    """
+    n = mesh.n
+    for corner in itertools.product(range(mesh.subdivisions), repeat=n):
+        for perm in itertools.permutations(range(n)):
+            chain = np.empty((n + 1, n), dtype=int)
+            chain[0] = corner
+            for step, axis in enumerate(perm, start=1):
+                chain[step] = chain[step - 1]
+                chain[step, axis] += 1
+            yield chain
 
 
 def test_kuhn_mesh_counts_oracle():
@@ -247,6 +267,120 @@ def test_smooth_grid_with_a_single_tap_keeps_the_values(n):
     kept = values.copy()
     smoothed = _smooth_grid(values, mesh, stencil, np.array([0.5, -1.0, 2.0]))
     assert np.array_equal(smoothed, kept)
+
+
+def shifted_sum_convolution(x: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """Same-mode convolution as a sum of shifted copies of the zero-padded x."""
+    L = stencil.shape[0]
+    c = (L - 1) // 2
+    padded = np.pad(x, [(L - 1 - c, c)] * x.ndim)
+    out = np.zeros_like(x)
+    for k in itertools.product(range(L), repeat=x.ndim):
+        window = tuple(slice(L - 1 - j, L - 1 - j + s) for j, s in zip(k, x.shape))
+        out += stencil[k] * padded[window]
+    return out
+
+
+def convolution_tolerance(values: np.ndarray, base: np.ndarray,
+                          stencil: np.ndarray, P: int) -> float:
+    """Rounding bound between the smoothed grid and the shifted sum.
+
+    The stencil's weights are nonnegative and sum to 1, so each output is a
+    convex combination of the base-shifted samples x.  The shifted sum of
+    stencil.size terms is off by at most stencil.size u max|x|.  A forward
+    and an inverse transform of length F, with the product between them,
+    are off by about 16 u log2(F) max|x| along each axis (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 24.1); the
+    mesh-length transform bounds every block's F.  Restoring base rounds
+    once more.
+    """
+    from scipy.fft import next_fast_len
+
+    u = np.finfo(float).eps / 2.0
+    F = next_fast_len(P + stencil.shape[0] - 1, True)
+    shifted = float(np.max(np.abs(values - base)))
+    terms = stencil.size + 16.0 * stencil.ndim * math.log2(F)
+    return u * (terms * shifted + 2.0 * float(np.max(np.abs(values))))
+
+
+def check_against_shifted_sum(n: int, subdivisions: int, radius_cells: float):
+    mesh = KuhnMesh(n, 1.0, subdivisions)
+    _, _, _, stencil = bump_kernel(1.0 / (radius_cells * mesh.h), n, mesh.h)
+    rng = np.random.default_rng(10 * n + subdivisions)
+    base = rng.uniform(-2.0, 2.0, size=3)
+    values = base + rng.standard_normal((mesh.vertex_count, 3))
+    shape = (mesh.points_per_axis,) * n
+    expected = np.stack([
+        (shifted_sum_convolution(values[:, c].reshape(shape) - base[c], stencil)
+         + base[c]).ravel()
+        for c in range(3)
+    ], axis=1)
+    tol = convolution_tolerance(values, base, stencil, mesh.points_per_axis)
+    smoothed = _smooth_grid(values, mesh, stencil, base)
+    assert smoothed is values  # smoothed in place
+    assert float(np.max(np.abs(smoothed - expected))) <= tol
+    return mesh, stencil
+
+
+def block_length(stencil: np.ndarray) -> int:
+    """Rows per block once a grid no longer fits a single block."""
+    from scipy.fft import next_fast_len
+
+    L = stencil.shape[0]
+    return next_fast_len(_BLOCK_STENCILS * L, True) - L + 1
+
+
+@pytest.mark.parametrize("subdivisions,radius_cells,one_block_per_batch", [
+    (199, 3.5, False), (1000, 3.5, False), (4999, 20.5, False),
+    (200_000, 3.5, False),
+    (199, 3.5, True), (1000, 3.5, True), (4999, 20.5, True),
+])
+def test_smooth_grid_over_several_blocks_equals_the_shifted_sum(
+        subdivisions, radius_cells, one_block_per_batch, monkeypatch):
+    # P is not a multiple of B; 200,001 points take several batches of
+    # blocks at the default batch size, and a one-sample budget puts every
+    # block in a batch of its own
+    if one_block_per_batch:
+        monkeypatch.setattr(interp, "_BATCH_SAMPLES", 1)
+    mesh, stencil = check_against_shifted_sum(1, subdivisions, radius_cells)
+    B = block_length(stencil)
+    assert mesh.points_per_axis > 2 * B and mesh.points_per_axis % B != 0
+
+
+@pytest.mark.parametrize("one_block_per_batch", [False, True])
+def test_smooth_grid_over_several_blocks_of_a_plane_equals_the_shifted_sum(
+        one_block_per_batch, monkeypatch):
+    if one_block_per_batch:
+        monkeypatch.setattr(interp, "_BATCH_SAMPLES", 1)
+    mesh, stencil = check_against_shifted_sum(2, 149, 3.5)
+    assert mesh.points_per_axis > 2 * block_length(stencil)
+
+
+@pytest.mark.parametrize("n,subdivisions", [(1, 1), (1, 4), (1, 9), (2, 4)])
+def test_smooth_grid_shorter_than_its_stencil_equals_the_shifted_sum(n, subdivisions):
+    # P < L: the kernel reaches past both faces from every vertex
+    mesh, stencil = check_against_shifted_sum(n, subdivisions, 6.5)
+    assert mesh.points_per_axis < stencil.shape[0]
+
+
+def test_smooth_grid_temporaries_stay_below_one_grid_component():
+    # the default finest level convolves 3.5M vertices with 295 taps; at
+    # 2^20 vertices with the same stencil, the smoothing temporaries must
+    # stay below the bytes of one component, whatever the grid length
+    mesh = KuhnMesh(1, 1.0, 2**20 - 1)
+    _, _, _, stencil = bump_kernel(1.0 / (147.5 * mesh.h), 1, mesh.h)
+    assert stencil.shape == (295,)
+    values = np.random.default_rng(0).standard_normal((mesh.vertex_count, 3))
+    # import scipy.fft and plan the transforms before tracing
+    _smooth_grid(values[:2 * 4096].copy(), KuhnMesh(1, 1.0, 2 * 4096 - 1),
+                 stencil, np.zeros(3))
+    tracemalloc.start()
+    try:
+        _smooth_grid(values, mesh, stencil, np.zeros(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values[:, 0].nbytes
 
 
 def test_smooth_grid_refuses_a_strided_grid():

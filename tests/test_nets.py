@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from widthlab.nets import (
     build_net,
     entropy_bracket,
-    exact_cover_radius,
     greedy_cover,
     greedy_packing,
 )
@@ -32,6 +32,26 @@ def small_clouds(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     pts = np.random.default_rng(seed).standard_normal((count, dim))
     return ModelClassSurrogate(FiniteNormedSpace(dim, 2.0), pts)
+
+
+def exact_cover_radius(K: ModelClassSurrogate, m: int) -> float:
+    """Best m-center cover radius with centers in the cloud, by enumeration.
+
+    Exponential in the cloud size; refuses clouds larger than 14 points.
+    Serves as the oracle for the greedy bounds.
+    """
+    if K.count > 14:
+        raise ValueError("exact enumeration limited to clouds of <= 14 points")
+    if m < 1:
+        raise ValueError("m must be positive")
+    m = min(m, K.count)
+    dist = pairwise_distances(K.points, K.space.p)
+    best = math.inf
+    for subset in itertools.combinations(range(K.count), m):
+        radius = np.max(np.min(dist[list(subset)], axis=0))
+        if radius < best:
+            best = float(radius)
+    return best
 
 
 def test_exact_cover_radius_collinear_oracle():
