@@ -405,12 +405,16 @@ class InstanceOptimalityReport:
         return all(t.passed for t in self.trials)
 
 
+# feasibility target of the roundtrip's Kirszbraun queries in
+# instance_optimality_trials
+_ROUNDTRIP_TOL = 1e-8
+
+
 def instance_optimality_trials(
     pair: EncoderDecoderPair,
     k: int,
     trials: int,
     seed: int,
-    tol: float = 1e-8,
 ) -> InstanceOptimalityReport:
     """Check ||x - M(a(x))|| <= (C+1) sigma_k(x) + (1+C) res on random dense x.
 
@@ -424,7 +428,7 @@ def instance_optimality_trials(
     X = rng.standard_normal((trials, N))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X *= rng.uniform(size=(trials, 1)) ** (1.0 / N)
-    recon = pair.roundtrip_batch(X, tol=tol)
+    recon = pair.roundtrip_batch(X, tol=_ROUNDTRIP_TOL)
     errors = np.linalg.norm(X - recon, axis=1)
     heads = np.zeros((trials, N))
     sigmas = []

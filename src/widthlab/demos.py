@@ -115,6 +115,10 @@ def pipeline_budget(name: str, eps: float, min_levels: int = 4) -> PipelineBudge
     resolve those shells before the audited excess can drop below delta/2.
     The initial mesh is chosen so min_levels halvings land on the target.
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if min_levels < 1:
+        raise ValueError(f"min_levels must be at least 1, got {min_levels}")
     demo = DEMOS[name]
     n = demo.domain_dim
     a = demo.S_halfwidth

@@ -1,16 +1,11 @@
-"""Lipschitz maps known on finitely many samples, and their extensions.
+"""Lipschitz maps known on finitely many samples, and their Kirszbraun extension.
 
-Two extension routes:
-
-  mcshane      coordinatewise min over cones f_i[j] + gamma * d(x, x_i);
-               exact on samples, preserves gamma into an l_inf target.
-  kirszbraun   l_2 -> l_2 evaluation as a convex feasibility problem: find
-               y with ||y - f_i|| <= gamma * ||x - x_i|| + tol for all i,
-               solved by projecting onto the most violated ball.  The
-               intersection is nonempty whenever the samples are a
-               gamma-Lipschitz pair set, so the iteration converges; the
-               cap signals numerical failure rather than being silently
-               swallowed.
+Kirszbraun evaluation extends an l_2 -> l_2 map as a convex feasibility
+problem: find y with ||y - f_i|| <= gamma * ||x - x_i|| + tol for all i,
+solved by projecting onto the most violated ball.  The intersection is
+nonempty whenever the samples are a gamma-Lipschitz pair set, so the
+iteration converges; the cap signals numerical failure rather than being
+silently swallowed.
 
 Every map here is a batch map on the rows of a 2-d array; one point is a
 one-row batch.  Kirszbraun batches extend lazily: each solved query joins
@@ -60,7 +55,6 @@ __all__ = [
     "SampledLipschitzMap",
     "LipschitzAudit",
     "ExtensionFeasibilityError",
-    "mcshane_eval",
     "kirszbraun_eval_batch",
     "lipschitz_audit",
     "sample_pairs",
@@ -87,9 +81,10 @@ class ExtensionFeasibilityError(RuntimeError):
 class SampledLipschitzMap:
     """Map known on samples (x_i, f_i) with a Lipschitz budget gamma.
 
+    Both spaces must be l_2, the setting of the Kirszbraun extension.
     Construction checks that the samples are a gamma-Lipschitz pair set:
-    ||f_i - f_j||_target <= gamma * ||x_i - x_j||_domain for all pairs, up
-    to a tiny relative slack absorbing float rounding.
+    ||f_i - f_j|| <= gamma * ||x_i - x_j|| for all pairs, up to a tiny
+    relative slack absorbing float rounding.
     """
 
     domain_space: FiniteNormedSpace
@@ -103,6 +98,8 @@ class SampledLipschitzMap:
         fs = np.atleast_2d(np.asarray(self.fs, dtype=float))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "fs", fs)
+        if self.domain_space.p != 2.0 or self.target_space.p != 2.0:
+            raise ValueError("a sampled Lipschitz map needs l_2 domain and target")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if xs.shape[0] != fs.shape[0]:
@@ -116,10 +113,10 @@ class SampledLipschitzMap:
         bad = np.flatnonzero(~np.isfinite(np.hstack([xs, fs])).all(axis=1))
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite")
-        dx = pairwise_distances(xs, self.domain_space.p)
+        dx = pairwise_distances(xs, 2.0)
         if np.any((dx + np.eye(len(xs))) == 0.0):
             raise ValueError("domain samples must be pairwise distinct")
-        df = pairwise_distances(fs, self.target_space.p)
+        df = pairwise_distances(fs, 2.0)
         slack = 1e-9 * (1.0 + dx.max())
         bad = df > self.gamma * dx + slack
         if np.any(bad):
@@ -133,7 +130,7 @@ class SampledLipschitzMap:
     def count(self) -> int:
         return self.xs.shape[0]
 
-    def eval_batch(self, X: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def eval_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         """Kirszbraun extension at the rows of X."""
         return kirszbraun_eval_batch(self, X, tol=tol)
 
@@ -146,24 +143,10 @@ class LipschitzAudit:
     ratios: np.ndarray
 
 
-def mcshane_eval(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarray:
-    """Coordinatewise upper extension min_i(f_i[j] + gamma d(x, x_i)) at rows of X.
-
-    Interpolates the samples exactly and keeps the constant gamma when the
-    target carries the l_inf norm (or is one-dimensional).
-    """
-    if not (math.isinf(map_.target_space.p) or map_.target_space.dim == 1):
-        raise ValueError("mcshane extension needs an l_inf or scalar target")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = norm(X[:, None, :] - map_.xs[None, :, :], map_.domain_space)  # (Q, m)
-    cones = map_.fs[None, :, :] + map_.gamma * d[:, :, None]  # (Q, m, t)
-    return np.min(cones, axis=1)
-
-
 def kirszbraun_eval_batch(
     map_: SampledLipschitzMap,
     X: np.ndarray,
-    tol: float = 1e-8,
+    tol: float,
 ) -> np.ndarray:
     """Lazy sequential extension at many query points.
 
@@ -184,8 +167,6 @@ def kirszbraun_eval_batch(
     positive raise ValueError.  Each scan evaluates exactly only the rows
     the Gram-form screen of the module docstring keeps.
     """
-    if map_.domain_space.p != 2.0 or map_.target_space.p != 2.0:
-        raise ValueError("kirszbraun evaluation needs l_2 domain and target")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     X = np.atleast_2d(np.asarray(X, dtype=float))

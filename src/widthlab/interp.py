@@ -626,10 +626,12 @@ def finite_rank_pipeline(
             break
         subdivisions *= 2
 
+    # rescale the finest values in place: interp is not used again, and a
+    # scaled copy would hold a second mesh-sized array at the run's peak
     scale = gamma / (gamma + delta)
     final = PLInterpolant(
         mesh=interp.mesh,
-        values=interp.values * scale,
+        values=np.multiply(interp.values, scale, out=interp.values),
         outside_value=interp.outside_value * scale,
     )
 

@@ -310,19 +310,9 @@ def generate_sparse_class(
     # estimated covering density of the cloud in Sigma_k cap B: max distance
     # from fresh probe draws to their nearest cloud point (a lower estimate
     # of the true covering radius; callers fold in realized distances too)
-    res = _farthest_probe_distance(draw(4 * count), pts)
+    res = float(np.max(nearest_distances(draw(4 * count), pts), initial=-math.inf))
     return ModelClassSurrogate(
         space=FiniteNormedSpace(N, 2.0),
         points=pts,
         resolution=res,
     )
-
-
-def _farthest_probe_distance(probes: np.ndarray, points: np.ndarray) -> float:
-    """Largest l_2 distance from a probe to its nearest point.
-
-    The max of nearest_distances, so it equals the max over probes of the
-    min over points of the full probes x points norm tensor, while its
-    temporaries hold about _BLOCK_ELEMENTS entries each.
-    """
-    return float(np.max(nearest_distances(probes, points), initial=-math.inf))

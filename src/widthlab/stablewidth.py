@@ -85,10 +85,9 @@ DIM_PER_LEVEL = jl_dim(3.0 / 5.0)
 
 
 # evaluation tolerance of evaluate_width and stability_probe: per-query
-# feasibility target for the lazy extensions; orders looser than the solver
-# default, orders tighter than any audited budget, and it keeps
-# thin-intersection queries from hitting the iteration cap at a near-miss
-# residual
+# feasibility target for the lazy extensions; orders tighter than any
+# audited budget, and it keeps thin-intersection queries from hitting the
+# iteration cap at a near-miss residual
 EVAL_TOL = 1e-7
 
 
@@ -171,7 +170,7 @@ class EncoderDecoderPair:
     def param_dim(self) -> int:
         return self.encoder.target_space.dim
 
-    def roundtrip_batch(self, X: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def roundtrip_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         return self.decoder.eval_batch(self.encoder.eval_batch(X, tol=tol), tol=tol)
 
 

@@ -10,70 +10,37 @@ from widthlab.extend import (
     SampledLipschitzMap,
     kirszbraun_eval_batch,
     lipschitz_audit,
-    mcshane_eval,
     sample_pairs,
 )
 from widthlab.spaces import FiniteNormedSpace, generate_Kq, pairwise_distances
 from widthlab.stablewidth import build_stable_pair
 
 
-def fit_gamma(xs, fs, domain_p, target_p, slack=1e-9):
-    """Smallest budget making (xs, fs) a valid Lipschitz sample set."""
-    dx = pairwise_distances(xs, domain_p)
-    df = pairwise_distances(fs, target_p)
+def fit_gamma(xs, fs, slack=1e-9):
+    """Smallest budget making (xs, fs) a valid l_2 Lipschitz sample set."""
+    dx = pairwise_distances(xs, 2.0)
+    df = pairwise_distances(fs, 2.0)
     mask = dx > 0
     return float(np.max(df[mask] / dx[mask])) * (1.0 + slack) + slack
 
 
 @st.composite
-def sample_sets(draw, target_p=2.0, domain_ps=(2.0,)):
+def sample_sets(draw):
     count = draw(st.integers(min_value=2, max_value=8))
     dim_in = draw(st.integers(min_value=1, max_value=4))
     dim_out = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    domain_p = draw(st.sampled_from(domain_ps))
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((count, dim_in))
     while np.unique(xs, axis=0).shape[0] < count:
         xs = rng.standard_normal((count, dim_in))
     fs = rng.standard_normal((count, dim_out))
-    gamma = fit_gamma(xs, fs, domain_p, target_p)
+    gamma = fit_gamma(xs, fs)
     return SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(dim_in, domain_p),
-        target_space=FiniteNormedSpace(dim_out, target_p),
+        domain_space=FiniteNormedSpace(dim_in, 2.0),
+        target_space=FiniteNormedSpace(dim_out, 2.0),
         xs=xs, fs=fs, gamma=gamma,
     )
-
-
-# a McShane extension keeps its budget into l_inf from any domain norm
-mcshane_sets = sample_sets(target_p=math.inf, domain_ps=(1.0, 2.0, math.inf))
-
-
-def test_mcshane_midpoint_oracle():
-    map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(1, 2.0),
-        target_space=FiniteNormedSpace(1, math.inf),
-        xs=np.array([[0.0], [1.0]]),
-        fs=np.array([[0.0], [1.0]]),
-        gamma=1.0,
-    )
-    got = mcshane_eval(map_, np.array([[0.5], [2.0]]))
-    assert got.shape == (2, 1)
-    assert got[0, 0] == pytest.approx(0.5)
-    # outside the hull the lower cone from the nearest sample wins
-    assert got[1, 0] == pytest.approx(2.0)
-
-
-def test_mcshane_refuses_an_l2_vector_target():
-    map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(1, 2.0),
-        target_space=FiniteNormedSpace(2, 2.0),
-        xs=np.array([[0.0], [1.0]]),
-        fs=np.array([[0.0, 0.0], [0.5, 0.5]]),
-        gamma=1.0,
-    )
-    with pytest.raises(ValueError, match="l_inf or scalar target"):
-        mcshane_eval(map_, np.array([[0.5]]))
 
 
 def test_kirszbraun_two_ball_oracle():
@@ -108,21 +75,6 @@ def test_sample_set_validation_rejects_bad_budget():
         )
 
 
-@given(mcshane_sets)
-def test_mcshane_reproduces_samples(map_):
-    assert np.max(np.abs(mcshane_eval(map_, map_.xs) - map_.fs)) <= 1e-12
-
-
-@given(mcshane_sets, st.integers(min_value=0, max_value=2**31 - 1))
-def test_mcshane_keeps_the_budget(map_, seed):
-    pairs = sample_pairs(map_.xs, 60, seed=seed)
-    # displace both endpoints to audit beyond the samples themselves
-    pairs += 0.7 * np.random.default_rng(seed).standard_normal(pairs.shape)
-    audit = lipschitz_audit(lambda X: mcshane_eval(map_, X), pairs,
-                            map_.domain_space, map_.target_space)
-    assert audit.measured <= map_.gamma + 1e-9
-
-
 @given(sample_sets())
 def test_kirszbraun_reproduces_samples(map_):
     got = kirszbraun_eval_batch(map_, map_.xs, tol=1e-8)
@@ -145,7 +97,7 @@ def test_kirszbraun_scalar_interval_consistency(seed):
     rng = np.random.default_rng(seed)
     xs = np.sort(rng.standard_normal(6))[:, None]
     fs = rng.standard_normal((6, 1))
-    gamma = fit_gamma(xs, fs, 2.0, 2.0)
+    gamma = fit_gamma(xs, fs)
     map_ = SampledLipschitzMap(
         domain_space=FiniteNormedSpace(1, 2.0),
         target_space=FiniteNormedSpace(1, 2.0),
@@ -241,7 +193,7 @@ def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0):
     xs = t @ plane + 1e-4 * rng.standard_normal((60, dim_in))
     torus = np.linalg.qr(rng.standard_normal((dim_out, 4)))[0].T
     fs = np.concatenate([np.cos(3 * t), np.sin(3 * t)], axis=1) @ torus
-    fs *= 0.9 * gamma / fit_gamma(xs, fs, 2.0, 2.0, slack=0.0)
+    fs *= 0.9 * gamma / fit_gamma(xs, fs, slack=0.0)
     map_ = SampledLipschitzMap(
         domain_space=FiniteNormedSpace(dim_in, 2.0),
         target_space=FiniteNormedSpace(dim_out, 2.0),
@@ -286,13 +238,27 @@ def test_kirszbraun_refuses_non_finite_queries_and_tolerances():
     for bad in (math.nan, math.inf, -math.inf):
         X[2, 1] = bad
         with pytest.raises(ValueError, match="query row 2 is not finite"):
-            kirszbraun_eval_batch(map_, X)
+            kirszbraun_eval_batch(map_, X, tol=1e-8)
     # finite, but its squared norm overflows
     with pytest.raises(ValueError, match="query row 0 is not finite"):
-        kirszbraun_eval_batch(map_, np.full((1, 4), 1e200))
+        kirszbraun_eval_batch(map_, np.full((1, 4), 1e200), tol=1e-8)
     for tol in (0.0, -1e-8, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             kirszbraun_eval_batch(map_, np.zeros((1, 4)), tol=tol)
+
+
+@pytest.mark.parametrize("domain_p, target_p",
+                         [(1.0, 2.0), (math.inf, 2.0), (2.0, 1.0), (2.0, math.inf)])
+def test_sample_set_validation_rejects_non_euclidean_spaces(domain_p, target_p):
+    # Kirszbraun's theorem keeps the budget only between l_2 spaces
+    with pytest.raises(ValueError, match="needs l_2 domain and target"):
+        SampledLipschitzMap(
+            domain_space=FiniteNormedSpace(1, domain_p),
+            target_space=FiniteNormedSpace(1, target_p),
+            xs=np.array([[0.0], [1.0]]),
+            fs=np.array([[0.0], [0.5]]),
+            gamma=1.0,
+        )
 
 
 @pytest.mark.parametrize("side", ["xs", "fs"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthlab.demos import pipeline_budget
 from widthlab.extend import lipschitz_audit, sample_pairs
 import widthlab.interp as interp
 from widthlab.interp import (
@@ -454,3 +455,14 @@ def test_pipeline_budget_exhaustion_raises():
         )
     assert info.value.achieved_dev > 0
     assert info.value.vertices > 64
+
+
+@pytest.mark.parametrize("eps, min_levels, message", [
+    (0.0, 4, "eps must be positive and finite"),
+    (-0.01, 4, "eps must be positive and finite"),
+    (math.nan, 4, "eps must be positive and finite"),
+    (0.01, 0, "min_levels must be at least 1"),
+])
+def test_pipeline_budget_refuses_bad_settings(eps, min_levels, message):
+    with pytest.raises(ValueError, match=message):
+        pipeline_budget("scalar-wave", eps, min_levels=min_levels)

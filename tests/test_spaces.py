@@ -19,7 +19,6 @@ from widthlab.spaces import (
     norm,
     pairwise_distances,
 )
-from widthlab.spaces import _farthest_probe_distance
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -177,7 +176,8 @@ def test_chunked_probe_distance_equals_the_dense_tensor(probe_count):
     pts = rng.standard_normal((40, 12))
     probes = rng.standard_normal((probe_count, 12))
     dense = np.linalg.norm(probes[:, None, :] - pts[None, :, :], axis=2)
-    assert _farthest_probe_distance(probes, pts) == float(np.max(np.min(dense, axis=1)))
+    got = float(np.max(nearest_distances(probes, pts)))
+    assert got == float(np.max(np.min(dense, axis=1)))
 
 
 def dense_nearest(P, X):
@@ -294,7 +294,7 @@ def test_probe_search_holds_no_probes_by_points_by_dim_temporary():
     old_chunk = 64 * 400 * 128 * 8
     tracemalloc.start()
     try:
-        res = _farthest_probe_distance(probes, points)
+        res = float(np.max(nearest_distances(probes, points)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
