@@ -331,8 +331,11 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
 def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
     if cfg["map"] not in DEMOS:
         raise SystemExit(f"unknown map {cfg['map']!r} (want {', '.join(DEMOS)})")
-    budget = pipeline_budget(cfg["map"], float(cfg["eps"]),
-                             min_levels=int(cfg["min_levels"]))
+    eps, min_levels = float(cfg["eps"]), int(cfg["min_levels"])
+    try:
+        budget = pipeline_budget(cfg["map"], eps, min_levels=min_levels)
+    except ValueError as exc:  # a setting the budget cannot plan with
+        raise SystemExit(f"bad [interp] setting: {exc}") from None
     result = finite_rank_pipeline(
         budget.demo.fn, budget.S_points, gamma=budget.gamma,
         delta=budget.delta, eps=budget.eps, seed=int(cfg["seed"]),

@@ -12,10 +12,11 @@ M on S to a requested accuracy:
      sup change stays below half the accuracy budget; averaging never
      increases a Lipschitz constant; the kernel's tap lattice is rebuilt on
      each mesh so the smoothed map carries no sub-mesh structure; on the
-     vertex grid the kernel is a stencil, convolved by overlap-add over
-     blocks of the first axis, each transformed at about eight stencil
-     lengths, so the transforms never grow with the mesh; a grid that fits
-     one block is convolved as scipy.signal.fftconvolve does, bit for bit;
+     vertex grid the kernel is a stencil, convolved through numpy.fft by
+     overlap-add over blocks of the first axis, each transformed at about
+     eight stencil lengths, so the transforms never grow with the mesh; a
+     grid that fits one block is convolved as scipy.signal.fftconvolve
+     does, bit for bit, with no scipy import;
   3. interpolation on a Kuhn (sorted-coordinate) simplicial mesh, halving
      the mesh size until the audited interpolation error and the audited
      extra Lipschitz constant fit their budgets;
@@ -358,7 +359,7 @@ def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int,
 
 
 # Overlap-add blocks along the first grid axis are transformed at
-# F = next_fast_len(_BLOCK_STENCILS * L) for a stencil of length L, so the
+# F = _next_fast_len(_BLOCK_STENCILS * L) for a stencil of length L, so the
 # stencil's overlap costs about 1/_BLOCK_STENCILS of each transform; 4 to 16
 # timed alike on the default finest level (3.5M vertices, 295 taps, 2 cores)
 _BLOCK_STENCILS = 8
@@ -366,6 +367,49 @@ _BLOCK_STENCILS = 8
 # (a few arrays of this many doubles) whatever the length of the first axis,
 # unless one block's transform alone is larger
 _BATCH_SAMPLES = 1 << 16
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target, as scipy.fft.next_fast_len(target, True)."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _rfftn(x: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """scipy.fft.rfftn(x, shape, axes=axes) on numpy.fft, bit for bit.
+
+    Both wrap pocketfft, which runs the real pass on the last axis and then
+    the complex passes on the other axes in the order given;
+    numpy.fft.rfftn runs those complex passes in reverse order.
+    """
+    spec = np.fft.rfft(x, shape[-1], axis=axes[-1])
+    for size, axis in zip(shape[:-1], axes[:-1]):
+        spec = np.fft.fft(spec, size, axis=axis)
+    return spec
+
+
+def _irfftn(spec: np.ndarray, shape: tuple[int, ...],
+            axes: tuple[int, ...]) -> np.ndarray:
+    """scipy.fft.irfftn(spec, shape, axes=axes) on numpy.fft, bit for bit.
+
+    pocketfft runs the complex passes on the leading axes in order, the real
+    pass on the last, and scales once by 1/prod(shape) at the end;
+    numpy.fft.irfftn scales by 1/n on each axis, so every pass here is
+    unscaled (norm="forward") and the one scale follows.
+    """
+    for size, axis in zip(shape[:-1], axes[:-1]):
+        spec = np.fft.ifft(spec, size, axis=axis, norm="forward")
+    out = np.fft.irfft(spec, shape[-1], axis=axes[-1], norm="forward")
+    out *= 1.0 / math.prod(shape)
+    return out
 
 
 def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
@@ -387,30 +431,33 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
     samples.  When the P points of an axis fit one block, B = P and
     F = next_fast_len(P + L - 1): the steps are then those of
     scipy.signal.fftconvolve(..., mode="same"), with the same transform
-    sizes and product order, so the values agree with it bit for bit.
+    sizes and product order.  fftconvolve transforms through scipy.fft's
+    pocketfft, the same code numpy.fft runs one axis at a time; _rfftn and
+    _irfftn run those one-axis passes in scipy.fft's axis order and scale
+    once by 1/N after the last pass, as scipy.fft does, so every pass
+    rounds alike and the values agree with fftconvolve bit for bit.
+    numpy.fft.rfftn's reversed passes and its 1/n per axis would not.
     Several blocks agree with it to rounding.
     Returns grid_values, overwritten with the smoothed samples.
     """
-    from scipy.fft import irfftn, next_fast_len, rfftn
-
     if stencil.size == 1:
         return grid_values
     if not grid_values.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be smoothed in place")
     n, P, L = mesh.n, mesh.points_per_axis, stencil.shape[0]
-    F = next_fast_len(_BLOCK_STENCILS * L, True)
+    F = _next_fast_len(_BLOCK_STENCILS * L)
     if P + L - 1 <= F:
-        B, F = P, next_fast_len(P + L - 1, True)
+        B, F = P, _next_fast_len(P + L - 1)
     else:
         B = F - L + 1
     rest = (P,) * (n - 1)
-    fshape = (F,) + (next_fast_len(P + L - 1, True),) * (n - 1)
+    fshape = (F,) + (_next_fast_len(P + L - 1),) * (n - 1)
     axes = tuple(range(1, n + 1))
     c = (L - 1) // 2  # full row c + i is same-mode row i
     inner = (slice(0, P),) * (n - 1)
     centre = (slice(None), slice(0, B + L - 1)) + (slice(c, c + P),) * (n - 1)
     per_batch = max(1, _BATCH_SAMPLES // math.prod(fshape))
-    kernel = rfftn(stencil, fshape)
+    kernel = _rfftn(stencil, fshape, tuple(range(n)))
     grid = grid_values.reshape((P,) * n + (grid_values.shape[1],))
     for comp in range(grid_values.shape[1]):
         samples, shift = grid[..., comp], base[comp]
@@ -424,9 +471,9 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
             if part:
                 np.subtract(samples[start + whole * B:stop], shift,
                             out=blocks[(whole, slice(0, part)) + inner])
-            spec = rfftn(blocks, fshape, axes=axes)
+            spec = _rfftn(blocks, fshape, axes)
             spec *= kernel
-            full = irfftn(spec, fshape, axes=axes)[centre]
+            full = _irfftn(spec, fshape, axes)[centre]
             # full row t of block j is convolution row start + j B + t
             full[1:, :L - 1] += full[:-1, B:]
             if start:

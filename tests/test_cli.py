@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import pickle
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,22 @@ def test_unknown_interp_map_fails_listing_the_maps(tmp_path):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("ini,message", [
+    ("eps = 0", "eps must be positive and finite, got 0.0"),
+    ("eps = -0.01", "eps must be positive and finite, got -0.01"),
+    ("eps = nan", "eps must be positive and finite, got nan"),
+    ("min_levels = 0", "min_levels must be at least 1, got 0"),
+])
+def test_bad_interp_setting_fails_in_one_line(tmp_path, ini, message):
+    out = tmp_path / "interp"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[interp]\n{ini}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["interp", "--config", str(cfg), "--out", str(out)])
+    assert str(exit_info.value) == f"bad [interp] setting: {message}"
+    assert not list(out.glob("*.csv"))
+
+
 def test_every_default_setting_is_read_by_the_cli():
     import widthlab.cli as cli
 
@@ -339,9 +356,9 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_interp_pipeline_smooths_without_scipy_signal():
-    # smoothing runs on scipy.fft alone; scipy.signal costs about a second
-    # of imports, more than the whole small run below
+def test_interp_pipeline_smooths_without_scipy():
+    # smoothing runs on numpy.fft alone; scipy.fft costs about 0.3 s of
+    # imports, scipy.signal about a second, more than the small run below
     code = (
         "import sys, numpy as np\n"
         "import widthlab.interp as wi\n"
@@ -355,13 +372,29 @@ def test_interp_pipeline_smooths_without_scipy_signal():
         "    lambda X: np.stack([0.5 * X[:, 0], -0.25 * X[:, 0]], axis=1),\n"
         "    np.linspace(-0.5, 0.5, 41)[:, None], gamma=0.7, eps=0.5,\n"
         "    delta=0.5, seed=0, initial_subdivisions=8, min_levels=2)\n"
-        "print(max(taps), 'scipy.fft' in sys.modules, 'scipy.signal' in sys.modules)\n"
+        "print(max(taps),\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
-    taps, fft_loaded, signal_loaded = proc.stdout.split()
-    assert int(taps) > 1 and fft_loaded == "True"  # a stencil was applied
-    assert signal_loaded == "False"
+    taps, scipy_modules = proc.stdout.split(maxsplit=1)
+    assert int(taps) > 1  # a stencil was applied
+    assert scipy_modules.strip() == "[]"
+
+
+def test_interp_command_loads_no_scipy(tmp_path):
+    # the whole subcommand, at the reproduce script's quick settings
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text(runpy.run_path(str(SCRIPT))["QUICK_OVERLAY"])
+    out = tmp_path / "interp"
+    code = ("import sys\n"
+            "from widthlab.cli import main\n"
+            f"main(['interp', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = run_python(["-c", code], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "interp_levels.csv").is_file()
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_import_loads_no_process_pool():

@@ -13,6 +13,9 @@ import widthlab.interp as interp
 from widthlab.interp import (
     UNIT_SPACING,
     _BLOCK_STENCILS,
+    _irfftn,
+    _next_fast_len,
+    _rfftn,
     _smooth_grid,
     KuhnMesh,
     MeshBudgetError,
@@ -259,6 +262,48 @@ def test_smooth_grid_equals_fftconvolve_same_mode(n, subdivisions, d):
     assert np.array_equal(smoothed, expected)
 
 
+# (batch shape, transform shape): odd and 5-smooth lengths, some shorter
+# than the transform, over 1, 2 and 3 transform axes
+@pytest.mark.parametrize("shape,fshape", [
+    ((7,), (7,)), ((45,), (45,)), ((33,), (40,)),
+    ((9, 11), (9, 11)), ((20, 13), (24, 15)),
+    ((5, 6, 7), (5, 6, 7)), ((4, 5, 3), (8, 9, 10)),
+])
+@pytest.mark.parametrize("count", [1, 3])
+def test_transform_helpers_equal_scipy_fft(shape, fshape, count):
+    # scipy.fft is the oracle; agreement must be exact, not approximate
+    from scipy.fft import irfftn, rfftn
+
+    rng = np.random.default_rng(sum(fshape) + count)
+    x = rng.standard_normal((count,) + shape)
+    axes = tuple(range(1, len(shape) + 1))
+    spec = _rfftn(x, fshape, axes)
+    assert np.array_equal(spec, rfftn(x, fshape, axes=axes))
+    assert np.array_equal(_irfftn(spec, fshape, axes), irfftn(spec, fshape, axes=axes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transform_helpers_equal_scipy_fft_on_a_stencil(n):
+    # _smooth_grid transforms the stencil over all of its axes, padded
+    from scipy.fft import irfftn, rfftn
+
+    mesh = KuhnMesh(n, 1.0, 20)
+    _, _, _, stencil = bump_kernel(1.0 / (3.5 * mesh.h), n, mesh.h)
+    fshape = (_next_fast_len(_BLOCK_STENCILS * stencil.shape[0]),) + (27,) * (n - 1)
+    axes = tuple(range(n))
+    spec = _rfftn(stencil, fshape, axes)
+    assert np.array_equal(spec, rfftn(stencil, fshape))
+    assert np.array_equal(_irfftn(spec, fshape, axes), irfftn(spec, fshape))
+
+
+def test_next_fast_len_equals_scipy_up_to_2_17():
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 2**17 + 1)
+    expected = [next_fast_len(t, True) for t in targets]
+    assert [_next_fast_len(t) for t in targets] == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_smooth_grid_with_a_single_tap_keeps_the_values(n):
     mesh = KuhnMesh(n, 1.0, 6)
@@ -372,7 +417,7 @@ def test_smooth_grid_temporaries_stay_below_one_grid_component():
     _, _, _, stencil = bump_kernel(1.0 / (147.5 * mesh.h), 1, mesh.h)
     assert stencil.shape == (295,)
     values = np.random.default_rng(0).standard_normal((mesh.vertex_count, 3))
-    # import scipy.fft and plan the transforms before tracing
+    # import numpy.fft and run its first transforms before tracing
     _smooth_grid(values[:2 * 4096].copy(), KuhnMesh(1, 1.0, 2 * 4096 - 1),
                  stencil, np.zeros(3))
     tracemalloc.start()
