@@ -33,7 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import Net
-from .spaces import FiniteNormedSpace, ModelClassSurrogate, nearest_distances, norm
+from .spaces import (
+    ModelClassSurrogate,
+    nearest_distances,
+    norm,
+    pairwise_distances,
+)
 from .stablewidth import EncoderDecoderPair
 
 __all__ = [
@@ -169,21 +174,23 @@ class NormBracket:
             raise ValueError("bracket out of order")
 
 
-def _boyd_ascent(mat: np.ndarray, p: float, x0: np.ndarray,
-                 iterations: int = 60) -> float:
+# fixed-point steps _boyd_ascent takes at most from one start point
+_BOYD_ITERATIONS = 60
+
+
+def _boyd_ascent(mat: np.ndarray, p: float, x0: np.ndarray) -> float:
     """Monotone fixed-point ascent for ||Phi x||_2 / ||x||_p from a start point."""
-    pspace = FiniteNormedSpace(mat.shape[1], p)
     dual_exp = 1.0 / (p - 1.0)
-    x = x0 / norm(x0, pspace)
+    x = x0 / norm(x0, p)
     best = float(np.linalg.norm(mat @ x))
-    for _ in range(iterations):
+    for _ in range(_BOYD_ITERATIONS):
         y = mat @ x
         ny = np.linalg.norm(y)
         if ny == 0.0:
             break
         z = mat.T @ (y / ny)
         x = np.sign(z) * np.abs(z) ** dual_exp
-        nx = norm(x, pspace)
+        nx = norm(x, p)
         if nx == 0.0:
             break
         x /= nx
@@ -344,7 +351,7 @@ def sigma_k(x: np.ndarray, k: int, p: float = 2.0) -> float:
         return 0.0
     order = np.argsort(-np.abs(x), kind="stable")
     tail = x[order[k:]]
-    return float(norm(tail, FiniteNormedSpace(len(tail), p)))
+    return float(norm(tail, p))
 
 
 def build_nonlinear_pair(
@@ -356,16 +363,17 @@ def build_nonlinear_pair(
     and gamma_M one over the smallest, so the pair's constants describe the
     map that is extended.
     """
-    from scipy.spatial.distance import pdist
-
     xs = sparse_net.points
     if len(xs) < 2:
         raise ValueError("the net needs two points to fix the budgets")
     images = xs @ Phi.matrix.T
-    gaps = pdist(xs)
+    # the upper triangle in pdist's row-major order; a boolean mask, since
+    # np.triu_indices would hold 16 bytes a pair and raise the cs peak
+    upper = np.triu(np.ones((len(xs), len(xs)), dtype=bool), 1)
+    gaps = pairwise_distances(xs)[upper]
     if not np.all(gaps > 0.0):
         raise ValueError("net points must be pairwise distinct")
-    ratios = pdist(images) / gaps
+    ratios = pairwise_distances(images)[upper] / gaps
     if not ratios.min() > 0.0:
         raise ValueError("Phi maps two net points to one image; pair undefined")
     return EncoderDecoderPair.over_net(
@@ -423,7 +431,7 @@ def instance_optimality_trials(
     net_distance is that part's distance to its nearest net point.
     """
     rng = np.random.default_rng(seed)
-    N = pair.decoder.target_space.dim
+    N = pair.decoder.fs.shape[1]
     C = pair.gamma_a * pair.gamma_M
     X = rng.standard_normal((trials, N))
     X /= np.linalg.norm(X, axis=1, keepdims=True)

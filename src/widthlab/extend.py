@@ -31,8 +31,8 @@ violation that needs a projection nor decide a stop: values, iteration
 counts and ExtensionFeasibilityError are bit-identical to scanning every
 row.
 
-Audits measure constants on a (count, 2, dim) array of sampled pairs with
-one batch call, and are lower bounds on the true constant: honest
+Audits measure l_2 constants on a (count, 2, dim) array of sampled pairs
+with one batch call, and are lower bounds on the true constant: honest
 measurement beats silent failure.
 """
 
@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (
-    _UNDERFLOW,
-    FiniteNormedSpace,
-    _screen_margin,
-    norm,
-    pairwise_distances,
-)
+from .spaces import _UNDERFLOW, _screen_margin, norm, pairwise_distances
 
 __all__ = [
     "SampledLipschitzMap",
@@ -81,14 +75,13 @@ class ExtensionFeasibilityError(RuntimeError):
 class SampledLipschitzMap:
     """Map known on samples (x_i, f_i) with a Lipschitz budget gamma.
 
-    Both spaces must be l_2, the setting of the Kirszbraun extension.
-    Construction checks that the samples are a gamma-Lipschitz pair set:
+    Both sides carry the l_2 norm, the setting of the Kirszbraun extension,
+    and their dimensions are the row lengths of xs and fs.  Construction
+    checks that the samples are a gamma-Lipschitz pair set:
     ||f_i - f_j|| <= gamma * ||x_i - x_j|| for all pairs, up to a tiny
     relative slack absorbing float rounding.
     """
 
-    domain_space: FiniteNormedSpace
-    target_space: FiniteNormedSpace
     xs: np.ndarray
     fs: np.ndarray
     gamma: float
@@ -98,25 +91,21 @@ class SampledLipschitzMap:
         fs = np.atleast_2d(np.asarray(self.fs, dtype=float))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "fs", fs)
-        if self.domain_space.p != 2.0 or self.target_space.p != 2.0:
-            raise ValueError("a sampled Lipschitz map needs l_2 domain and target")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if xs.shape[0] != fs.shape[0]:
             raise ValueError("domain and target sample counts differ")
         if xs.shape[0] < 1:
             raise ValueError("need at least one sample")
-        if xs.shape[1] != self.domain_space.dim:
-            raise ValueError("domain sample length != domain dim")
-        if fs.shape[1] != self.target_space.dim:
-            raise ValueError("target sample length != target dim")
+        if xs.shape[1] < 1 or fs.shape[1] < 1:
+            raise ValueError("samples must be rows of positive width")
         bad = np.flatnonzero(~np.isfinite(np.hstack([xs, fs])).all(axis=1))
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite")
-        dx = pairwise_distances(xs, 2.0)
+        dx = pairwise_distances(xs)
         if np.any((dx + np.eye(len(xs))) == 0.0):
             raise ValueError("domain samples must be pairwise distinct")
-        df = pairwise_distances(fs, 2.0)
+        df = pairwise_distances(fs)
         slack = 1e-9 * (1.0 + dx.max())
         bad = df > self.gamma * dx + slack
         if np.any(bad):
@@ -163,13 +152,17 @@ def kirszbraun_eval_batch(
     Queries equal to a constraint point return that point's value (its ball
     has radius 0).  A query still infeasible after _ITERATION_CAP
     projections raises ExtensionFeasibilityError; a query that is not
-    finite, or whose squared norm overflows, and a tol that is not
-    positive raise ValueError.  Each scan evaluates exactly only the rows
-    the Gram-form screen of the module docstring keeps.
+    finite, or whose squared norm overflows, a query row whose length is
+    not the samples', and a tol that is not positive raise ValueError.
+    Each scan evaluates exactly only the rows the Gram-form screen of the
+    module docstring keeps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != map_.xs.shape[1]:
+        raise ValueError(f"query rows of length {X.shape[1]} do not match "
+                         f"sample rows of length {map_.xs.shape[1]}")
     sq_x = np.einsum("ij,ij->i", X, X)
     bad = np.flatnonzero(~np.isfinite(sq_x))
     if bad.size:
@@ -178,9 +171,9 @@ def kirszbraun_eval_batch(
     m = map_.count
     gamma = map_.gamma
     cx = np.concatenate([map_.xs, np.empty((Q, X.shape[1]))], axis=0)
-    cf = np.concatenate([map_.fs, np.empty((Q, map_.target_space.dim))], axis=0)
+    cf = np.concatenate([map_.fs, np.empty((Q, map_.fs.shape[1]))], axis=0)
     margin_x = _screen_margin(X.shape[1])
-    margin_f = _screen_margin(map_.target_space.dim)
+    margin_f = _screen_margin(map_.fs.shape[1])
     up_f, down_f = 0.5 + 0.5 * margin_f, 0.5 - 0.5 * margin_f
     # squared row norms of the store, widened by the screen's margins; the
     # rows queries fill start at 0, so the widening never sees garbage
@@ -189,7 +182,7 @@ def kirszbraun_eval_batch(
     hi_cf = np.concatenate([np.einsum("ij,ij->i", map_.fs, map_.fs), np.zeros(Q)])
     hi_cf = up_f * hi_cf + _UNDERFLOW
     slack = np.zeros(m + Q)
-    Y = np.empty((Q, map_.target_space.dim))
+    Y = np.empty((Q, map_.fs.shape[1]))
     n_c = m
     for q in range(Q):
         x = X[q]
@@ -244,12 +237,7 @@ def kirszbraun_eval_batch(
     return Y
 
 
-def lipschitz_audit(
-    fn,
-    pairs: np.ndarray,
-    domain_space: FiniteNormedSpace,
-    target_space: FiniteNormedSpace,
-) -> LipschitzAudit:
+def lipschitz_audit(fn, pairs: np.ndarray) -> LipschitzAudit:
     """Measure ||fn(x)-fn(x')|| / ||x-x'|| on each pair of a (count, 2, dim) array.
 
     fn maps the rows of a 2-d array to their images.  The maximum ratio is
@@ -260,7 +248,7 @@ def lipschitz_audit(
     pairs = np.asarray(pairs, dtype=float)
     if len(pairs) == 0:
         raise ValueError("need at least one pair")
-    dx = norm(pairs[:, 0] - pairs[:, 1], domain_space)
+    dx = norm(pairs[:, 0] - pairs[:, 1], 2.0)
     if np.any(dx == 0.0):
         raise ValueError("audit pairs must be at positive distance")
     # distinct endpoints in the lexicographic row order of np.unique(axis=0),
@@ -275,7 +263,7 @@ def lipschitz_audit(
     inverse[order] = np.cumsum(new) - 1
     vals = np.asarray(fn(rows[new]), dtype=float)
     ends = inverse.reshape(-1, 2)
-    df = norm(vals[ends[:, 0]] - vals[ends[:, 1]], target_space)
+    df = norm(vals[ends[:, 0]] - vals[ends[:, 1]], 2.0)
     ratios = df / dx
     return LipschitzAudit(measured=float(np.max(ratios)), ratios=ratios)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extend import lipschitz_audit
-from .spaces import FiniteNormedSpace, norm
+from .spaces import norm
 
 __all__ = [
     "RadialCutoff",
@@ -81,7 +81,6 @@ class RadialCutoff:
 
     R1: float
     lam: float
-    space: FiniteNormedSpace
 
     def __post_init__(self):
         if self.R1 <= 0 or self.lam <= 0:
@@ -98,7 +97,7 @@ def cutoff_eval(cut: RadialCutoff, X: np.ndarray) -> np.ndarray:
     (1 + lam R1)-Lipschitz in l_2; fixes the R1 ball pointwise.
     """
     X = np.asarray(X, dtype=float)
-    factor = np.clip(1.0 - cut.lam * (norm(X, cut.space) - cut.R1), 0.0, 1.0)
+    factor = np.clip(1.0 - cut.lam * (norm(X, 2.0) - cut.R1), 0.0, 1.0)
     return X * factor[:, None]
 
 
@@ -308,8 +307,12 @@ class PipelineResult:
     levels: tuple[PipelineLevel, ...]
 
 
-def _upper_tail(values: np.ndarray, frac: float = 0.05) -> float:
-    """Mean of the largest `frac` of values: a low-variance stand-in for max.
+# share of the largest values _upper_tail averages
+_TAIL_FRAC = 0.05
+
+
+def _upper_tail(values: np.ndarray) -> float:
+    """Mean of the largest _TAIL_FRAC of values: a low-variance stand-in for max.
 
     The max over random probes is too seed-sensitive for order-of-convergence
     regressions; every upper quantile of the probe distribution scales the
@@ -317,7 +320,7 @@ def _upper_tail(values: np.ndarray, frac: float = 0.05) -> float:
     """
     if values.size == 0:
         return math.nan
-    k = max(1, int(math.ceil(frac * values.size)))
+    k = max(1, int(math.ceil(_TAIL_FRAC * values.size)))
     part = np.partition(values, values.size - k)[values.size - k:]
     return float(np.mean(part))
 
@@ -337,16 +340,19 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
-def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int,
-                       chunk: int = 1 << 18) -> np.ndarray:
+# vertices per batch of _chunked_mesh_eval
+_MESH_CHUNK = 1 << 18
+
+
+def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int) -> np.ndarray:
     """Evaluate a batch map at all mesh vertices, row-major, memory-bounded."""
     axis = mesh.axis_coordinates()
     n, per = mesh.n, mesh.points_per_axis
     plane = mesh.vertex_count // per  # vertices per index of the first axis
     total = mesh.vertex_count
     out = np.empty((total, d_out))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _MESH_CHUNK):
+        stop = min(start + _MESH_CHUNK, total)
         first, last = start // plane, (stop - 1) // plane + 1
         # the whole first-axis planes the chunk touches, then the chunk's rows
         block = np.empty((last - first,) + (per,) * (n - 1) + (n,))
@@ -505,7 +511,7 @@ def _probe_pairs(anchor: np.ndarray, dirs: np.ndarray, scales: np.ndarray,
         np.full(shell_anchor.shape[0], 1.0),
     ])
     b = np.clip(a + dirs * (h * scales)[:, None], -D, D)
-    keep = norm(a - b, FiniteNormedSpace(a.shape[1], 2.0)) > 0
+    keep = norm(a - b, 2.0) > 0
     return np.stack([a[keep], b[keep]], axis=1), scales[keep]
 
 
@@ -540,14 +546,13 @@ def finite_rank_pipeline(
     n = S_points.shape[1]
     if eps <= 0 or delta <= 0 or gamma <= 0:
         raise ValueError("gamma, eps, delta must be positive")
-    l2 = FiniteNormedSpace(n, 2.0)
     rng = np.random.default_rng(seed)
 
-    R1 = float(np.max(norm(S_points, l2)))
+    R1 = float(np.max(norm(S_points, 2.0)))
     if R1 == 0.0:
         R1 = 1.0
     lam = delta / (2.0 * gamma * R1)
-    cut = RadialCutoff(R1=R1, lam=lam, space=l2)
+    cut = RadialCutoff(R1=R1, lam=lam)
     R_cut = cut.support_radius
     # l_inf cube bound: ||x||_inf >= R2 forces ||x||_2 >= R_cut, and for
     # l_p norms the equivalence constant is 1
@@ -555,7 +560,6 @@ def finite_rank_pipeline(
 
     M0 = M(np.zeros((1, n)))[0]
     d_out = M0.shape[0]
-    out_space = FiniteNormedSpace(d_out, 2.0)
 
     # certificate audit: gamma must hold where the cutoff sends points
     img_radius = cutoff_image_radius(R1, lam)
@@ -563,9 +567,7 @@ def finite_rank_pipeline(
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
     probe *= img_radius * rng.uniform(size=(512, 1)) ** (1.0 / n)
     partner = probe + rng.standard_normal((512, n)) * (0.05 * img_radius)
-    worst = lipschitz_audit(
-        M, np.stack([probe, partner], axis=1), l2, out_space
-    ).measured
+    worst = lipschitz_audit(M, np.stack([probe, partner], axis=1)).measured
     if worst > gamma * (1.0 + 1e-9):
         raise ValueError(
             f"map violates its gamma certificate: measured {worst:.6g} > {gamma:.6g}"
@@ -601,7 +603,7 @@ def finite_rank_pipeline(
     shell_dirs = np.concatenate([b[1] for b in blocks], axis=0)
 
     def _shell_distance(P: np.ndarray) -> np.ndarray:
-        r = norm(P, l2)
+        r = norm(P, 2.0)
         return np.minimum(np.abs(r - R1), np.abs(r - R_cut))
 
     # fixed audit material across levels
@@ -641,19 +643,18 @@ def finite_rank_pipeline(
                                outside_value=M0)
         del grid_M1
 
-        dev_errs = norm(interp.eval_batch(dev_points) - M2(dev_points), out_space)
+        dev_errs = norm(interp.eval_batch(dev_points) - M2(dev_points), 2.0)
         sup_err = float(np.max(dev_errs))
         sup_err_smooth = _upper_tail(dev_errs[dev_smooth])
         pairs, scales = _probe_pairs(anchor, directions, scale_mix,
                                      shell_anchor, shell_dirs, h, D)
-        audit = lipschitz_audit(lambda X: interp.eval_batch(X) - M2(X),
-                                pairs, l2, out_space)
+        audit = lipschitz_audit(lambda X: interp.eval_batch(X) - M2(X), pairs)
         lip_excess = audit.measured
         # smooth pairs: both endpoints a kernel radius clear of each shell
         # and on the same side of it, so the segment cannot cross one;
         # only the within-cell pair scales measure the local error slope
         ak, bk = pairs[:, 0], pairs[:, 1]
-        ra, rb = norm(ak, l2), norm(bk, l2)
+        ra, rb = norm(ak, 2.0), norm(bk, 2.0)
         smooth_pair = (
             (_shell_distance(ak) > 1.0 / m)
             & (_shell_distance(bk) > 1.0 / m)
@@ -683,7 +684,7 @@ def finite_rank_pipeline(
     )
 
     sup_dev_on_S = float(
-        np.max(norm(final.eval_batch(S_points) - M(S_points), out_space))
+        np.max(norm(final.eval_batch(S_points) - M(S_points), 2.0))
     )
     # final constant audit over mixed global, S-local, and shell pairs
     rng2 = np.random.default_rng(seed + 1)
@@ -693,7 +694,7 @@ def finite_rank_pipeline(
     scales2 = rng2.choice([0.25, 1.0, 8.0, 64.0], size=base2.shape[0])
     pairs2, _ = _probe_pairs(base2, dirs2, scales2, shell_anchor, shell_dirs,
                              final.mesh.h, D)
-    lip_measured = lipschitz_audit(final.eval_batch, pairs2, l2, out_space).measured
+    lip_measured = lipschitz_audit(final.eval_batch, pairs2).measured
     return PipelineResult(
         interpolant=final,
         gamma=gamma,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import ModelClassSurrogate, scipy_metric
+from .spaces import ModelClassSurrogate
 
 __all__ = [
     "Net",
@@ -80,12 +80,11 @@ def _farthest_first(K: ModelClassSurrogate):
     """
     from scipy.spatial.distance import cdist
 
-    metric, kwargs = scipy_metric(K.space.p)
     mindist = np.full(K.count, math.inf)
     j, gap = 0, math.inf
     for _ in range(K.count):
         yield j, gap
-        row = cdist(K.points[j : j + 1], K.points, metric, **kwargs)[0]
+        row = cdist(K.points[j : j + 1], K.points, "euclidean")[0]
         np.minimum(mindist, row, out=mindist)
         j = int(np.argmax(mindist))
         gap = float(mindist[j])
@@ -143,7 +142,7 @@ def entropy_bracket(K: ModelClassSurrogate, n: int) -> EntropyBracket:
         witness = K.points[selected]
     else:
         upper = 0.0
-        witness = np.empty((0, K.space.dim))
+        witness = np.empty((0, K.points.shape[1]))
     return EntropyBracket(
         n=n,
         lower=upper / 2.0,

@@ -1,9 +1,12 @@
-"""Finite-dimensional normed spaces and finite surrogates of compact model classes.
+"""Finite surrogates of compact model classes in l_2, and l_p norms of vectors.
 
 Everything downstream (nets, extensions, width experiments) works on finite
-point clouds carrying an ambient l_p norm.  A surrogate stands in for an
-ideal compact class; its ``resolution`` records how densely it fills the
-ideal set (0 when the surrogate is the class itself).
+point clouds under the l_2 norm, the setting of the Kirszbraun extension,
+the random projection and the SVD baseline; a cloud's dimension is its row
+length.  Only norm takes an exponent, for the l_q balls, the operator-norm
+brackets and k-term errors.  A surrogate stands in for an ideal compact
+class; its ``resolution`` records how densely it fills the ideal set (0
+when the surrogate is the class itself).
 
 Nearest distances are screened in Gram form and then evaluated exactly on
 the few rows that can be nearest.  Given squared row norms, a squared
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FiniteNormedSpace",
     "ModelClassSurrogate",
     "AlphaSequence",
     "norm",
@@ -43,52 +45,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteNormedSpace:
-    """R^dim equipped with the l_p norm, p in [1, inf]."""
-
-    dim: int
-    p: float = 2.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if not (self.p >= 1.0):
-            raise ValueError(f"p must satisfy 1 <= p <= inf, got {self.p}")
-
-
-def norm(x: np.ndarray, space: FiniteNormedSpace) -> np.ndarray:
-    """l_p norm of a vector, or row-wise norms of a 2-d array of vectors."""
+def norm(x: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of a vector, or row-wise norms of a 2-d array, p in [1, inf]."""
+    if not p >= 1.0:
+        raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != space.dim:
-        raise ValueError(f"vector length {x.shape[-1]} != space dim {space.dim}")
-    if math.isinf(space.p):
-        return np.max(np.abs(x), axis=-1)
-    if space.p == 1.0:
-        return np.sum(np.abs(x), axis=-1)
-    if space.p == 2.0:
-        return np.sqrt(np.sum(x * x, axis=-1))
-    return np.sum(np.abs(x) ** space.p, axis=-1) ** (1.0 / space.p)
-
-
-def scipy_metric(p: float) -> tuple[str, dict]:
-    """Name and keyword arguments of the l_p metric in scipy.spatial.distance."""
     if math.isinf(p):
-        return "chebyshev", {}
+        return np.max(np.abs(x), axis=-1)
     if p == 1.0:
-        return "cityblock", {}
+        return np.sum(np.abs(x), axis=-1)
     if p == 2.0:
-        return "euclidean", {}
-    return "minkowski", {"p": p}
+        return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
 
 
-def pairwise_distances(points: np.ndarray, p: float) -> np.ndarray:
-    """Dense matrix of l_p distances between rows of ``points``."""
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Dense matrix of l_2 distances between rows of ``points``."""
     from scipy.spatial import distance
 
-    metric, kwargs = scipy_metric(p)
     points = np.asarray(points, dtype=float)
-    return distance.squareform(distance.pdist(points, metric, **kwargs))
+    return distance.squareform(distance.pdist(points, "euclidean"))
 
 
 # unit roundoff of float64, and the screen's absolute allowance on squared
@@ -165,13 +141,12 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelClassSurrogate:
-    """Finite point cloud standing in for a compact class K.
+    """Finite point cloud in l_2 standing in for a compact class K.
 
     resolution: guaranteed (or estimated) density of the cloud in the ideal
     class, 0 when the cloud is exact.
     """
 
-    space: FiniteNormedSpace
     points: np.ndarray
     resolution: float = 0.0
 
@@ -179,10 +154,8 @@ class ModelClassSurrogate:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array, one point per row")
-        if pts.shape[1] != self.space.dim:
-            raise ValueError(
-                f"point length {pts.shape[1]} != space dim {self.space.dim}"
-            )
+        if pts.shape[1] < 1:
+            raise ValueError("points must be rows of positive width")
         if pts.shape[0] < 1:
             raise ValueError("surrogate needs at least one point")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
@@ -218,10 +191,14 @@ class AlphaSequence:
         return float(out) if np.isscalar(j) else out
 
 
-def _dedupe_resample(draw, count: int, max_rounds: int = 16) -> np.ndarray:
+# redraws _dedupe_resample makes before it gives up
+_DEDUPE_ROUNDS = 16
+
+
+def _dedupe_resample(draw, count: int) -> np.ndarray:
     """Draw ``count`` points, redrawing until rows are pairwise distinct."""
     pts = draw(count)
-    for _ in range(max_rounds):
+    for _ in range(_DEDUPE_ROUNDS):
         uniq = np.unique(pts, axis=0)
         if uniq.shape[0] == count and pts.shape[0] == count:
             return pts
@@ -238,28 +215,25 @@ def generate_Kq(N: int, q: float, count: int, seed: int) -> ModelClassSurrogate:
     coordinates in [-1, 1], which is that ball's uniform law directly.
     The class is measured in l_2^N.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     if count < 1:
         raise ValueError("count must be positive")
     if not (q >= 1.0):
         raise ValueError(f"q must satisfy 1 <= q <= inf, got {q}")
     rng = np.random.default_rng(seed)
-    qspace = FiniteNormedSpace(N, q)
 
     def draw(k: int) -> np.ndarray:
         if math.isinf(q):
             return rng.uniform(-1.0, 1.0, size=(k, N))
         mag = rng.standard_gamma(1.0 / q, size=(k, N)) ** (1.0 / q)
         direction = mag * rng.choice([-1.0, 1.0], size=(k, N))
-        direction /= norm(direction, qspace)[:, None]
+        direction /= norm(direction, q)[:, None]
         radius = rng.uniform(size=k) ** (1.0 / N)
         return direction * radius[:, None]
 
     pts = _dedupe_resample(draw, count)
-    return ModelClassSurrogate(
-        space=FiniteNormedSpace(N, 2.0),
-        points=pts,
-        resolution=0.0,
-    )
+    return ModelClassSurrogate(points=pts, resolution=0.0)
 
 
 def generate_diag_class(alpha: AlphaSequence, m: int) -> ModelClassSurrogate:
@@ -273,11 +247,7 @@ def generate_diag_class(alpha: AlphaSequence, m: int) -> ModelClassSurrogate:
     pts = np.zeros((m + 1, m))
     idx = np.arange(1, m + 1)
     pts[:m, :][idx - 1, idx - 1] = alpha.alpha(idx)
-    return ModelClassSurrogate(
-        space=FiniteNormedSpace(m, 2.0),
-        points=pts,
-        resolution=float(alpha.alpha(m + 1)),
-    )
+    return ModelClassSurrogate(points=pts, resolution=float(alpha.alpha(m + 1)))
 
 
 def generate_sparse_class(
@@ -311,8 +281,4 @@ def generate_sparse_class(
     # from fresh probe draws to their nearest cloud point (a lower estimate
     # of the true covering radius; callers fold in realized distances too)
     res = float(np.max(nearest_distances(draw(4 * count), pts), initial=-math.inf))
-    return ModelClassSurrogate(
-        space=FiniteNormedSpace(N, 2.0),
-        points=pts,
-        resolution=res,
-    )
+    return ModelClassSurrogate(points=pts, resolution=res)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .extend import SampledLipschitzMap, lipschitz_audit, sample_pairs
 from .nets import EntropyBracket, Net, greedy_cover
-from .spaces import FiniteNormedSpace, ModelClassSurrogate, norm
+from .spaces import ModelClassSurrogate, norm
 
 __all__ = [
     "DIM_PER_LEVEL",
@@ -148,13 +148,9 @@ class EncoderDecoderPair:
         The ambient dimension is the net's row length, the parameter
         dimension the images'.
         """
-        ambient = FiniteNormedSpace(net.centers.shape[1], 2.0)
-        param_space = FiniteNormedSpace(images.shape[1], 2.0)
         return cls(
-            encoder=SampledLipschitzMap(ambient, param_space, net.centers,
-                                        images, gamma_a),
-            decoder=SampledLipschitzMap(param_space, ambient, images,
-                                        net.centers, gamma_M),
+            encoder=SampledLipschitzMap(net.centers, images, gamma_a),
+            decoder=SampledLipschitzMap(images, net.centers, gamma_M),
             net=net,
         )
 
@@ -168,7 +164,7 @@ class EncoderDecoderPair:
 
     @property
     def param_dim(self) -> int:
-        return self.encoder.target_space.dim
+        return self.encoder.fs.shape[1]
 
     def roundtrip_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         return self.decoder.eval_batch(self.encoder.eval_batch(X, tol=tol), tol=tol)
@@ -197,11 +193,9 @@ class WidthReport:
 def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecoderPair:
     """Net + verified projection + two ball-intersection extensions.
 
-    Requires an l_2 ambient norm and at least 2^n cloud points.  The
-    parameter space is R^(DIM_PER_LEVEL * n) with its l_2 norm.
+    Requires at least 2^n cloud points.  The parameter space is
+    R^(DIM_PER_LEVEL * n) with its l_2 norm.
     """
-    if K.space.p != 2.0:
-        raise ValueError("stable pair construction needs an l_2 ambient space")
     if n < 1:
         raise ValueError("n must be positive")
     if 2**n > K.count:
@@ -228,14 +222,11 @@ def evaluate_width(
     """
     X = K.points
     recon = pair.roundtrip_batch(X, tol=EVAL_TOL)
-    sup_error = float(np.max(norm(X - recon, K.space)))
+    sup_error = float(np.max(norm(X - recon, 2.0)))
 
     enc_pairs = sample_pairs(X, pair_samples, seed=seed)
     audit_a = lipschitz_audit(
-        lambda Z: pair.encoder.eval_batch(Z, tol=EVAL_TOL),
-        enc_pairs,
-        pair.encoder.domain_space,
-        pair.encoder.target_space,
+        lambda Z: pair.encoder.eval_batch(Z, tol=EVAL_TOL), enc_pairs
     )
     rng = np.random.default_rng(seed + 1)
     images = pair.encoder.eval_batch(
@@ -251,10 +242,7 @@ def evaluate_width(
     pool = np.concatenate([images, clones], axis=0)
     dec_pairs = sample_pairs(pool, pair_samples, seed=seed + 1)
     audit_M = lipschitz_audit(
-        lambda Z: pair.decoder.eval_batch(Z, tol=EVAL_TOL),
-        dec_pairs,
-        pair.decoder.domain_space,
-        pair.decoder.target_space,
+        lambda Z: pair.decoder.eval_batch(Z, tol=EVAL_TOL), dec_pairs
     )
     return WidthReport(
         n=len(pair.net.centers).bit_length() - 1,
@@ -273,18 +261,16 @@ def hilbert_linear_baseline(K: ModelClassSurrogate, n: int) -> float:
     nonlinear stable pair should not be dramatically worse than this on
     classes where linear approximation is already good.
     """
-    if K.space.p != 2.0:
-        raise ValueError("linear baseline is an l_2 computation")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return float(np.max(norm(K.points, K.space)))
-    if n >= K.space.dim:
+        return float(np.max(norm(K.points, 2.0)))
+    if n >= K.points.shape[1]:
         return 0.0
     _, _, vt = np.linalg.svd(K.points, full_matrices=False)
     V = vt[:n]
     resid = K.points - (K.points @ V.T) @ V
-    return float(np.max(norm(resid, K.space)))
+    return float(np.max(norm(resid, 2.0)))
 
 
 @dataclass(frozen=True)
@@ -318,8 +304,7 @@ def stability_probe(
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    ambient = pair.decoder.target_space
-    gap = float(norm(f - g, ambient))
+    gap = float(norm(f - g, 2.0))
     if gap > eta + 1e-12:
         raise ValueError(f"||f - g|| = {gap:.6g} exceeds eta = {eta:.6g}")
     rng = np.random.default_rng(seed)
@@ -327,7 +312,7 @@ def stability_probe(
     direction /= np.linalg.norm(direction)
     y_prime = pair.encoder.eval_batch(g[None, :], tol=EVAL_TOL) + eta * direction
     decoded = pair.decoder.eval_batch(y_prime, tol=EVAL_TOL)[0]
-    lhs = float(norm(f - decoded, ambient))
+    lhs = float(norm(f - decoded, 2.0))
     rhs = 2.0 * e_class + eta + pair.gamma_M * eta
     return ProbeRecord(eta=eta, lhs=lhs, rhs=rhs)
 

@@ -27,7 +27,6 @@ from widthlab.interp import finite_rank_pipeline
 from widthlab.nets import build_net, entropy_bracket
 from widthlab.spaces import (
     AlphaSequence,
-    FiniteNormedSpace,
     ModelClassSurrogate,
     generate_Kq,
     generate_diag_class,
@@ -97,7 +96,7 @@ def test_entropy_bracket_sandwiches_exhaustive_oracle():
         count = int(rng.integers(3, 13))
         dim = int(rng.integers(1, 4))
         pts = rng.standard_normal((count, dim))
-        K = ModelClassSurrogate(FiniteNormedSpace(dim, 2.0), pts)
+        K = ModelClassSurrogate(pts)
         for n in range(0, 4):
             bracket = entropy_bracket(K, n)
             exact = exact_cover_radius(K, 2**n)
@@ -141,15 +140,11 @@ def _random_sample_set(rng):
     while np.unique(xs, axis=0).shape[0] < count:
         xs = rng.standard_normal((count, dim_in))
     fs = rng.standard_normal((count, dim_out))
-    dx = pairwise_distances(xs, 2.0)
-    df = pairwise_distances(fs, 2.0)
+    dx = pairwise_distances(xs)
+    df = pairwise_distances(fs)
     mask = dx > 0
     gamma = float(np.max(df[mask] / dx[mask])) * (1.0 + 1e-9) + 1e-9
-    return SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(dim_in, 2.0),
-        target_space=FiniteNormedSpace(dim_out, 2.0),
-        xs=xs, fs=fs, gamma=gamma,
-    )
+    return SampledLipschitzMap(xs=xs, fs=fs, gamma=gamma)
 
 
 def test_extension_engines_meet_tolerances():
@@ -163,7 +158,7 @@ def test_extension_engines_meet_tolerances():
     worst_residual = 0.0
     for _ in range(20):
         map_ = _random_sample_set(rng)
-        queries = rng.standard_normal((50, map_.domain_space.dim)) * 2.0
+        queries = rng.standard_normal((50, map_.xs.shape[1])) * 2.0
         for x, y in zip(queries, kirszbraun_eval_batch(map_, queries, tol=1e-8)):
             gaps = (np.linalg.norm(y[None, :] - map_.fs, axis=1)
                     - map_.gamma * np.linalg.norm(x[None, :] - map_.xs, axis=1))

@@ -12,14 +12,14 @@ from widthlab.extend import (
     lipschitz_audit,
     sample_pairs,
 )
-from widthlab.spaces import FiniteNormedSpace, generate_Kq, pairwise_distances
+from widthlab.spaces import generate_Kq, pairwise_distances
 from widthlab.stablewidth import build_stable_pair
 
 
 def fit_gamma(xs, fs, slack=1e-9):
     """Smallest budget making (xs, fs) a valid l_2 Lipschitz sample set."""
-    dx = pairwise_distances(xs, 2.0)
-    df = pairwise_distances(fs, 2.0)
+    dx = pairwise_distances(xs)
+    df = pairwise_distances(fs)
     mask = dx > 0
     return float(np.max(df[mask] / dx[mask])) * (1.0 + slack) + slack
 
@@ -36,18 +36,12 @@ def sample_sets(draw):
         xs = rng.standard_normal((count, dim_in))
     fs = rng.standard_normal((count, dim_out))
     gamma = fit_gamma(xs, fs)
-    return SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(dim_in, 2.0),
-        target_space=FiniteNormedSpace(dim_out, 2.0),
-        xs=xs, fs=fs, gamma=gamma,
-    )
+    return SampledLipschitzMap(xs=xs, fs=fs, gamma=gamma)
 
 
 def test_kirszbraun_two_ball_oracle():
     # constraints |y - 0| <= 1 and |y - 2| <= 1 intersect only at y = 1
     map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(1, 2.0),
-        target_space=FiniteNormedSpace(1, 2.0),
         xs=np.array([[-1.0], [1.0]]),
         fs=np.array([[0.0], [2.0]]),
         gamma=1.0,
@@ -59,16 +53,12 @@ def test_kirszbraun_two_ball_oracle():
 def test_sample_set_validation_rejects_bad_budget():
     with pytest.raises(ValueError):
         SampledLipschitzMap(
-            domain_space=FiniteNormedSpace(1, 2.0),
-            target_space=FiniteNormedSpace(1, 2.0),
             xs=np.array([[0.0], [1.0]]),
             fs=np.array([[0.0], [2.0]]),
             gamma=1.0,
         )
     with pytest.raises(ValueError):
         SampledLipschitzMap(
-            domain_space=FiniteNormedSpace(1, 2.0),
-            target_space=FiniteNormedSpace(1, 2.0),
             xs=np.array([[0.0], [0.0]]),
             fs=np.array([[0.0], [0.0]]),
             gamma=1.0,
@@ -84,7 +74,7 @@ def test_kirszbraun_reproduces_samples(map_):
 @given(sample_sets(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_kirszbraun_feasibility_residual(map_, seed):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((5, map_.domain_space.dim)) * 2.0
+    X = rng.standard_normal((5, map_.xs.shape[1])) * 2.0
     # accumulated queries never loosen the sample constraints
     for x, y in zip(X, kirszbraun_eval_batch(map_, X, tol=1e-8)):
         gaps = (np.linalg.norm(y[None, :] - map_.fs, axis=1)
@@ -98,11 +88,7 @@ def test_kirszbraun_scalar_interval_consistency(seed):
     xs = np.sort(rng.standard_normal(6))[:, None]
     fs = rng.standard_normal((6, 1))
     gamma = fit_gamma(xs, fs)
-    map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(1, 2.0),
-        target_space=FiniteNormedSpace(1, 2.0),
-        xs=xs, fs=fs, gamma=gamma,
-    )
+    map_ = SampledLipschitzMap(xs=xs, fs=fs, gamma=gamma)
     X = rng.uniform(-3, 3, size=(4, 1))
     for x, y in zip(X[:, 0], kirszbraun_eval_batch(map_, X, tol=1e-10)[:, 0]):
         radii = gamma * np.abs(x - xs[:, 0])
@@ -114,10 +100,10 @@ def test_kirszbraun_scalar_interval_consistency(seed):
 @given(sample_sets(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_kirszbraun_batch_realizes_a_lipschitz_map(map_, seed):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((12, map_.domain_space.dim)) * 1.5
+    X = rng.standard_normal((12, map_.xs.shape[1])) * 1.5
     Y = kirszbraun_eval_batch(map_, X, tol=1e-8)
-    dx = pairwise_distances(X, 2.0)
-    dy = pairwise_distances(Y, 2.0)
+    dx = pairwise_distances(X)
+    dy = pairwise_distances(Y)
     mask = dx > 1e-9
     ratio = float(np.max(dy[mask] / dx[mask])) if mask.any() else 0.0
     # accumulated queries stay within the budget up to the accepted slack
@@ -126,8 +112,6 @@ def test_kirszbraun_batch_realizes_a_lipschitz_map(map_, seed):
 
 def test_kirszbraun_batch_matches_sequential_accumulation():
     map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(2, 2.0),
-        target_space=FiniteNormedSpace(2, 2.0),
         xs=np.array([[0.0, 0.0], [1.0, 0.0]]),
         fs=np.array([[0.0, 0.0], [0.5, 0.5]]),
         gamma=1.0,
@@ -148,9 +132,9 @@ def reference_kirszbraun(map_, X, tol=1e-8):
     Q = X.shape[0]
     m = map_.count
     cx = np.concatenate([map_.xs, np.empty((Q, X.shape[1]))], axis=0)
-    cf = np.concatenate([map_.fs, np.empty((Q, map_.target_space.dim))], axis=0)
+    cf = np.concatenate([map_.fs, np.empty((Q, map_.fs.shape[1]))], axis=0)
     slack = np.zeros(m + Q)
-    Y = np.empty((Q, map_.target_space.dim))
+    Y = np.empty((Q, map_.fs.shape[1]))
     n_c = m
     for q in range(Q):
         x = X[q]
@@ -194,11 +178,7 @@ def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0):
     torus = np.linalg.qr(rng.standard_normal((dim_out, 4)))[0].T
     fs = np.concatenate([np.cos(3 * t), np.sin(3 * t)], axis=1) @ torus
     fs *= 0.9 * gamma / fit_gamma(xs, fs, slack=0.0)
-    map_ = SampledLipschitzMap(
-        domain_space=FiniteNormedSpace(dim_in, 2.0),
-        target_space=FiniteNormedSpace(dim_out, 2.0),
-        xs=xs + shift, fs=fs + shift, gamma=gamma,
-    )
+    map_ = SampledLipschitzMap(xs=xs + shift, fs=fs + shift, gamma=gamma)
     fresh = (rng.uniform(-0.1, 1.1, (120, 2)) @ plane
              + 1e-3 * rng.standard_normal((120, dim_in)) + shift)
     return map_, np.concatenate([fresh, fresh[:10], map_.xs[:10], fresh[5:15]])
@@ -247,18 +227,12 @@ def test_kirszbraun_refuses_non_finite_queries_and_tolerances():
             kirszbraun_eval_batch(map_, np.zeros((1, 4)), tol=tol)
 
 
-@pytest.mark.parametrize("domain_p, target_p",
-                         [(1.0, 2.0), (math.inf, 2.0), (2.0, 1.0), (2.0, math.inf)])
-def test_sample_set_validation_rejects_non_euclidean_spaces(domain_p, target_p):
-    # Kirszbraun's theorem keeps the budget only between l_2 spaces
-    with pytest.raises(ValueError, match="needs l_2 domain and target"):
-        SampledLipschitzMap(
-            domain_space=FiniteNormedSpace(1, domain_p),
-            target_space=FiniteNormedSpace(1, target_p),
-            xs=np.array([[0.0], [1.0]]),
-            fs=np.array([[0.0], [0.5]]),
-            gamma=1.0,
-        )
+@pytest.mark.parametrize("width", [1, 3, 5, 6])
+def test_kirszbraun_refuses_query_rows_of_another_length(width):
+    map_, _ = _surface_case(4, 6, 1.0, seed=1)
+    with pytest.raises(ValueError, match=f"query rows of length {width} do not "
+                                         "match sample rows of length 4"):
+        kirszbraun_eval_batch(map_, np.zeros((2, width)), tol=1e-8)
 
 
 @pytest.mark.parametrize("side", ["xs", "fs"])
@@ -268,18 +242,23 @@ def test_sample_set_validation_rejects_non_finite_samples(side, bad):
                "fs": np.array([[0.0], [0.5], [1.0]])}
     samples[side][1, 0] = bad
     with pytest.raises(ValueError, match="sample 1 is not finite"):
-        SampledLipschitzMap(
-            domain_space=FiniteNormedSpace(1, 2.0),
-            target_space=FiniteNormedSpace(1, 2.0),
-            gamma=1.0, **samples,
-        )
+        SampledLipschitzMap(gamma=1.0, **samples)
+
+
+@pytest.mark.parametrize("xs, fs", [
+    (np.zeros((2, 0)), np.array([[0.0], [1.0]])),
+    (np.array([[0.0], [1.0]]), np.zeros((2, 0))),
+    (np.zeros((1, 0)), np.zeros((1, 0))),
+])
+def test_sample_set_validation_rejects_rows_of_width_zero(xs, fs):
+    with pytest.raises(ValueError, match="rows of positive width"):
+        SampledLipschitzMap(xs=xs, fs=fs, gamma=1.0)
 
 
 def test_lipschitz_audit_exact_on_linear_map():
     rng = np.random.default_rng(5)
     pairs = sample_pairs(rng.standard_normal((30, 3)), 200, seed=1)
-    space = FiniteNormedSpace(3, 2.0)
-    audit = lipschitz_audit(lambda X: 2.0 * X, pairs, space, space)
+    audit = lipschitz_audit(lambda X: 2.0 * X, pairs)
     assert audit.measured == pytest.approx(2.0, abs=1e-9)
     assert audit.ratios.shape == (200,)
     assert np.allclose(audit.ratios, 2.0, rtol=0.0, atol=1e-9)
@@ -290,9 +269,8 @@ def test_lipschitz_audit_ratios_on_pairs_sharing_endpoints():
     # in reverse order; the map squares the first coordinate
     p, q, r = [0.0, 1.0], [1.0, 1.0], [3.0, -1.0]
     pairs = np.array([(p, q), (q, r), (r, p), (q, p)])
-    space = FiniteNormedSpace(2, 2.0)
     audit = lipschitz_audit(
-        lambda X: np.stack([X[:, 0] ** 2, X[:, 1]], axis=1), pairs, space, space
+        lambda X: np.stack([X[:, 0] ** 2, X[:, 1]], axis=1), pairs
     )
     # images (0, 1), (1, 1), (9, -1): image gaps 1, sqrt(68), sqrt(85)
     # over domain gaps 1, sqrt(8), sqrt(13)
@@ -315,8 +293,7 @@ def test_lipschitz_audit_queries_the_rows_of_np_unique():
         seen.append(X.copy())
         return X ** 3
 
-    space = FiniteNormedSpace(3, 2.0)
-    audit = lipschitz_audit(fn, pairs, space, space)
+    audit = lipschitz_audit(fn, pairs)
     uniq, inverse = np.unique(pairs.reshape(-1, 3), axis=0, return_inverse=True)
     assert len(seen) == 1 and seen[0].shape == uniq.shape
     assert (seen[0] == uniq).all()
@@ -328,11 +305,10 @@ def test_lipschitz_audit_queries_the_rows_of_np_unique():
 
 
 def test_lipschitz_audit_rejects_degenerate_pairs():
-    space = FiniteNormedSpace(1, 2.0)
     with pytest.raises(ValueError):
-        lipschitz_audit(lambda X: X, np.empty((0, 2, 1)), space, space)
+        lipschitz_audit(lambda X: X, np.empty((0, 2, 1)))
     with pytest.raises(ValueError):
-        lipschitz_audit(lambda X: X, np.zeros((1, 2, 1)), space, space)
+        lipschitz_audit(lambda X: X, np.zeros((1, 2, 1)))
 
 
 def test_sample_pairs_deterministic():

@@ -28,11 +28,10 @@ from widthlab.interp import (
     kernel_scale,
     pl_eval_batch,
 )
-from widthlab.spaces import FiniteNormedSpace
 
 
 def test_cutoff_known_values():
-    cut = RadialCutoff(R1=1.0, lam=1.0, space=FiniteNormedSpace(2, 2.0))
+    cut = RadialCutoff(R1=1.0, lam=1.0)
     inside = np.array([[0.3, -0.2]])
     assert np.array_equal(cutoff_eval(cut, inside), inside)
     assert cutoff_eval(cut, np.array([[1.5, 0.0]])) == pytest.approx(
@@ -41,7 +40,7 @@ def test_cutoff_known_values():
 
 
 def test_cutoff_batch_matches_single():
-    cut = RadialCutoff(R1=0.5, lam=2.0, space=FiniteNormedSpace(3, 2.0))
+    cut = RadialCutoff(R1=0.5, lam=2.0)
     X = np.random.default_rng(0).standard_normal((20, 3))
     batch = cutoff_eval(cut, X)
     for i in range(len(X)):
@@ -59,7 +58,7 @@ def test_cutoff_image_radius_known_values():
 def test_cutoff_image_stays_inside_reported_radius(seed):
     rng = np.random.default_rng(seed)
     R1, lam = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 3.0))
-    cut = RadialCutoff(R1=R1, lam=lam, space=FiniteNormedSpace(2, 2.0))
+    cut = RadialCutoff(R1=R1, lam=lam)
     X = rng.standard_normal((200, 2)) * 3.0
     out_norms = np.linalg.norm(cutoff_eval(cut, X), axis=1)
     assert float(np.max(out_norms)) <= cutoff_image_radius(R1, lam) + 1e-9
@@ -67,12 +66,11 @@ def test_cutoff_image_stays_inside_reported_radius(seed):
 
 @pytest.mark.parametrize("R1,lam", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.25)])
 def test_cutoff_lipschitz_budget_audited(R1, lam):
-    cut = RadialCutoff(R1=R1, lam=lam, space=FiniteNormedSpace(2, 2.0))
+    cut = RadialCutoff(R1=R1, lam=lam)
     anchors = np.random.default_rng(17).standard_normal((60, 2)) * (R1 + 1.0)
     pairs = sample_pairs(anchors, 10_000, seed=17)
     pairs += 0.5 * R1 * np.random.default_rng(18).standard_normal(pairs.shape)
-    space = FiniteNormedSpace(2, 2.0)
-    audit = lipschitz_audit(lambda X: cutoff_eval(cut, X), pairs, space, space)
+    audit = lipschitz_audit(lambda X: cutoff_eval(cut, X), pairs)
     assert audit.measured <= 1.0 + lam * R1 + 1e-6
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import widthlab.spaces as spaces
 from widthlab.spaces import (
     AlphaSequence,
-    FiniteNormedSpace,
     ModelClassSurrogate,
     generate_Kq,
     generate_diag_class,
@@ -31,32 +30,25 @@ finite_vectors = st.integers(min_value=1, max_value=6).flatmap(
 
 
 def test_norm_known_values():
-    assert norm(np.array([3.0, 4.0]), FiniteNormedSpace(2, 2.0)) == 5.0
-    assert norm(np.array([3.0, -4.0]), FiniteNormedSpace(2, 1.0)) == 7.0
-    assert norm(np.array([3.0, -4.0]), FiniteNormedSpace(2, math.inf)) == 4.0
-    got = norm(np.array([1.0, 2.0]), FiniteNormedSpace(2, 3.0))
+    assert norm(np.array([3.0, 4.0]), 2.0) == 5.0
+    assert norm(np.array([3.0, -4.0]), 1.0) == 7.0
+    assert norm(np.array([3.0, -4.0]), math.inf) == 4.0
+    got = norm(np.array([1.0, 2.0]), 3.0)
     assert got == pytest.approx(9.0 ** (1.0 / 3.0), abs=1e-12)
 
 
-def test_norm_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        norm(np.ones(3), FiniteNormedSpace(2, 2.0))
-
-
-def test_space_validation():
-    with pytest.raises(ValueError):
-        FiniteNormedSpace(0, 2.0)
-    with pytest.raises(ValueError):
-        FiniteNormedSpace(3, 0.5)
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -math.inf, math.nan])
+def test_norm_refuses_exponents_below_one_and_nan(p):
+    with pytest.raises(ValueError, match="p must satisfy 1 <= p <= inf"):
+        norm(np.ones(3), p)
 
 
 @given(finite_vectors, st.floats(min_value=-10, max_value=10, allow_nan=False),
        st.sampled_from(P_VALUES))
 def test_norm_absolute_homogeneity(vec, c, p):
     x = np.asarray(vec)
-    space = FiniteNormedSpace(len(vec), p)
-    lhs = norm(c * x, space)
-    rhs = abs(c) * norm(x, space)
+    lhs = norm(c * x, p)
+    rhs = abs(c) * norm(x, p)
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1.0 + rhs))
 
 
@@ -65,15 +57,13 @@ def test_norm_absolute_homogeneity(vec, c, p):
 def test_norm_triangle_inequality(vec_a, vec_b, p):
     d = min(len(vec_a), len(vec_b))
     x, y = np.asarray(vec_a[:d]), np.asarray(vec_b[:d])
-    space = FiniteNormedSpace(d, p)
-    assert norm(x + y, space) <= norm(x, space) + norm(y, space) + 1e-9
+    assert norm(x + y, p) <= norm(x, p) + norm(y, p) + 1e-9
 
 
 @given(finite_vectors)
 def test_norm_holder_monotone_in_p(vec):
     x = np.asarray(vec)
-    space_of = lambda p: FiniteNormedSpace(len(vec), p)
-    norms = [norm(x, space_of(p)) for p in P_VALUES]
+    norms = [norm(x, p) for p in P_VALUES]
     for smaller, larger in zip(norms, norms[1:]):
         assert smaller >= larger - 1e-9 * (1.0 + smaller)
 
@@ -81,13 +71,11 @@ def test_norm_holder_monotone_in_p(vec):
 def test_pairwise_distances_matches_norm():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((7, 3))
-    for p in P_VALUES:
-        dist = pairwise_distances(pts, p)
-        space = FiniteNormedSpace(3, p)
-        for i in range(7):
-            for j in range(7):
-                assert dist[i, j] == pytest.approx(
-                    float(norm(pts[i] - pts[j], space)), abs=1e-12)
+    dist = pairwise_distances(pts)
+    for i in range(7):
+        for j in range(7):
+            assert dist[i, j] == pytest.approx(
+                float(norm(pts[i] - pts[j], 2.0)), abs=1e-12)
 
 
 def test_alpha_sequence_known_values():
@@ -120,7 +108,8 @@ def test_diag_class_two_atoms_oracle():
     rows = {tuple(np.round(row, 12)) for row in K.points}
     assert rows == {(1.0, 0.0), (0.0, 0.5), (0.0, 0.0)}
     assert K.resolution == pytest.approx((1.0 + math.log2(3.0)) ** -1.0)
-    assert K.space.p == 2.0
+    # the class is measured in l_2: the two atoms are a hypotenuse apart
+    assert pairwise_distances(K.points)[0, 1] == pytest.approx(math.hypot(1.0, 0.5))
 
 
 def test_diag_class_atom_separation_formula():
@@ -129,7 +118,7 @@ def test_diag_class_atom_separation_formula():
     alpha = AlphaSequence(1.5)
     K = generate_diag_class(alpha, 12)
     a = alpha.alpha(np.arange(1, 13))
-    dist = pairwise_distances(K.points, 2.0)
+    dist = pairwise_distances(K.points)
     for i in range(12):
         assert dist[i, 12] == pytest.approx(a[i], abs=1e-12)
         for j in range(i + 1, 12):
@@ -140,9 +129,15 @@ def test_diag_class_atom_separation_formula():
 @given(st.sampled_from([1.0, 2.0, math.inf]), st.integers(0, 2**31 - 1))
 def test_kq_points_stay_in_unit_ball(q, seed):
     K = generate_Kq(6, q, 40, seed)
-    radii = norm(K.points, FiniteNormedSpace(6, q))
+    radii = norm(K.points, q)
     assert np.all(radii <= 1.0 + 1e-9)
     assert K.count == 40
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_kq_refuses_dimension_below_one(N):
+    with pytest.raises(ValueError, match="N must be positive"):
+        generate_Kq(N, 2.0, 10, seed=0)
 
 
 def test_kq_deterministic_by_seed():
@@ -161,13 +156,18 @@ def test_sparse_class_support_and_radius():
 
 
 def test_surrogate_validation():
-    space = FiniteNormedSpace(2, 2.0)
     with pytest.raises(ValueError):
-        ModelClassSurrogate(space, np.zeros((2, 2)))  # duplicate rows
+        ModelClassSurrogate(np.zeros((2, 2)))  # duplicate rows
     with pytest.raises(ValueError):
-        ModelClassSurrogate(space, np.zeros((1, 3)))  # wrong width
+        ModelClassSurrogate(np.zeros(3))  # not one point per row
     with pytest.raises(ValueError):
-        ModelClassSurrogate(space, np.zeros((0, 2)))  # empty
+        ModelClassSurrogate(np.zeros((0, 2)))  # empty
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_surrogate_refuses_rows_of_width_zero(count):
+    with pytest.raises(ValueError, match="rows of positive width"):
+        ModelClassSurrogate(np.zeros((count, 0)))
 
 
 @pytest.mark.parametrize("probe_count", [1, 64, 150])
