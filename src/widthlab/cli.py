@@ -4,8 +4,10 @@ Each subcommand reads defaults, overlays the matching section of an INI
 config file, then applies command-line overrides; the resolved settings
 are embedded as comment headers in every CSV so runs are reproducible from
 their outputs alone.  Floats are written with repr so reruns are
-byte-identical.  Work items get their seeds from a spawned SeedSequence
-before any worker starts, so --threads never changes the numbers.
+byte-identical.  Only the width series of stable-width and carl runs on
+worker processes (--threads); its items get their seeds from a spawned
+SeedSequence before any worker starts, so --threads never changes the
+numbers.  The other subcommands run in the calling process.
 """
 
 from __future__ import annotations
@@ -144,16 +146,14 @@ def _build_class(cfg: dict[str, str]) -> ModelClassSurrogate:
     raise SystemExit(f"unknown class kind {kind!r} (want kq, diag or sparse)")
 
 
-def _entropy_row(K: ModelClassSurrogate, seed: int, n: int) -> tuple:
-    bracket = entropy_bracket(K, n)
-    return (n, bracket.lower, bracket.upper, len(bracket.cover_centers), seed)
-
-
 def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     K = _build_class(cfg)
-    n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
-    rows = _parallel(functools.partial(_entropy_row, K, int(cfg["seed"])),
-                     n_values, threads)
+    seed = int(cfg["seed"])
+    rows = []
+    for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
+        bracket = entropy_bracket(K, n)
+        rows.append((n, bracket.lower, bracket.upper, bracket.cover.count,
+                     seed))
     write_csv(out / "entropy.csv", "entropy brackets", cfg,
               ["n", "lower", "upper", "cover_size", "seed"], rows)
     lines = [f"- n={r[0]}: lower {_fmt(r[1])}, upper {_fmt(r[2])}" for r in rows]
@@ -184,7 +184,7 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
     results = _width_series(K, cfg, threads)
     rows = [
         (rep.n, rep.sup_error, rep.three_eps_upper, rep.lip_a, rep.lip_M,
-         len(pair.net.centers), rep.seed)
+         pair.net.count, rep.seed)
         for pair, rep in results
     ]
     write_csv(out / "stable_width.csv", "stable encoder/decoder widths", cfg,
@@ -243,30 +243,20 @@ def cmd_counterexample(cfg: dict[str, str], out: Path, threads: int) -> None:
     _write_report(out, "counterexample", cfg, lines)
 
 
-def _bound_rows(n: int, N: int, p_values: list[float],
-                item: tuple[int, int]) -> list[tuple]:
-    idx, matrix_seed = item
-    Phi = gaussian_matrix(n, N, seed=matrix_seed)
-    out_rows = []
-    for p in p_values:
-        rep = operator_norm_bound_check(Phi, p, seed=matrix_seed)
-        out_rows.append((idx, p, rep.delta, rep.bracket.lower,
-                         rep.bracket.upper, rep.upper_bound,
-                         rep.derived_lower, rep.inverted_lower,
-                         rep.upper_holds, rep.lower_holds,
-                         rep.inverted_variant_holds))
-    return out_rows
-
-
 def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     n, N, k = int(cfg["n"]), int(cfg["ambient_dim"]), int(cfg["k"])
     p_values = [float(tok) for tok in cfg["p_values"].split(",") if tok]
-    matrices = int(cfg["matrices"])
-    seeds = _task_seeds(int(cfg["seed"]), matrices)
-    bound_task = functools.partial(_bound_rows, n, N, p_values)
-    bound_rows = [row for rows in
-                  _parallel(bound_task, list(enumerate(seeds)), threads)
-                  for row in rows]
+    seeds = _task_seeds(int(cfg["seed"]), int(cfg["matrices"]))
+    bound_rows = []
+    for idx, matrix_seed in enumerate(seeds):
+        Phi = gaussian_matrix(n, N, seed=matrix_seed)
+        for p in p_values:
+            rep = operator_norm_bound_check(Phi, p, seed=matrix_seed)
+            bound_rows.append((idx, p, rep.delta, rep.bracket.lower,
+                               rep.bracket.upper, rep.upper_bound,
+                               rep.derived_lower, rep.inverted_lower,
+                               rep.upper_holds, rep.lower_holds,
+                               rep.inverted_variant_holds))
     write_csv(out / "operator_bounds.csv", "sensing operator norm bounds", cfg,
               ["matrix", "p", "delta", "norm_lower", "norm_upper",
                "upper_bound", "derived_lower", "inverted_lower",
@@ -437,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--out", default=None,
                          help="output directory (default runs/<command>)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes; never changes the numbers")
+                         help="worker processes for stable-width and carl; "
+                              "never changes the numbers")
     args = parser.parse_args(argv)
 
     cfg = resolve_config(args.command, args.config, args.seed)

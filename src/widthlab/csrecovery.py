@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Net
 from .spaces import (
     ModelClassSurrogate,
     nearest_distances,
@@ -377,8 +376,7 @@ def build_nonlinear_pair(
     if not ratios.min() > 0.0:
         raise ValueError("Phi maps two net points to one image; pair undefined")
     return EncoderDecoderPair.over_net(
-        Net(centers=xs, radius=sparse_net.resolution), images,
-        float(ratios.max()), 1.0 / float(ratios.min()),
+        sparse_net, images, float(ratios.max()), 1.0 / float(ratios.min())
     )
 
 
@@ -445,8 +443,8 @@ def instance_optimality_trials(
         order = np.argsort(-np.abs(x), kind="stable")
         heads[i, order[:k]] = x[order[:k]]
         sigmas.append(float(sigma_k(x, k)))
-    dists = nearest_distances(heads, pair.net.centers)
-    res = max(float(pair.net.radius), float(np.max(dists, initial=0.0)))
+    dists = nearest_distances(heads, pair.net.points)
+    res = max(float(pair.net.resolution), float(np.max(dists, initial=0.0)))
     out = tuple(
         RecoveryTrial(
             sigma=s,

@@ -170,8 +170,8 @@ class KuhnMesh:
     subdivisions: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= 4):
-            raise ValueError("mesh dimension limited to 1..4")
+        if not (1 <= self.n <= 3):
+            raise ValueError("mesh dimension limited to 1..3")
         if self.D <= 0:
             raise ValueError("D must be positive")
         if self.subdivisions < 1:
@@ -519,6 +519,9 @@ def _probe_pairs(anchor: np.ndarray, dirs: np.ndarray, scales: np.ndarray,
 _AUDIT_POINTS = 2000
 _AUDIT_PAIRS = 4000
 
+# mesh vertices beyond which finite_rank_pipeline stops halving
+_MAX_VERTICES = 32_000_000
+
 
 def finite_rank_pipeline(
     M,
@@ -526,10 +529,9 @@ def finite_rank_pipeline(
     gamma: float,
     eps: float,
     delta: float,
-    seed: int = 0,
-    initial_subdivisions: int = 64,
-    min_levels: int = 1,
-    max_vertices: int = 32_000_000,
+    seed: int,
+    initial_subdivisions: int,
+    min_levels: int,
 ) -> PipelineResult:
     """Cutoff, mollify, interpolate, rescale; audit every budget along the way.
 
@@ -538,7 +540,8 @@ def finite_rank_pipeline(
     probes, one per row, on which the final deviation is reported.  The mesh
     is halved until the audited interpolation deviation is below eps/2 and
     the audited extra Lipschitz constant below delta/2, with at least
-    min_levels levels recorded for convergence regressions.
+    min_levels levels recorded for convergence regressions; a level past
+    _MAX_VERTICES vertices raises MeshBudgetError.
     """
     S_points = np.asarray(S_points, dtype=float)
     if S_points.ndim != 2 or not (1 <= S_points.shape[1] <= 3):
@@ -623,7 +626,7 @@ def finite_rank_pipeline(
     achieved = (math.inf, math.inf)
     while True:
         mesh = KuhnMesh(n=n, D=D, subdivisions=subdivisions)
-        if mesh.vertex_count > max_vertices:
+        if mesh.vertex_count > _MAX_VERTICES:
             raise MeshBudgetError(achieved[0], achieved[1], mesh.vertex_count)
         h = mesh.h
         offsets, weights, _, stencil = bump_kernel(float(m), n, h)

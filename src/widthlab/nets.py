@@ -11,11 +11,15 @@ Greedy farthest-point selection is a 2-approximation for both problems, and
 both bounds are certificates in their own right (an actual packing, an
 actual cover), so the bracket is valid regardless of approximation quality.
 
-Farthest-point selection is nested: every cover, packing, bracket and net
-here is a prefix of one traversal of the cloud, computed one distance row
-per pick.  The gap of a pick (its distance to the picks before it) is both
-the covering radius of those earlier picks and the separation of the set
-the pick completes, so the bracket's upper end is twice its lower end
+A cover is itself a finite model class: a ModelClassSurrogate whose points
+are its centers and whose resolution is its covering radius over the cloud
+it walked (K's own resolution is not added).
+
+Farthest-point selection is nested: every cover, packing and bracket here
+is a prefix of one traversal of the cloud, computed one distance row per
+pick.  The gap of a pick (its distance to the picks before it) is both the
+covering radius of those earlier picks and the separation of the set the
+pick completes, so the bracket's upper end is twice its lower end
 whenever the cloud has more than 2^n points.
 """
 
@@ -30,7 +34,6 @@ import numpy as np
 from .spaces import ModelClassSurrogate
 
 __all__ = [
-    "Net",
     "EntropyBracket",
     "greedy_packing",
     "greedy_cover",
@@ -40,33 +43,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Net:
-    """Covering net: centers (rows) and the radius they achieve."""
-
-    centers: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
-
-
-@dataclass(frozen=True)
 class EntropyBracket:
-    """Two-sided bracket for the n-th entropy number of a finite cloud."""
+    """Two-sided bracket for the n-th entropy number of a finite cloud.
+
+    cover is the greedy 2^n-center cover; its resolution is the upper end.
+    """
 
     n: int
-    lower: float
-    upper: float
     packing_witness: np.ndarray
-    cover_centers: np.ndarray
+    cover: ModelClassSurrogate
 
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper + 1e-12):
-            raise ValueError(
-                f"bracket out of order: lower={self.lower}, upper={self.upper}"
-            )
+    @property
+    def upper(self) -> float:
+        return self.cover.resolution
+
+    @property
+    def lower(self) -> float:
+        return self.upper / 2.0
 
 
 def _farthest_first(K: ModelClassSurrogate):
@@ -96,6 +89,19 @@ def _picks(K: ModelClassSurrogate, m: int) -> tuple[list[int], list[float]]:
     return [j for j, _ in picks], [gap for _, gap in picks]
 
 
+def _level_cover(
+    K: ModelClassSurrogate, m: int
+) -> tuple[ModelClassSurrogate, list[int]]:
+    """Greedy m-center cover and the first min(m + 1, count) picks.
+
+    The gap of pick m + 1 is the covering radius of the m before it; a
+    cloud of at most m points is its own cover, at radius 0.
+    """
+    selected, gaps = _picks(K, m + 1)
+    radius = gaps[m] if m < K.count else 0.0
+    return ModelClassSurrogate(K.points[selected[:m]], radius), selected
+
+
 def greedy_packing(
     K: ModelClassSurrogate, m: int
 ) -> tuple[np.ndarray, float]:
@@ -114,17 +120,15 @@ def greedy_packing(
     return K.points[selected], gaps[-1]
 
 
-def greedy_cover(K: ModelClassSurrogate, m: int) -> Net:
+def greedy_cover(K: ModelClassSurrogate, m: int) -> ModelClassSurrogate:
     """Greedy m-center cover of the cloud by its own points.
 
-    Radius is within a factor 2 of the best m-center cover with centers in
-    the cloud (classical farthest-point guarantee).
+    Its resolution is within a factor 2 of the best m-center cover radius
+    with centers in the cloud (classical farthest-point guarantee).
     """
     if m < 1:
         raise ValueError("m must be positive")
-    selected, gaps = _picks(K, m + 1)
-    radius = gaps[m] if m < K.count else 0.0
-    return Net(centers=K.points[selected[:m]], radius=radius)
+    return _level_cover(K, m)[0]
 
 
 def entropy_bracket(K: ModelClassSurrogate, n: int) -> EntropyBracket:
@@ -135,25 +139,13 @@ def entropy_bracket(K: ModelClassSurrogate, n: int) -> EntropyBracket:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    budget = 2**n
-    selected, gaps = _picks(K, budget + 1)
-    if budget < K.count:
-        upper = gaps[budget]
-        witness = K.points[selected]
-    else:
-        upper = 0.0
-        witness = np.empty((0, K.points.shape[1]))
-    return EntropyBracket(
-        n=n,
-        lower=upper / 2.0,
-        upper=upper,
-        packing_witness=witness,
-        cover_centers=K.points[selected[:budget]],
-    )
+    cover, selected = _level_cover(K, 2**n)
+    witness = K.points[selected] if 2**n < K.count else K.points[:0]
+    return EntropyBracket(n=n, packing_witness=witness, cover=cover)
 
 
-def build_net(K: ModelClassSurrogate, eps: float) -> Net:
-    """Smallest greedy net achieving radius <= eps (inner covering).
+def build_net(K: ModelClassSurrogate, eps: float) -> ModelClassSurrogate:
+    """Smallest greedy cover of resolution <= eps (inner covering).
 
     Greedy radii are nonincreasing in the center count, so the traversal
     stops at the first pick whose gap (the radius of the picks before it)
@@ -164,7 +156,7 @@ def build_net(K: ModelClassSurrogate, eps: float) -> Net:
     selected: list[int] = []
     for j, gap in _farthest_first(K):
         if selected and gap <= eps:
-            return Net(centers=K.points[selected], radius=gap)
+            return ModelClassSurrogate(K.points[selected], gap)
         selected.append(j)
     # eps below the cloud's own granularity: every point is a center
-    return Net(centers=K.points[selected], radius=0.0)
+    return ModelClassSurrogate(K.points[selected], 0.0)

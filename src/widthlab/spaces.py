@@ -4,9 +4,10 @@ Everything downstream (nets, extensions, width experiments) works on finite
 point clouds under the l_2 norm, the setting of the Kirszbraun extension,
 the random projection and the SVD baseline; a cloud's dimension is its row
 length.  Only norm takes an exponent, for the l_q balls, the operator-norm
-brackets and k-term errors.  A surrogate stands in for an ideal compact
-class; its ``resolution`` records how densely it fills the ideal set (0
-when the surrogate is the class itself).
+brackets and k-term errors.  A surrogate stands in for a compact class;
+its ``resolution`` is the radius within which it covers that class: the
+ideal class for a generated cloud (0 when the cloud is the class itself),
+the walked cloud for a greedy cover from widthlab.nets.
 
 Nearest distances are screened in Gram form and then evaluated exactly on
 the few rows that can be nearest.  Given squared row norms, a squared
@@ -143,8 +144,10 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 class ModelClassSurrogate:
     """Finite point cloud in l_2 standing in for a compact class K.
 
-    resolution: guaranteed (or estimated) density of the cloud in the ideal
-    class, 0 when the cloud is exact.
+    resolution: the radius within which the cloud covers the class it
+    stands for, guaranteed or estimated; that class is the ideal one for a
+    generated class and the walked cloud for a greedy cover.  0 when the
+    cloud is the class itself.
     """
 
     points: np.ndarray

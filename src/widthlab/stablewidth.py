@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extend import SampledLipschitzMap, lipschitz_audit, sample_pairs
-from .nets import EntropyBracket, Net, greedy_cover
+from .nets import EntropyBracket, greedy_cover
 from .spaces import ModelClassSurrogate, norm
 
 __all__ = [
@@ -134,23 +134,24 @@ class EncoderDecoderPair:
     The encoder extends net -> images with budget gamma_a, the decoder
     images -> net with budget gamma_M; recovery is exact on the net by
     sample interpolation.  The budgets are those of the two sampled maps.
+    The net is a class surrogate whose resolution is its covering radius.
     """
 
     encoder: SampledLipschitzMap
     decoder: SampledLipschitzMap
-    net: Net
+    net: ModelClassSurrogate
 
     @classmethod
-    def over_net(cls, net: Net, images: np.ndarray, gamma_a: float,
-                 gamma_M: float) -> EncoderDecoderPair:
-        """The pair interpolating net.centers <-> images, both spaces l_2.
+    def over_net(cls, net: ModelClassSurrogate, images: np.ndarray,
+                 gamma_a: float, gamma_M: float) -> EncoderDecoderPair:
+        """The pair interpolating net.points <-> images, both spaces l_2.
 
         The ambient dimension is the net's row length, the parameter
         dimension the images'.
         """
         return cls(
-            encoder=SampledLipschitzMap(net.centers, images, gamma_a),
-            decoder=SampledLipschitzMap(images, net.centers, gamma_M),
+            encoder=SampledLipschitzMap(net.points, images, gamma_a),
+            decoder=SampledLipschitzMap(images, net.points, gamma_M),
             net=net,
         )
 
@@ -191,7 +192,7 @@ class WidthReport:
 
 
 def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecoderPair:
-    """Net + verified projection + two ball-intersection extensions.
+    """Greedy cover + verified projection + two ball-intersection extensions.
 
     Requires at least 2^n cloud points.  The parameter space is
     R^(DIM_PER_LEVEL * n) with its l_2 norm.
@@ -201,8 +202,8 @@ def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecod
     if 2**n > K.count:
         raise ValueError(f"need at least 2^{n} cloud points, have {K.count}")
     net = greedy_cover(K, 2**n)
-    T = jl_project(net.centers, DIM_PER_LEVEL * n, seed)
-    return EncoderDecoderPair.over_net(net, net.centers @ T.T, 1.0, 2.0)
+    T = jl_project(net.points, DIM_PER_LEVEL * n, seed)
+    return EncoderDecoderPair.over_net(net, net.points @ T.T, 1.0, 2.0)
 
 
 def evaluate_width(
@@ -236,7 +237,7 @@ def evaluate_width(
     # audit the decoder on a bounded endpoint pool (images plus jittered
     # copies at the net scale) so the pair count can stay high while the
     # number of distinct decoder queries stays small
-    jitter = 0.25 * (pair.net.radius if pair.net.radius > 0 else 1.0)
+    jitter = 0.25 * (pair.net.resolution if pair.net.resolution > 0 else 1.0)
     clones = images[rng.integers(0, images.shape[0], size=2 * images.shape[0])]
     clones = clones + jitter * rng.standard_normal(clones.shape)
     pool = np.concatenate([images, clones], axis=0)
@@ -245,9 +246,9 @@ def evaluate_width(
         lambda Z: pair.decoder.eval_batch(Z, tol=EVAL_TOL), dec_pairs
     )
     return WidthReport(
-        n=len(pair.net.centers).bit_length() - 1,
+        n=pair.net.count.bit_length() - 1,
         sup_error=sup_error,
-        net_radius=pair.net.radius,
+        net_radius=pair.net.resolution,
         lip_a=audit_a.measured,
         lip_M=audit_M.measured,
         seed=seed,

@@ -282,7 +282,7 @@ def test_entropy_growth_bound_from_width_decay(width_grid):
         for eps in (4.2 * floor, 5.5 * floor, 7.0 * floor):
             bound = carl_cover_bound(inputs, eps, R)
             assert math.isfinite(bound.exponent)
-            cover_count = build_net(K, eps).centers.shape[0]
+            cover_count = build_net(K, eps).count
             log_A_count = math.log(cover_count) / math.log(inputs.A)
             assert log_A_count <= bound.exponent + 1e-12
             cover_checks += 1

@@ -130,7 +130,8 @@ matrices = 3
 
 
 def test_cs_command_is_thread_count_invariant(tmp_path):
-    # the operator-bound rows are the work items that cross into workers
+    # cs runs in the calling process at any --threads; its numbers must not
+    # read the setting either
     assert (outputs_at_threads(tmp_path, "cs", SMALL_CS, 1)
             == outputs_at_threads(tmp_path, "cs", SMALL_CS, 2))
 
@@ -190,7 +191,9 @@ def test_parallel_runs_items_in_order_and_raises_the_worker_error():
     assert info.value.iterations == 100_000
 
 
-def test_parallel_starts_no_more_workers_than_items(monkeypatch):
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Worker counts of the process pools started; each maps in this process."""
     started = []
 
     class RecordingPool:
@@ -207,13 +210,28 @@ def test_parallel_starts_no_more_workers_than_items(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_parallel_starts_no_more_workers_than_items(pool_starts):
     items = [-1, -2, -3, -4]
     assert _parallel(abs, items, threads=64) == [1, 2, 3, 4]
     assert _parallel(abs, items, threads=3) == [1, 2, 3, 4]
     # one item, or one thread, runs in this process
     assert _parallel(abs, items[:1], threads=64) == [1]
     assert _parallel(abs, items, threads=1) == [1, 2, 3, 4]
-    assert started == [4, 3]
+    assert pool_starts == [4, 3]
+
+
+@pytest.mark.parametrize("name, ini, workers", [
+    ("entropy", SMALL_ENTROPY, []),
+    ("cs", SMALL_CS, []),
+    ("stable-width", SMALL_WIDTHS, [2]),
+], ids=["entropy", "cs", "stable-width"])
+def test_only_the_width_series_starts_workers(tmp_path, pool_starts, name,
+                                              ini, workers):
+    run_cli(tmp_path, name, ini, threads=2)
+    assert pool_starts == workers
 
 
 def test_counterexample_command_smoke(tmp_path):

@@ -306,8 +306,15 @@ def test_build_nonlinear_pair_computes_no_certificate(monkeypatch):
     net = generate_sparse_class(24, 2, 30, seed=3)
     pair = build_nonlinear_pair(Phi, net)
     assert pair.param_dim == 12
-    assert np.array_equal(pair.net.centers, net.points)
-    assert pair.net.radius == net.resolution
+    assert np.array_equal(pair.net.points, net.points)
+    assert pair.net.resolution == net.resolution
+
+
+def test_build_nonlinear_pair_keeps_its_net():
+    # the sparse class is the pair's net as given, resolution included
+    Phi = gaussian_matrix(12, 24, seed=3)
+    net = generate_sparse_class(24, 2, 30, seed=3)
+    assert build_nonlinear_pair(Phi, net).net is net
 
 
 def test_build_nonlinear_pair_holds_where_the_sampled_certificate_understates():

@@ -101,6 +101,12 @@ def test_kuhn_mesh_counts_oracle():
     assert mesh.simplex_count == 8
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_kuhn_mesh_refuses_dimensions_the_pipeline_does_not_support(n):
+    with pytest.raises(ValueError, match="limited to 1..3"):
+        KuhnMesh(n, 1.0, 2)
+
+
 @pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3), (3, 2)])
 def test_kuhn_mesh_tiles_the_cube(n, subdiv):
     D = 0.8
@@ -488,13 +494,14 @@ def test_pipeline_smooth_audit_slope_is_quadratic():
     assert slope == pytest.approx(2.0, abs=0.3)
 
 
-def test_pipeline_budget_exhaustion_raises():
+def test_pipeline_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(interp, "_MAX_VERTICES", 64)
     S = np.linspace(-0.4, 0.4, 9)[:, None]
     fast_wave = lambda X: np.sin(4.0 * X[:, :1])
     with pytest.raises(MeshBudgetError) as info:
         finite_rank_pipeline(
             fast_wave, S, gamma=4.2, eps=1e-4, delta=0.05,
-            seed=0, initial_subdivisions=4, min_levels=1, max_vertices=64,
+            seed=0, initial_subdivisions=4, min_levels=1,
         )
     assert info.value.achieved_dev > 0
     assert info.value.vertices > 64

@@ -67,7 +67,7 @@ def test_exact_cover_radius_refuses_large_clouds():
 def test_greedy_cover_brackets_the_exact_radius(K, m):
     m = min(m, K.count)
     exact = exact_cover_radius(K, m)
-    greedy = greedy_cover(K, m).radius
+    greedy = greedy_cover(K, m).resolution
     assert exact <= greedy + 1e-12
     assert greedy <= 2.0 * exact + 1e-12
 
@@ -85,7 +85,7 @@ def test_greedy_packing_separation_is_the_selected_min_distance(K, m):
 def test_packing_cover_duality(K, m):
     m = min(m, K.count)
     _, sep = greedy_packing(K, m)
-    radius = greedy_cover(K, m - 1).radius
+    radius = greedy_cover(K, m - 1).resolution
     if math.isfinite(sep):
         assert sep / 2.0 <= radius + 1e-12
 
@@ -109,8 +109,8 @@ def test_entropy_bracket_monotone_in_n(K):
 @given(small_clouds(), st.integers(min_value=1, max_value=12))
 def test_cover_validity_exhaustive(K, m):
     net = greedy_cover(K, min(m, K.count))
-    d = np.linalg.norm(K.points[:, None, :] - net.centers[None, :, :], axis=2)
-    assert np.all(d.min(axis=1) <= net.radius + 1e-12)
+    d = np.linalg.norm(K.points[:, None, :] - net.points[None, :, :], axis=2)
+    assert np.all(d.min(axis=1) <= net.resolution + 1e-12)
 
 
 def test_entropy_bracket_degrades_gracefully_on_tiny_clouds():
@@ -124,22 +124,22 @@ def test_entropy_bracket_degrades_gracefully_on_tiny_clouds():
 @given(small_clouds(), st.floats(min_value=0.01, max_value=4.0))
 def test_build_net_achieves_requested_radius(K, eps):
     net = build_net(K, eps)
-    d = np.linalg.norm(K.points[:, None, :] - net.centers[None, :, :], axis=2)
+    d = np.linalg.norm(K.points[:, None, :] - net.points[None, :, :], axis=2)
     realized = float(d.min(axis=1).max())
     assert realized <= eps + 1e-12
-    assert net.radius == pytest.approx(realized, abs=1e-12)
+    assert net.resolution == pytest.approx(realized, abs=1e-12)
 
 
 def test_build_net_zero_eps_returns_whole_cloud():
     K = line_cloud(0.0, 0.5, 2.0, 3.5)
     net = build_net(K, 0.0)
-    assert net.centers.shape[0] == K.count
-    assert net.radius == 0.0
+    assert net.count == K.count
+    assert net.resolution == 0.0
 
 
 @given(small_clouds())
 def test_build_net_center_count_monotone_in_eps(K):
-    sizes = [build_net(K, eps).centers.shape[0]
+    sizes = [build_net(K, eps).count
              for eps in (2.0, 1.0, 0.5, 0.25, 0.125)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
@@ -202,14 +202,14 @@ def test_nets_match_the_dense_reference_on_the_l1_ball(l1_ball, n):
     K, budget = l1_ball, 2**n
     centers, radius = reference_cover(K, budget)
     net = greedy_cover(K, budget)
-    assert np.array_equal(net.centers, K.points[centers])
-    assert net.radius == radius
+    assert np.array_equal(net.points, K.points[centers])
+    assert net.resolution == radius
     packed, gaps, _ = reference_order(K, budget + 1)
     witness, sep = greedy_packing(K, budget + 1)
     assert np.array_equal(witness, K.points[packed])
     assert sep == gaps[-1]
     bracket = entropy_bracket(K, n)
-    assert np.array_equal(bracket.cover_centers, K.points[centers])
+    assert np.array_equal(bracket.cover.points, K.points[centers])
     assert np.array_equal(bracket.packing_witness, K.points[packed])
     assert bracket.upper == radius
     assert bracket.lower == gaps[-1] / 2.0
@@ -219,5 +219,25 @@ def test_nets_match_the_dense_reference_on_the_l1_ball(l1_ball, n):
 def test_build_net_matches_the_dense_reference_on_the_l1_ball(l1_ball, eps):
     centers, radius = reference_net(l1_ball, eps)
     net = build_net(l1_ball, eps)
-    assert np.array_equal(net.centers, l1_ball.points[centers])
-    assert net.radius == radius
+    assert np.array_equal(net.points, l1_ball.points[centers])
+    assert net.resolution == radius
+
+
+@pytest.mark.parametrize("n", [0, 2, 5, 6])
+def test_entropy_bracket_cover_is_the_greedy_cover(n):
+    # a 32-point cloud: 2^n below it for n = 0, 2, at it for 5, above for 6
+    K = generate_Kq(3, 1.0, 32, seed=2)
+    bracket = entropy_bracket(K, n)
+    cover = greedy_cover(K, 2**n)
+    assert isinstance(bracket.cover, ModelClassSurrogate)
+    assert isinstance(cover, ModelClassSurrogate)
+    assert np.array_equal(bracket.cover.points, cover.points)
+    assert bracket.cover.resolution == cover.resolution
+    assert bracket.upper == cover.resolution
+    assert bracket.lower == cover.resolution / 2.0
+    assert (cover.resolution == 0.0) == (2**n >= K.count)
+    # the smallest greedy cover at that resolution is no larger
+    net = build_net(K, cover.resolution)
+    assert isinstance(net, ModelClassSurrogate)
+    assert net.resolution <= cover.resolution
+    assert net.count <= cover.count

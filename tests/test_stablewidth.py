@@ -61,8 +61,8 @@ def small_diag_class():
 def test_stable_pair_recovers_net_centers():
     K = small_diag_class()
     pair = build_stable_pair(K, n=2, seed=0)
-    roundtrip = pair.roundtrip_batch(pair.net.centers, tol=1e-8)
-    assert float(np.max(np.linalg.norm(roundtrip - pair.net.centers, axis=1))) <= 1e-7
+    roundtrip = pair.roundtrip_batch(pair.net.points, tol=1e-8)
+    assert float(np.max(np.linalg.norm(roundtrip - pair.net.points, axis=1))) <= 1e-7
 
 
 def test_stable_pair_budgets_and_main_inequality():
@@ -71,9 +71,9 @@ def test_stable_pair_budgets_and_main_inequality():
         pair = build_stable_pair(K, n=n, seed=1)
         rep = evaluate_width(pair, K, pair_samples=2000, seed=1)
         assert rep.sup_error <= rep.three_eps_upper + 1e-9
-        assert rep.three_eps_upper == 3.0 * pair.net.radius
+        assert rep.three_eps_upper == 3.0 * pair.net.resolution
         # the pair's net is the entropy bracket's cover: one traversal
-        assert pair.net.radius == entropy_bracket(K, n).upper
+        assert pair.net.resolution == entropy_bracket(K, n).upper
         assert rep.n == n
         assert rep.lip_a <= 1.05
         assert rep.lip_M <= 2.1
@@ -94,7 +94,7 @@ def test_evaluate_width_runs_no_farthest_point_traversal(monkeypatch):
     monkeypatch.setattr(nets, "_farthest_first", refuse)
     rep = evaluate_width(pair, K, pair_samples=200, seed=3)
     assert rep.n == 2
-    assert rep.net_radius == pair.net.radius
+    assert rep.net_radius == pair.net.resolution
 
 
 def test_evaluate_width_deterministic():
