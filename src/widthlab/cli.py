@@ -118,9 +118,9 @@ def _parallel(fn, items, threads: int) -> list:
     fn, the items and the results cross a process boundary, so they must
     pickle: fn is a module-level function, or a functools.partial of one.
     Workers are spawned, not forked, so they inherit no thread or lock
-    state from the caller.  Each imports widthlab afresh, a few tenths of
-    a second, so no more are started than there are items, and a single
-    item runs here.
+    state from the caller.  Each imports widthlab afresh, on numpy
+    alone, about a fifth of a second, so no more are started than
+    there are items, and a single item runs here.
     """
     workers = min(threads, len(items))
     if workers <= 1:

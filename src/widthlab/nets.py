@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import ModelClassSurrogate
+from .spaces import ModelClassSurrogate, _distances
 
 __all__ = [
     "EntropyBracket",
@@ -69,16 +69,15 @@ def _farthest_first(K: ModelClassSurrogate):
     to the picks before it, ties broken by lowest index (np.argmax).  The
     gap of a pick is that distance, which is also the covering radius of the
     earlier picks (inf for the first pick).  One distance row is computed
-    per pick, so memory stays O(count).
+    per pick, by the pair expression of widthlab.spaces (cdist's bit for
+    bit), so memory stays O(count).
     """
-    from scipy.spatial.distance import cdist
-
+    coords = np.ascontiguousarray(K.points.T)
     mindist = np.full(K.count, math.inf)
     j, gap = 0, math.inf
     for _ in range(K.count):
         yield j, gap
-        row = cdist(K.points[j : j + 1], K.points, "euclidean")[0]
-        np.minimum(mindist, row, out=mindist)
+        np.minimum(mindist, _distances(coords, coords[:, j : j + 1]), out=mindist)
         j = int(np.argmax(mindist))
         gap = float(mindist[j])
 

@@ -9,22 +9,34 @@ its ``resolution`` is the radius within which it covers that class: the
 ideal class for a generated cloud (0 when the cloud is the class itself),
 the walked cloud for a greedy cover from widthlab.nets.
 
-Nearest distances are screened in Gram form and then evaluated exactly on
-the few rows that can be nearest.  Given squared row norms, a squared
-distance comes as ||a||^2 - 2 a.b + ||b||^2 from one matrix product.  In
-floating point that form errs by at most
+Distances come from two reference expressions, both sqrt(sum((a - b)**2))
+and apart only in the order of the sum.  Pair distances
+(pairwise_distances, the farthest-point rows of widthlab.nets) sum the
+squares in coordinate order, as pdist and cdist do, so they equal theirs
+bit for bit.  nearest_distances and the Kirszbraun scans of
+widthlab.extend take np.linalg.norm's sum.
+
+Where few distances matter, they are screened in Gram form and only those
+few are evaluated exactly.  Given squared row norms, a squared distance
+comes as ||a||^2 - 2 a.b + ||b||^2 from one matrix product.  In floating
+point that form errs by at most
 gamma_{k+2} (||a|| + ||b||)^2 <= 2 gamma_{k+2} (||a||^2 + ||b||^2) for rows
 of length k, whatever the summation order of the product, with
-gamma_k = k u / (1 - k u) and u = 2^-53.  The reference expression
-sqrt(sum((a - b)**2)) in turn lies within a factor 1 +- gamma_{k+4} of the
-true squared distance.  The screen widens both by the relative margin
-8 (k + 8) u of _screen_margin, which also covers the rounding of its own
-arithmetic, and by 2^-900 absolute for underflow.  It thus bounds every
-reference distance d_i to a query from below, lo_i <= d_i^2, and the
-distance of the row of least lo from above, d^2 <= hi.  A row with
-lo_i > hi is strictly farther than that row, so the nearest reference
-distance is the least over the rows with lo_i <= hi, bit for bit.
-widthlab.extend runs the same screen inside its Kirszbraun scans.
+gamma_k = k u / (1 - k u) and u = 2^-53.  Either reference expression in
+turn lies within a factor 1 +- gamma_{k+4} of the true squared distance,
+since that bound too holds for any summation order, so one screen serves
+both.  The screen widens both by the relative margin 8 (k + 8) u of
+_screen_margin, which also covers the rounding of its own arithmetic, and
+by 2^-900 absolute for underflow.  It thus bounds every reference
+distance d_i to a query from below, lo_i <= d_i^2, and the distance of the
+row of least lo from above, d^2 <= hi.  A row with lo_i > hi is strictly
+farther than that row, so the nearest reference distance is the least
+over the rows with lo_i <= hi, bit for bit.  The same bounds on the pairs
+of one cloud (_screened_pairs) leave open only the pairs that can decide
+a check or an extreme, such as the farthest pair or the pair of largest
+ratio, for the sampled maps of widthlab.extend and the budgets of
+widthlab.csrecovery.  widthlab.extend runs the same screen inside its
+Kirszbraun scans.
 """
 
 from __future__ import annotations
@@ -61,11 +73,39 @@ def norm(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Dense matrix of l_2 distances between rows of ``points``."""
-    from scipy.spatial import distance
+    """Dense matrix of l_2 distances between rows of ``points``.
 
+    Entry (i, j) sums the squared differences of rows i and j in
+    coordinate order (module docstring), so the matrix is
+    squareform(pdist(points)) bit for bit.  Rows go through in blocks of
+    about _BLOCK_ELEMENTS differences.
+    """
     points = np.asarray(points, dtype=float)
-    return distance.squareform(distance.pdist(points, "euclidean"))
+    if points.ndim != 2:
+        raise ValueError("points must be a 2-d array, one point per row")
+    m, dim = points.shape
+    coords = np.ascontiguousarray(points.T)
+    out = np.empty((m, m))
+    block_rows = max(1, _BLOCK_ELEMENTS // max(m * dim, 1))
+    for start in range(0, m, block_rows):
+        block = coords[:, start:start + block_rows, None]
+        out[start:start + block_rows] = _distances(block, coords[:, None, :])
+    return out
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair expression on coordinate-major arrays: axis 0 is the coordinate.
+
+    sqrt(sum_k (a[k] - b[k])**2) with the squares summed in coordinate
+    order, k = 0, 1, ..., as pdist and cdist sum them; a and b
+    broadcast.
+    """
+    diff = a - b
+    diff *= diff
+    total = np.zeros(diff.shape[1:])
+    for square in diff:
+        total += square
+    return np.sqrt(total, out=total)
 
 
 # unit roundoff of float64, and the screen's absolute allowance on squared
@@ -138,6 +178,59 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
             r, c = rows[s:s + batch], cols[s:s + batch]
             np.minimum.at(best, r, np.linalg.norm(block[r] - points[c], axis=-1))
     return out
+
+
+def _pair_bounds(cloud, sq, start, upper):
+    """Gram-form bounds (lo, hi) on the pairs (start + r, c) with upper[r, c].
+
+    lo <= d^2 <= hi for the reference distance d of each pair (module
+    docstring), in row-major order; sq holds the squared row norms.  Where
+    4 (||a||^2 + ||b||^2) may overflow, as in nearest_distances, the
+    bounds are -inf and inf.
+    """
+    top = sq.max(initial=0.0)
+    if not np.isfinite(4.0 * (top + top)):
+        count = int(upper.sum())
+        return np.full(count, -math.inf), np.full(count, math.inf)
+    margin = _screen_margin(cloud.shape[1])
+    sq_b = sq[start:start + len(upper)]
+    cross = cloud[start:start + len(upper)] @ cloud.T
+    cross *= 2.0
+    lo = (1.0 - margin) * sq - cross
+    lo += ((1.0 - margin) * sq_b - _UNDERFLOW)[:, None]
+    hi = (1.0 + margin) * (sq + sq_b[:, None])
+    hi -= cross
+    hi += _UNDERFLOW
+    return lo[upper], hi[upper]
+
+
+def _screened_pairs(clouds, keep):
+    """The pairs i < j of rows that keep leaves open, and their distances.
+
+    clouds are 2-d arrays with the same number of rows.  Their upper
+    triangle goes through in blocks of about _BLOCK_ELEMENTS / rows rows,
+    one matrix product per block and cloud, so no temporary grows as
+    rows^2.  keep gets one (lo, hi) of _pair_bounds per cloud for each
+    block and returns a mask of the block's pairs to keep.  Returns the
+    kept pairs' rows i and j, in row-major order, and per cloud their
+    distances from one pairwise_distances call on the rows those pairs use.
+    """
+    m = len(clouds[0])
+    sqs = [np.einsum("ij,ij->i", c, c) for c in clouds]
+    block_rows = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    kept_i, kept_j = [], []
+    for start in range(0, m, block_rows):
+        upper = np.arange(m) > np.arange(start, min(m, start + block_rows))[:, None]
+        bounds = [_pair_bounds(c, sq, start, upper) for c, sq in zip(clouds, sqs)]
+        kept = np.zeros_like(upper)
+        kept[upper] = keep(*bounds)
+        rows, cols = kept.nonzero()
+        kept_i.append(rows + start)
+        kept_j.append(cols)
+    i, j = np.concatenate(kept_i), np.concatenate(kept_j)
+    used, inverse = np.unique(np.concatenate([i, j]), return_inverse=True)
+    a, b = inverse[:len(i)], inverse[len(i):]
+    return i, j, [pairwise_distances(c[used])[a, b] for c in clouds]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import os
 import pickle
@@ -401,19 +402,44 @@ def test_interp_pipeline_smooths_without_scipy():
     assert scipy_modules.strip() == "[]"
 
 
-def test_interp_command_loads_no_scipy(tmp_path):
-    # the whole subcommand, at the reproduce script's quick settings
+def scipy_modules_after(tmp_path, command, *args):
+    """The scipy modules loaded once a subcommand ran at the quick settings."""
     cfg = tmp_path / "quick.ini"
     cfg.write_text(runpy.run_path(str(SCRIPT))["QUICK_OVERLAY"])
-    out = tmp_path / "interp"
+    out = tmp_path / command
+    argv = [command, *args, "--config", str(cfg), "--out", str(out)]
     code = ("import sys\n"
             "from widthlab.cli import main\n"
-            f"main(['interp', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+            f"main({argv!r})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert (out / "interp_levels.csv").is_file()
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (out / "report.md").is_file()
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_interp_command_loads_no_scipy(tmp_path):
+    # the whole subcommand, at the reproduce script's quick settings
+    assert scipy_modules_after(tmp_path, "interp") == []
+    assert (tmp_path / "interp" / "interp_levels.csv").is_file()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("entropy", []),
+    ("counterexample", []),
+    ("stable-width", ["--threads", "1"]),
+    ("carl", ["--threads", "1"]),
+])
+def test_subcommand_loads_no_scipy(tmp_path, command, args):
+    # nets and extend measure pair distances on numpy alone
+    assert scipy_modules_after(tmp_path, command, *args) == []
+
+
+def test_cs_command_loads_no_scipy_spatial(tmp_path):
+    # l1_decode still solves through scipy.linalg's potrs
+    loaded = scipy_modules_after(tmp_path, "cs")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.spatial")]
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthlab.csrecovery as csrecovery
+import widthlab.spaces as spaces
 from widthlab.csrecovery import (
     L1ConvergenceError,
     SensingMatrix,
@@ -19,7 +21,12 @@ from widthlab.csrecovery import (
     rip_check,
     sigma_k,
 )
-from widthlab.spaces import generate_sparse_class
+from widthlab.spaces import (
+    ModelClassSurrogate,
+    generate_sparse_class,
+    pairwise_distances,
+)
+from test_extend import dense_sample_check, outcome
 
 
 def test_sigma_k_known_values():
@@ -331,6 +338,100 @@ def test_build_nonlinear_pair_holds_where_the_sampled_certificate_understates():
     report = instance_optimality_trials(pair, k, trials=20, seed=seed + 3)
     assert report.C == pytest.approx(pair.gamma_a * pair.gamma_M)
     assert report.all_passed
+
+
+def dense_budgets(Phi, net):
+    """build_nonlinear_pair on full distance matrices: (gamma_a, gamma_M).
+
+    The reference the screened budgets reproduce, == or by the same
+    ValueError, with both sampled maps' checks run as they were.
+    """
+    xs = net.points
+    images = xs @ Phi.matrix.T
+    upper = np.triu(np.ones((len(xs), len(xs)), dtype=bool), 1)
+    gaps = pairwise_distances(xs)[upper]
+    if not np.all(gaps > 0.0):
+        raise ValueError("net points must be pairwise distinct")
+    ratios = pairwise_distances(images)[upper] / gaps
+    if not ratios.min() > 0.0:
+        raise ValueError("Phi maps two net points to one image; pair undefined")
+    gamma_a, gamma_M = float(ratios.max()), 1.0 / float(ratios.min())
+    # the sampled maps of EncoderDecoderPair.over_net
+    for domain, targets, gamma in ((xs, images, gamma_a), (images, xs, gamma_M)):
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        dense_sample_check(domain, targets, gamma)
+    return gamma_a, gamma_M
+
+
+def budgets(Phi, net):
+    pair = build_nonlinear_pair(Phi, net)
+    return pair.gamma_a, pair.gamma_M
+
+
+def assert_budgets_equal_the_dense_budgets(Phi, net):
+    got, want = outcome(budgets, Phi, net), outcome(dense_budgets, Phi, net)
+    assert got == want
+    if got is None:
+        # == on the values, not only on the verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert budgets(Phi, net) == dense_budgets(Phi, net)
+    return got
+
+
+def test_budgets_hand_made_cases_equal_the_dense_budgets():
+    rng = np.random.default_rng(22)
+    # an isometry up to rounding: every pair ratio ties with every other
+    Q = SensingMatrix(np.linalg.qr(rng.standard_normal((6, 6)))[0] * 3.0)
+    tied = ModelClassSurrogate(rng.standard_normal((40, 6)) + 1e3)
+    assert assert_budgets_equal_the_dense_budgets(Q, tied) is None
+    # distinct rows whose squared gap underflows to 0
+    tiny = ModelClassSurrogate(np.array([[1e-170, 0.0], [2e-170, 0.0], [1.0, 2.0]]))
+    Phi = SensingMatrix(np.array([[1.0, 2.0], [0.5, -1.0]]))
+    assert assert_budgets_equal_the_dense_budgets(Phi, tiny).startswith(
+        "net points must be pairwise distinct")
+    # two net points on one image
+    flat = SensingMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    net = ModelClassSurrogate(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                        [2.0, 0.0, 0.0]]))
+    assert assert_budgets_equal_the_dense_budgets(flat, net).startswith(
+        "Phi maps two net points")
+    # squared norms whose Gram form overflows, on both sides
+    far = ModelClassSurrogate(np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, 0.0],
+                                        [1.0, 2.0]]) * 1e153)
+    assert assert_budgets_equal_the_dense_budgets(Phi, far) is None
+    # two points, and one
+    two = ModelClassSurrogate(np.array([[0.0, 1.0], [3.0, -1.0]]))
+    assert assert_budgets_equal_the_dense_budgets(Phi, two) is None
+    with pytest.raises(ValueError, match="two points"):
+        build_nonlinear_pair(Phi, ModelClassSurrogate(np.array([[0.0, 1.0]])))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(2, 14),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    grid=st.booleans(),
+    shift=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    scale=st.sampled_from([1.0, 1e-160, 3e153]),
+    budget=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+def test_budgets_equal_the_dense_budgets(seed, count, dims, grid, shift, scale,
+                                         budget):
+    # grid rows and an integer Phi tie many ratios exactly; shift cancels
+    # the Gram form; scale underflows or overflows the squares; budget
+    # screens one row or more a block
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal(dims)
+    pts = rng.standard_normal((count, dims[1]))
+    if grid:
+        mat, pts = np.round(2.0 * mat), np.round(2.0 * pts)
+    pts = np.unique((pts + shift) * scale, axis=0)
+    if len(pts) < 2:
+        return
+    with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget):
+        assert_budgets_equal_the_dense_budgets(SensingMatrix(mat),
+                                               ModelClassSurrogate(pts))
 
 
 def test_instance_optimality_small_run_all_pass():

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import widthlab.spaces as spaces
 from widthlab.extend import (
     ExtensionFeasibilityError,
     SampledLipschitzMap,
@@ -63,6 +65,143 @@ def test_sample_set_validation_rejects_bad_budget():
             fs=np.array([[0.0], [0.0]]),
             gamma=1.0,
         )
+
+
+def dense_sample_check(xs, fs, gamma):
+    """SampledLipschitzMap's pair check on full distance matrices.
+
+    The reference the screened check reproduces: the same verdict, and a
+    ValueError of the same text for the first violating pair i < j.
+    """
+    dx = pairwise_distances(xs)
+    if np.any((dx + np.eye(len(xs))) == 0.0):
+        raise ValueError("domain samples must be pairwise distinct")
+    df = pairwise_distances(fs)
+    slack = 1e-9 * (1.0 + dx.max())
+    bad = df > gamma * dx + slack
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"samples {i},{j} violate the gamma-Lipschitz condition: "
+            f"target gap {df[i, j]:.6g} > {gamma} * {dx[i, j]:.6g}"
+        )
+
+
+def outcome(check, *args):
+    """The text of the ValueError check(*args) raises, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def edge_budget(xs, fs, pair, target):
+    """The gamma at which pair's bound gamma * dx + slack rounds to target."""
+    dx = pairwise_distances(xs)
+    slack = 1e-9 * (1.0 + dx.max())
+    gap = dx[pair]
+    gamma = (target - slack) / gap
+    while gamma * gap + slack < target:
+        gamma = np.nextafter(gamma, math.inf)
+    while gamma * gap + slack > target:
+        gamma = np.nextafter(gamma, -math.inf)
+    assert gamma * gap + slack == target
+    return float(gamma)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("shift", [0.0, 1e6 + 0.1, 1e6 + 0.3, 1e6 + 0.7])
+def test_sample_check_one_ulp_from_the_budget(side, shift):
+    # the target gap of pair (0, 1) sits 1 ulp below (side 1) or above
+    # (side -1) its bound; row 2 is the farthest domain point, so its gap
+    # sets the slack; near 1e6 the Gram form keeps only a few digits of
+    # the gaps, while the differences of the rows stay exact
+    xs = np.array([[0.0, 0.0], [1.0, 0.0], [-7.0, 9.0]]) + shift
+    fs = np.array([[0.0, 1.0], [1.25, 1.0], [0.5, 1.2]]) + shift
+    df = pairwise_distances(fs)[0, 1]
+    gamma = edge_budget(xs, fs, (0, 1), np.nextafter(df, side * math.inf))
+    got = outcome(SampledLipschitzMap, xs, fs, gamma)
+    assert got == outcome(dense_sample_check, xs, fs, gamma)
+    assert (got is None) == (side > 0)
+    if got is not None:
+        assert got.startswith("samples 0,1 violate")
+
+
+def test_sample_check_hand_made_cases_equal_the_dense_check():
+    # squared norms whose Gram form overflows, while the gaps stay finite
+    far = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, 0.0], [0.0, -5.0],
+                    [1.0, 2.0]]) * 1e153
+    cases = [
+        # duplicate domain rows, with equal images at the origin so no
+        # other check opens the pair
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [3.0, 3.0]]),
+         np.array([[0.0], [0.5], [0.0], [1.0]]), 1.0, "domain samples"),
+        # distinct rows whose squared gap underflows to 0
+        (np.array([[1e-170, 0.0], [2e-170, 0.0], [5.0, 5.0]]),
+         np.zeros((3, 1)), 1.0, "domain samples"),
+        # two images that coincide: fine one way, duplicates the other
+        (np.array([[0.0], [1.0], [3.0]]), np.array([[2.0], [2.0], [0.0]]),
+         1.0, None),
+        (np.array([[2.0], [2.0], [0.0]]), np.array([[0.0], [1.0], [3.0]]),
+         1.0, "domain samples"),
+        # rows whose squared norms overflow: every pair is exact
+        (far, far * 0.5, 0.5, None),
+        (far, far * 0.5, 0.25, "samples 0,1"),
+        (far, far[::-1] * 1e-160, 1.0, None),
+        # one and two samples
+        (np.array([[0.3, -1.0]]), np.array([[2.0]]), 1e-3, None),
+        (np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]), 2.0, None),
+        (np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]), 1.9, "samples 0,1"),
+    ]
+    # pairs near 1e-161 whose squared gaps underflow to 0, where the
+    # Gram form rounds at the bottom of the subnormals
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a = rng.uniform(2e-162, 3e-161, size=2)
+        b = a + rng.uniform(-1e-162, 1e-162, size=2)
+        cases.append((np.array([a, b, [5.0, 5.0]]), np.zeros((3, 1)), 1.0,
+                      "domain samples"))
+    for xs, fs, gamma, expected in cases:
+        got = outcome(SampledLipschitzMap, xs, fs, gamma)
+        assert got == outcome(dense_sample_check, xs, fs, gamma)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.startswith(expected)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 12),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+    grid=st.booleans(),
+    shift=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    scale=st.sampled_from([1.0, 1e-160, 3e153]),
+    steps=st.integers(-3, 3),
+    budget=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+def test_sample_check_equals_the_dense_check(seed, count, dims, grid, shift,
+                                              scale, steps, budget):
+    # budgets a few ulps from the worst pair's edge, on clouds with exact
+    # ties, duplicates (grid), cancelling Gram forms (shift), squares that
+    # underflow or overflow (scale), and screens of one row or more a block
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((count, dims[0]))
+    fs = rng.standard_normal((count, dims[1]))
+    if grid:
+        xs, fs = np.round(2.0 * xs), np.round(2.0 * fs)
+    xs, fs = (xs + shift) * scale, (fs + shift) * scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dx, df = pairwise_distances(xs), pairwise_distances(fs)
+        ratios = (df - 1e-9 * (1.0 + dx.max())) / dx
+    ratios = ratios[np.isfinite(ratios) & (ratios > 0.0)]
+    gamma = float(ratios.max()) if ratios.size else 1.0
+    for _ in range(abs(steps)):
+        gamma = float(np.nextafter(gamma, steps * math.inf))
+    with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget):
+        got = outcome(SampledLipschitzMap, xs, fs, gamma)
+    assert got == outcome(dense_sample_check, xs, fs, gamma)
 
 
 @given(sample_sets())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import widthlab.nets as nets
 from widthlab.nets import (
     build_net,
     entropy_bracket,
@@ -241,3 +242,50 @@ def test_entropy_bracket_cover_is_the_greedy_cover(n):
     assert isinstance(net, ModelClassSurrogate)
     assert net.resolution <= cover.resolution
     assert net.count <= cover.count
+
+
+def cdist_traversal(K, m):
+    """The first min(m, count) picks and gaps of the farthest-point
+    traversal, one scipy cdist row per pick."""
+    from scipy.spatial.distance import cdist
+
+    mindist = np.full(K.count, math.inf)
+    j, gap = 0, math.inf
+    picks, gaps = [], []
+    for _ in range(min(m, K.count)):
+        picks.append(j)
+        gaps.append(gap)
+        np.minimum(mindist, cdist(K.points[j : j + 1], K.points)[0], out=mindist)
+        j = int(np.argmax(mindist))
+        gap = float(mindist[j])
+    return picks, gaps
+
+
+@pytest.mark.parametrize("width", [1, 32, 128])
+def test_traversal_covers_and_brackets_equal_the_cdist_traversal(width):
+    # scipy is the oracle; rows scaled by 1e-160 square to underflow and
+    # tie at distance 0, rows scaled by 1e150 are picked first
+    rng = np.random.default_rng(width)
+    pts = rng.standard_normal((300, width))
+    pts[:60] *= 1e-160
+    pts[60:100] *= 1e150
+    K = ModelClassSurrogate(pts)
+    picks, gaps = cdist_traversal(K, 130)
+    assert list(itertools.islice(nets._farthest_first(K), 130)) == list(zip(picks, gaps))
+    for n in range(7):
+        m = 2**n
+        cover = greedy_cover(K, m)
+        assert np.array_equal(cover.points, K.points[picks[:m]])
+        assert cover.resolution == gaps[m]
+        bracket = entropy_bracket(K, n)
+        assert np.array_equal(bracket.cover.points, cover.points)
+        assert np.array_equal(bracket.packing_witness, K.points[picks[: m + 1]])
+        assert bracket.upper == gaps[m]
+        witness, sep = greedy_packing(K, m + 1)
+        assert np.array_equal(witness, K.points[picks[: m + 1]])
+        assert sep == gaps[m]
+    for eps in (gaps[3], gaps[40], gaps[100]):
+        used = next(k for k in range(1, len(gaps)) if gaps[k] <= eps)
+        net = build_net(K, eps)
+        assert np.array_equal(net.points, K.points[picks[:used]])
+        assert net.resolution == gaps[used]

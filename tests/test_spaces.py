@@ -78,6 +78,26 @@ def test_pairwise_distances_matches_norm():
                 float(norm(pts[i] - pts[j], 2.0)), abs=1e-12)
 
 
+def scaled_cloud(count, width, seed):
+    """Gaussian rows; a quarter scaled by 1e-160, where squares underflow,
+    and a quarter by 1e150."""
+    X = np.random.default_rng(seed).standard_normal((count, width))
+    X[: count // 4] *= 1e-160
+    X[count // 4 : count // 2] *= 1e150
+    return X
+
+
+@pytest.mark.parametrize("width", [1, 32, 128])
+def test_pairwise_distances_equal_scipy_pdist(width):
+    # scipy is the oracle; both sum the squares in coordinate order, so
+    # agreement is exact, on a cloud of one block and one of several
+    from scipy.spatial.distance import pdist, squareform
+
+    for X in (scaled_cloud(48, width, seed=width),
+              np.random.default_rng(width).standard_normal((400, width))):
+        assert np.array_equal(pairwise_distances(X), squareform(pdist(X)))
+
+
 def test_alpha_sequence_known_values():
     alpha = AlphaSequence(2.0)
     assert alpha.alpha(1) == 1.0
