@@ -277,8 +277,10 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
         try:
             xhat = l1_decode(Phi, Phi.matrix @ x0)
         except L1ConvergenceError as exc:
-            # capped solves still yield a feasible iterate; score it as-is
-            # and count it in the report
+            # an uncertified solve still yields an iterate: the lasso
+            # minimiser at the last breakpoint the homotopy reached, or its
+            # end if the certificate failed there; score it as-is and count
+            # it in the report
             xhat = exc.iterate
             capped += 1
         err = float(np.linalg.norm(xhat - x0))

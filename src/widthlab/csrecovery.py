@@ -22,6 +22,12 @@ The lower factor follows from evaluating Phi on the sign pattern of its
 largest row, normalized in l_p.  The inverted variant of that factor,
 1 / (1 - delta), is also reported for comparison but never asserted, since
 the row argument above yields the (1 - delta) form.
+
+The l_1 decoder, min ||x||_1 subject to Phi x = y, follows the lasso
+homotopy down to an exact support S.  It returns x only with the dual
+vector that certifies it, w = Phi_S (Phi_S^T Phi_S)^(-1) s for the signs
+s of the path on S: the certificate behind instance-optimal l_1 decoding
+(Cohen, Dahmen and DeVore, JAMS 2009).  It runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -60,10 +66,18 @@ __all__ = [
 
 
 class L1ConvergenceError(RuntimeError):
-    """The splitting iteration hit its cap before the iterates settled."""
+    """l1_decode ended without a certified solution.
+
+    gap is how far the iterate misses the certificate (_l1_defect), after
+    iterations homotopy steps.  iterate is the minimum-l_1 candidate on the
+    path's last support when its certificate failed, and otherwise the
+    lasso minimiser at the last breakpoint reached, which does not meet the
+    measurements.
+    """
 
     def __init__(self, gap: float, iterations: int, iterate: np.ndarray):
-        super().__init__(f"iterate gap {gap:.3e} after {iterations} iterations")
+        super().__init__(
+            f"certificate missed by {gap:.3e} after {iterations} homotopy steps")
         self.gap = gap
         self.iterations = iterations
         self.iterate = iterate
@@ -282,59 +296,123 @@ def operator_norm_bound_check(
     )
 
 
-# l1_decode: shrinkage threshold, relative stopping tolerance, iteration cap
-_L1_PENALTY = 1.0
-_L1_TOL = 1e-8
+# l1_decode: homotopy steps at most, and the certificate's relative tolerance
 _L1_ITERATION_CAP = 20000
+_L1_CERTIFICATE_TOL = 1e-9
 
 
-def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
-    """Minimum-l_1 solution of Phi x = y by operator splitting.
+def _l1_defect(mat: np.ndarray, y: np.ndarray, x: np.ndarray,
+               w: np.ndarray) -> float:
+    """How far (x, w) misses the l_1 certificate, relatively; <= 0 is exact.
 
-    Alternates l_1 shrinkage with exact projection onto the affine
-    constraint set (Douglas-Rachford form); the returned iterate is the
-    projected one, so it satisfies the measurements exactly.  Stops when
-    shrinkage and projection agree to _L1_TOL, relative to the iterate.
-    Phi Phi^T is factored once per solve, and each projection makes one
-    call of LAPACK's potrs on that factor, bound once per solve: the call
-    cho_solve makes, without its per-call input checks, so the iterates
-    are cho_solve's bit for bit.  y is checked once instead: a y that is
-    not finite raises ValueError.  A solve still apart after
-    _L1_ITERATION_CAP iterations raises L1ConvergenceError with its last
-    projected iterate.
+    The largest of ||Phi^T w||_inf - 1, ||Phi x - y|| / ||y|| and
+    (||x||_1 - <y, w>) / ||x||_1, a zero denominator read as 1.  A dual
+    feasible w bounds every l_1 norm on {Phi x = y} below by <y, w>.
     """
+    l1 = float(np.abs(x).sum())
+    return max(
+        float(np.abs(mat.T @ w).max(initial=0.0)) - 1.0,
+        float(np.linalg.norm(mat @ x - y)) / (float(np.linalg.norm(y)) or 1.0),
+        (l1 - float(y @ w)) / (l1 or 1.0),
+    )
+
+
+def _l1_homotopy(Phi: SensingMatrix,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l1_decode's solve: its x and the dual vector w that certifies x."""
     y = np.asarray(y, dtype=float)
     mat = Phi.matrix
     if y.shape != (Phi.n,):
         raise ValueError(f"measurement length {y.shape} != ({Phi.n},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("measurements must be finite")
-    from scipy.linalg import cho_factor, get_lapack_funcs
+    corr = y @ mat
+    floor = _L1_CERTIFICATE_TOL * float(np.abs(corr).max())
+    support, signs = [], []
+    x, w = np.zeros(Phi.N), np.zeros(Phi.n)
+    # the event of the last breakpoint, which rounding must not repeat: a
+    # joined coefficient is zero only where it joined, and a dropped column
+    # meets the boundary of its old sign only where it left
+    lam, joined, left = math.inf, False, -1
+    for step in range(_L1_ITERATION_CAP):
+        sub = mat[:, support]
+        try:
+            if len(support) > Phi.n:
+                raise np.linalg.LinAlgError("more active columns than rows")
+            u, v = np.linalg.solve(sub.T @ sub,
+                                   np.array([corr[support], signs]).T).T
+        except np.linalg.LinAlgError:
+            raise L1ConvergenceError(_l1_defect(mat, y, x, w), step, x) from None
+        w = sub @ v
+        # along the step the correlations Phi^T (y - Phi x) are p + lam a;
+        # row 0 of joins reaches +lam there, row 1 reaches -lam
+        p, a = np.stack([y - sub @ u, w]) @ mat
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.stack([p / (1.0 - a), -p / (1.0 + a)])
+            drops = u / v
+        joins[:, support] = -math.inf
+        if joined:
+            drops[-1] = -math.inf
+        elif left >= 0:
+            joins.flat[left] = -math.inf
+        joins[~((joins > floor) & (joins < lam))] = -math.inf
+        drops[~((drops > floor) & (drops < lam))] = -math.inf
+        lam = max(joins.max(), drops.max(initial=-math.inf))
+        if lam == -math.inf:
+            break
+        x = np.zeros(Phi.N)
+        x[support] = u - lam * v
+        join = int(np.argmax(joins))
+        joined = joins.flat[join] == lam
+        if joined:
+            support.append(join % Phi.N)
+            signs.append(1.0 if join < Phi.N else -1.0)
+        else:
+            drop = int(np.argmax(drops))
+            col, sign = support.pop(drop), signs.pop(drop)
+            left = col if sign > 0 else Phi.N + col
+            x[col] = 0.0
+    else:
+        raise L1ConvergenceError(_l1_defect(mat, y, x, w), _L1_ITERATION_CAP, x)
+    # lam = 0: x_S = u and w once more, from a QR factor of Phi_S, whose
+    # rounding grows with the condition number of Phi_S, not its square
+    q, r = np.linalg.qr(mat[:, support])
+    try:
+        z = np.linalg.solve(r.T, np.array(signs))
+        u = np.linalg.solve(r, q.T @ y)
+    except np.linalg.LinAlgError:
+        raise L1ConvergenceError(_l1_defect(mat, y, x, w), step + 1, x) from None
+    x = np.zeros(Phi.N)
+    x[support] = u
+    w = q @ z
+    defect = _l1_defect(mat, y, x, w)
+    if not defect <= _L1_CERTIFICATE_TOL:
+        raise L1ConvergenceError(defect, step + 1, x)
+    return x, w
 
-    factor, lower = cho_factor(mat @ mat.T)
-    (potrs,) = get_lapack_funcs(("potrs",), (factor,))
 
-    def project(v: np.ndarray) -> np.ndarray:
-        coef, info = potrs(factor, mat @ v - y, lower=lower, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return v - mat.T @ coef
+def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
+    """Minimum-l_1 solution of Phi x = y by the lasso homotopy, certified.
 
-    def shrink(v: np.ndarray) -> np.ndarray:
-        return np.sign(v) * np.maximum(np.abs(v) - _L1_PENALTY, 0.0)
+    Follows the minimisers of ||Phi x - y||^2 / 2 + lam ||x||_1 as lam falls
+    from ||Phi^T y||_inf to 0 (Donoho and Tsaig 2008).  On an active support
+    S with signs s the path is x_S = u - lam v: u = G^(-1) Phi_S^T y, and
+    the direction v = G^(-1) s, one solve with the Gram matrix
+    G = Phi_S^T Phi_S.  A step ends where an inactive column's correlation
+    reaches lam, and the column joins S, or where an active coefficient
+    crosses zero, and it leaves.  Breakpoints below _L1_CERTIFICATE_TOL
+    ||Phi^T y||_inf count as lam = 0, the end of the path, where
+    Phi_S x_S = y on an exact support S.
 
-    z = project(np.zeros(Phi.N))
-    w = z
-    for _ in range(_L1_ITERATION_CAP):
-        x = shrink(z)
-        w = project(2.0 * x - z)
-        z = z + w - x
-        # the 2-norm as np.linalg.norm takes it for a 1-d real vector
-        d = w - x
-        gap = math.sqrt(d.dot(d))
-        if gap <= _L1_TOL * max(1.0, math.sqrt(w.dot(w))):
-            return w
-    raise L1ConvergenceError(gap, _L1_ITERATION_CAP, w)
+    x is returned only with its dual certificate w = Phi_S G^(-1) s, within
+    eps = _L1_CERTIFICATE_TOL: ||Phi^T w||_inf <= 1 + eps,
+    ||Phi x - y|| <= eps ||y|| and ||x||_1 - <y, w> <= eps ||x||_1, so no
+    solution of Phi x = y has an l_1 norm below <y, w> / (1 + eps).  A y that is
+    not finite raises ValueError.  A missed certificate, a singular G, or
+    _L1_ITERATION_CAP steps raise L1ConvergenceError with the iterate the
+    path had reached.
+    """
+    return _l1_homotopy(Phi, y)[0]
 
 
 def sigma_k(x: np.ndarray, k: int, p: float = 2.0) -> float:

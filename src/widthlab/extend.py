@@ -270,13 +270,20 @@ def lipschitz_audit(fn, pairs: np.ndarray) -> LipschitzAudit:
     if np.any(dx == 0.0):
         raise ValueError("audit pairs must be at positive distance")
     # distinct endpoints in the lexicographic row order of np.unique(axis=0),
-    # which is the order a lazy extension meets them; a lexsort over the
-    # columns finds them faster than np.unique's structured-dtype sort
-    rows = pairs.reshape(-1, pairs.shape[2])
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
+    # which is the order a lazy extension meets them.  A stable sort on the
+    # first column gives that order unless two distinct rows share a first
+    # coordinate, or one is NaN; only then does a lexsort over every column
+    # run, one stable pass per column
+    points = pairs.reshape(-1, pairs.shape[2])
+    order = np.argsort(points[:, 0], kind="stable")
+    rows = points[order]
     new = np.ones(len(rows), dtype=bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    first = rows[:, 0]
+    if np.isnan(first[-1]) or np.any(new[1:] & (first[1:] == first[:-1])):
+        order = np.lexsort(points.T[::-1])
+        rows = points[order]
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     vals = np.asarray(fn(rows[new]), dtype=float)

@@ -101,10 +101,12 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     broadcast.
     """
     diff = a - b
-    diff *= diff
     total = np.zeros(diff.shape[1:])
-    for square in diff:
-        total += square
+    # squares past the float range are inf, as in pdist and cdist
+    with np.errstate(over="ignore"):
+        diff *= diff
+        for square in diff:
+            total += square
     return np.sqrt(total, out=total)
 
 
@@ -152,7 +154,8 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     sq_q = np.einsum("ij,ij->i", queries, queries)
     sq_p = np.einsum("ij,ij->i", points, points)
     # 4 (||q||^2 + ||p||^2) finite keeps every Gram-form quantity finite
-    screen = bool(np.isfinite(4.0 * (np.max(sq_q, initial=0.0) + sq_p.max())))
+    with np.errstate(over="ignore"):
+        screen = bool(np.isfinite(4.0 * (np.max(sq_q, initial=0.0) + sq_p.max())))
     margin = _screen_margin(dim)
     lo_p = (1.0 - margin) * sq_p
     out = np.full(len(queries), math.inf)
@@ -176,7 +179,10 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         best = out[start:start + block_rows]
         for s in range(0, len(rows), batch):
             r, c = rows[s:s + batch], cols[s:s + batch]
-            np.minimum.at(best, r, np.linalg.norm(block[r] - points[c], axis=-1))
+            # off the screen, squares past the float range are inf
+            with np.errstate(over="ignore"):
+                dist = np.linalg.norm(block[r] - points[c], axis=-1)
+            np.minimum.at(best, r, dist)
     return out
 
 
@@ -189,7 +195,9 @@ def _pair_bounds(cloud, sq, start, upper):
     bounds are -inf and inf.
     """
     top = sq.max(initial=0.0)
-    if not np.isfinite(4.0 * (top + top)):
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(4.0 * (top + top))
+    if not finite:
         count = int(upper.sum())
         return np.full(count, -math.inf), np.full(count, math.inf)
     margin = _screen_margin(cloud.shape[1])

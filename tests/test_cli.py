@@ -429,17 +429,12 @@ def test_interp_command_loads_no_scipy(tmp_path):
     ("counterexample", []),
     ("stable-width", ["--threads", "1"]),
     ("carl", ["--threads", "1"]),
+    ("cs", []),
 ])
 def test_subcommand_loads_no_scipy(tmp_path, command, args):
-    # nets and extend measure pair distances on numpy alone
+    # nets and extend measure pair distances, and l1_decode solves, on
+    # numpy alone
     assert scipy_modules_after(tmp_path, command, *args) == []
-
-
-def test_cs_command_loads_no_scipy_spatial(tmp_path):
-    # l1_decode still solves through scipy.linalg's potrs
-    loaded = scipy_modules_after(tmp_path, "cs")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.spatial")]
 
 
 def test_cli_import_loads_no_process_pool():

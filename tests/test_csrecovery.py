@@ -212,8 +212,12 @@ def test_l1_decode_matches_brute_oracle_on_small_instances():
         assert float(np.linalg.norm(via_brute - x0)) <= 1e-8
 
 
-def reference_l1_decode(Phi, y, cap=20000):
-    """The l1_decode loop that solves through cho_solve and np.linalg.norm."""
+def reference_l1_decode(Phi, y):
+    """Minimum-l_1 decoding by Douglas-Rachford splitting, through cho_solve.
+
+    Alternates l_1 shrinkage with exact projection onto Phi x = y and stops
+    when the two agree to 1e-8, relative to the iterate.
+    """
     from scipy.linalg import cho_factor, cho_solve
 
     y = np.asarray(y, dtype=float)
@@ -228,14 +232,14 @@ def reference_l1_decode(Phi, y, cap=20000):
 
     z = project(np.zeros(Phi.N))
     w = z
-    for _ in range(cap):
+    for _ in range(20000):
         x = shrink(z)
         w = project(2.0 * x - z)
         z = z + w - x
         gap = float(np.linalg.norm(w - x))
         if gap <= 1e-8 * max(1.0, float(np.linalg.norm(w))):
             return w
-    raise L1ConvergenceError(gap, cap, w)
+    raise L1ConvergenceError(gap, 20000, w)
 
 
 def _planted(Phi, k, seed):
@@ -245,28 +249,108 @@ def _planted(Phi, k, seed):
     return Phi.matrix @ (x0 / np.linalg.norm(x0))
 
 
+def assert_certified(Phi, y, x, w, eps=1e-9):
+    """The three bounds of l1_decode's dual certificate w for x."""
+    mat = Phi.matrix
+    l1 = float(np.sum(np.abs(x)))
+    assert float(np.max(np.abs(mat.T @ w), initial=0.0)) <= 1.0 + eps
+    assert float(np.linalg.norm(mat @ x - y)) <= eps * float(np.linalg.norm(y))
+    assert l1 - float(y @ w) <= eps * l1
+
+
+def linprog_l1_decode(Phi, y):
+    """Minimum-l_1 solution of Phi x = y as a HiGHS linear program."""
+    from scipy.optimize import linprog
+
+    mat, N = Phi.matrix, Phi.N
+    res = linprog(np.ones(2 * N), A_eq=np.hstack([mat, -mat]), b_eq=y,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.x[:N] - res.x[N:]
+
+
 @pytest.mark.parametrize("n, N, k", [(40, 128, 4), (12, 32, 2), (20, 24, 5)])
 def test_l1_decode_equals_the_cho_solve_loop(n, N, k):
+    # the homotopy's certified minimiser agrees with the Douglas-Rachford
+    # loop it replaced, up to that loop's stopping tolerance
     for seed in range(10):
         Phi = gaussian_matrix(n, N, seed=seed)
         y = _planted(Phi, k, seed + 100)
-        assert np.array_equal(l1_decode(Phi, y), reference_l1_decode(Phi, y))
-    # a dense signal, which l_1 does not recover
+        x, w = csrecovery._l1_homotopy(Phi, y)
+        ref = reference_l1_decode(Phi, y)
+        assert np.array_equal(l1_decode(Phi, y), x)
+        assert float(np.linalg.norm(x - ref)) <= 1e-6
+        assert np.sum(np.abs(x)) <= np.sum(np.abs(ref)) + 1e-12
+        assert_certified(Phi, y, x, w)
+    # a dense signal, which l_1 does not recover; the loop stops 1.1e-6
+    # from the minimiser at (40, 128), so a linear program is the oracle
     y = Phi.matrix @ np.random.default_rng(7).standard_normal(N)
-    assert np.array_equal(l1_decode(Phi, y), reference_l1_decode(Phi, y))
+    x, w = csrecovery._l1_homotopy(Phi, y)
+    assert float(np.linalg.norm(x - linprog_l1_decode(Phi, y))) <= 1e-9
+    assert np.sum(np.abs(x)) <= np.sum(np.abs(reference_l1_decode(Phi, y))) + 1e-12
+    assert_certified(Phi, y, x, w)
 
 
-def test_capped_l1_decode_equals_the_capped_cho_solve_loop(monkeypatch):
-    monkeypatch.setattr(csrecovery, "_L1_ITERATION_CAP", 7)
+def test_l1_decode_stops_at_the_step_cap_on_a_lasso_minimiser(monkeypatch):
+    monkeypatch.setattr(csrecovery, "_L1_ITERATION_CAP", 3)
     Phi = gaussian_matrix(40, 128, seed=0)
     y = _planted(Phi, 4, 1)
     with pytest.raises(L1ConvergenceError) as got:
         l1_decode(Phi, y)
-    with pytest.raises(L1ConvergenceError) as want:
-        reference_l1_decode(Phi, y, cap=7)
-    assert got.value.gap == want.value.gap
-    assert got.value.iterations == want.value.iterations == 7
-    assert np.array_equal(got.value.iterate, want.value.iterate)
+    assert got.value.iterations == 3
+    x = got.value.iterate
+    resid = float(np.linalg.norm(Phi.matrix @ x - y)) / float(np.linalg.norm(y))
+    assert got.value.gap >= resid > 1e-9
+    # the lasso minimiser at the third breakpoint: the first two columns
+    # joined before it, and the third joins there at coefficient 0, with
+    # correlation lam on the support and at most lam off it
+    corr = Phi.matrix.T @ (y - Phi.matrix @ x)
+    lam = float(np.max(np.abs(corr)))
+    on = np.flatnonzero(x)
+    assert len(on) == 2
+    assert np.allclose(corr[on], lam * np.sign(x[on]), rtol=0.0, atol=1e-12)
+    assert int(np.sum(np.abs(corr) >= lam * (1.0 - 1e-12))) == 3
+    # without the cap the same solve ends certified
+    monkeypatch.undo()
+    assert float(np.linalg.norm(Phi.matrix @ l1_decode(Phi, y) - y)) <= 1e-9
+
+
+def test_l1_decode_never_returns_a_missed_certificate(monkeypatch):
+    # every defect read 1 too high: the end of the path is raised, not
+    # returned
+    Phi = gaussian_matrix(40, 128, seed=0)
+    y = _planted(Phi, 4, 1)
+    x = l1_decode(Phi, y)
+    defect = csrecovery._l1_defect
+    monkeypatch.setattr(csrecovery, "_l1_defect",
+                        lambda *args: defect(*args) + 1.0)
+    with pytest.raises(L1ConvergenceError) as got:
+        l1_decode(Phi, y)
+    assert 1.0 <= got.value.gap <= 1.0 + 1e-9
+    assert np.array_equal(got.value.iterate, x)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(1, 24).flatmap(
+        lambda N: st.tuples(st.integers(1, N), st.just(N))),
+    kind=st.sampled_from(["sparse", "dense", "zero"]),
+)
+def test_l1_decode_returns_only_certified_solutions(seed, shape, kind):
+    # Gaussian matrices up to square, where every column enters the path
+    n, N = shape
+    Phi = gaussian_matrix(n, N, seed=seed)
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(N)
+    if kind == "sparse":
+        x0[rng.permutation(N)[max(1, n // 2):]] = 0.0
+    elif kind == "zero":
+        x0[:] = 0.0
+    y = Phi.matrix @ x0
+    x, w = csrecovery._l1_homotopy(Phi, y)
+    assert np.array_equal(l1_decode(Phi, y), x)
+    assert_certified(Phi, y, x, w)
+    assert np.sum(np.abs(x)) <= np.sum(np.abs(x0)) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -443,6 +443,48 @@ def test_lipschitz_audit_queries_the_rows_of_np_unique():
     assert (audit.ratios == want).all()
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 130),
+    count=st.integers(2, 9),
+    grid=st.booleans(),
+    signed_zeros=st.booleans(),
+)
+def test_lipschitz_audit_queries_the_rows_of_np_unique_everywhere(
+        seed, width, count, grid, signed_zeros):
+    # grid rows share first coordinates with rows that differ later on, and
+    # signed zeros are rows equal to rows of other bits; pairs repeat rows
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, width))
+    if grid:
+        pts = np.round(pts)
+    if signed_zeros:
+        pts[pts == 0.0] *= np.where(rng.random(int(np.sum(pts == 0.0))) < 0.5,
+                                    -1.0, 1.0)
+        pts[rng.random(pts.shape) < 0.2] = -0.0
+    idx = rng.integers(0, count, (3 * count, 2))
+    pairs = pts[idx]
+    pairs = pairs[np.any(pairs[:, 0] != pairs[:, 1], axis=1)]
+    if len(pairs) == 0:
+        return
+    seen = []
+
+    def fn(X):
+        seen.append(X.copy())
+        return X ** 3
+
+    audit = lipschitz_audit(fn, pairs)
+    uniq, inverse = np.unique(pairs.reshape(-1, width), axis=0,
+                              return_inverse=True)
+    assert len(seen) == 1 and seen[0].shape == uniq.shape
+    assert (seen[0] == uniq).all()
+    ends = inverse.reshape(-1, 2)
+    vals = uniq ** 3
+    want = (np.linalg.norm(vals[ends[:, 0]] - vals[ends[:, 1]], axis=1)
+            / np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1))
+    assert (audit.ratios == want).all()
+
+
 def test_lipschitz_audit_rejects_degenerate_pairs():
     with pytest.raises(ValueError):
         lipschitz_audit(lambda X: X, np.empty((0, 2, 1)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -279,6 +280,28 @@ def test_nearest_distances_off_the_screen_for_huge_and_non_finite_rows():
     with np.errstate(invalid="ignore"):
         assert np.array_equal(nearest_distances(P, X[:5] * 1e-160),
                               dense_nearest(P, X[:5] * 1e-160), equal_nan=True)
+
+
+@pytest.mark.parametrize("center, spread", [(1e154, 1e153), (0.0, 1.2e154)])
+def test_huge_clouds_raise_no_overflow_warnings(center, spread):
+    # near 1e154 the Gram forms' probes pass the float range, so every pair
+    # goes to the exact expression; at a spread of 1.2e154 the squared gaps
+    # pass it too and read inf, as in pdist and cdist; neither warns
+    from widthlab.extend import SampledLipschitzMap
+    from widthlab.nets import greedy_cover
+
+    X = np.random.default_rng(16).uniform(-1.0, 1.0, (12, 3)) * spread
+    X[:, 0] += center
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        near = nearest_distances(X[:4], X)
+        dist = pairwise_distances(X)
+        SampledLipschitzMap(xs=X, fs=X, gamma=1.0)
+        cover = greedy_cover(ModelClassSurrogate(X), 4)
+    assert np.array_equal(near, np.zeros(4))
+    assert np.array_equal(np.diagonal(dist), np.zeros(12))
+    assert np.isinf(dist).any() == (center == 0.0)
+    assert cover.count == 4
 
 
 @given(
