@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spaces
 from .spaces import (
     ModelClassSurrogate,
     _screened_pairs,
@@ -133,12 +134,6 @@ class RipCertificate:
             raise ValueError("delta must be nonnegative")
 
 
-def _support_delta(mat: np.ndarray, support) -> float:
-    sub = mat[:, list(support)]
-    svals = np.linalg.svd(sub, compute_uv=False)
-    return max(1.0 - float(svals[-1]), float(svals[0]) - 1.0, 0.0)
-
-
 def rip_check(
     Phi: SensingMatrix, k: int, samples: int = 1000, seed: int = 0
 ) -> RipCertificate:
@@ -147,6 +142,9 @@ def rip_check(
     Every support is enumerated when their count does not exceed the
     sampling budget, and more than 10^6 are refused; otherwise `samples`
     random supports are drawn.  k = 1 is always exact (column norms).
+    Supports go through in blocks of about spaces._BLOCK_ELEMENTS matrix
+    entries, one stacked SVD a block, which computes each submatrix's
+    singular values as its own SVD would.
     """
     if not (1 <= k <= Phi.N):
         raise ValueError(f"need 1 <= k <= N, got k={k}")
@@ -156,22 +154,26 @@ def rip_check(
         return RipCertificate(order=1, delta=delta, exhaustive=True,
                               supports_checked=Phi.N)
     total = math.comb(Phi.N, k)
-    if total <= samples:
+    exhaustive = total <= samples
+    if exhaustive:
         if total > 10**6:
             raise ValueError(f"refusing exhaustive pass over {total} supports")
-        delta = max(
-            _support_delta(Phi.matrix, s)
-            for s in itertools.combinations(range(Phi.N), k)
-        )
-        return RipCertificate(order=k, delta=delta, exhaustive=True,
-                              supports_checked=total)
-    rng = np.random.default_rng(seed)
+        supports = itertools.combinations(range(Phi.N), k)
+    else:
+        rng = np.random.default_rng(seed)
+        supports = (rng.choice(Phi.N, size=k, replace=False)
+                    for _ in range(samples))
+    block = max(1, spaces._BLOCK_ELEMENTS // (Phi.n * k))
+    cols = Phi.matrix.T
     delta = 0.0
-    for _ in range(samples):
-        support = rng.choice(Phi.N, size=k, replace=False)
-        delta = max(delta, _support_delta(Phi.matrix, support))
-    return RipCertificate(order=k, delta=delta, exhaustive=False,
-                          supports_checked=samples)
+    while chunk := list(itertools.islice(supports, block)):
+        # (supports, k, n) -> (supports, n, k): the column submatrices
+        svals = np.linalg.svd(cols[np.array(chunk)].transpose(0, 2, 1),
+                              compute_uv=False)
+        delta = max(delta, float(np.max(np.maximum(
+            np.maximum(1.0 - svals[:, -1], svals[:, 0] - 1.0), 0.0))))
+    return RipCertificate(order=k, delta=delta, exhaustive=exhaustive,
+                          supports_checked=total if exhaustive else samples)
 
 
 @dataclass(frozen=True)
@@ -191,27 +193,51 @@ class NormBracket:
 _BOYD_ITERATIONS = 60
 
 
-def _boyd_ascent(mat: np.ndarray, p: float, x0: np.ndarray) -> float:
-    """Monotone fixed-point ascent for ||Phi x||_2 / ||x||_p from a start point."""
+def _boyd_ascent(mat: np.ndarray, p: float, starts: np.ndarray) -> np.ndarray:
+    """Monotone fixed-point ascent for ||Phi x||_2 / ||x||_p: a value a start.
+
+    Every row of starts is a start point, and all of them advance together
+    until each stops on its own rule: no relative gain above 1e-12, or a
+    zero image or iterate.  A start that stops drops out of the stack.  The
+    stacked products are one gemv a start and the l_2 norms one ddot, as
+    for a single start; the l_p roots are taken one start at a time on
+    scalars, whose pow rounds unlike numpy's array power, so every value is
+    that of the same ascent run from its start alone.
+    """
     dual_exp = 1.0 / (p - 1.0)
-    x = x0 / norm(x0, p)
-    best = float(np.linalg.norm(mat @ x))
+    inv_p = 1.0 / p
+
+    def lp_norms(X):
+        sums = (np.abs(X) ** p).sum(axis=1).tolist()
+        return np.array([s ** inv_p for s in sums])
+
+    def images(X):
+        # the (s, n, 1) images and their l_2 norms
+        Y = np.matmul(mat, X[:, :, None])
+        return Y, np.sqrt(np.matmul(Y.transpose(0, 2, 1), Y)[:, 0, 0])
+
+    X = starts / lp_norms(starts)[:, None]
+    Y, ny = images(X)
+    best = ny.copy()
+    keep = ny != 0.0
+    Y, ny, live = Y[keep], ny[keep], np.flatnonzero(keep)
     for _ in range(_BOYD_ITERATIONS):
-        y = mat @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
+        if not live.size:
             break
-        z = mat.T @ (y / ny)
-        x = np.sign(z) * np.abs(z) ** dual_exp
-        nx = norm(x, p)
-        if nx == 0.0:
-            break
-        x /= nx
-        val = float(np.linalg.norm(mat @ x))
-        if val <= best * (1.0 + 1e-12):
-            best = max(best, val)
-            break
-        best = val
+        Z = np.matmul(mat.T, Y / ny[:, None, None])[:, :, 0]
+        X = np.sign(Z) * np.abs(Z) ** dual_exp
+        nx = lp_norms(X)
+        if not nx.all():
+            keep = nx != 0.0
+            X, nx, live = X[keep], nx[keep], live[keep]
+        X /= nx[:, None]
+        Y, ny = images(X)
+        last = best[live]
+        stop = ny <= last * (1.0 + 1e-12)
+        best[live] = np.where(stop, np.maximum(last, ny), ny)
+        if stop.any() or not ny.all():
+            keep = ~stop & (ny != 0.0)
+            Y, ny, live = Y[keep], ny[keep], live[keep]
     return best
 
 
@@ -242,9 +268,8 @@ def op_norm_bracket(Phi: SensingMatrix, p: float, seed: int = 0) -> NormBracket:
     rng = np.random.default_rng(seed)
     column = np.zeros(Phi.N)
     column[int(np.argmax(col_norms))] = 1.0
-    candidates = [column, vt[0]]
-    candidates.extend(rng.standard_normal((6, Phi.N)))
-    lower = max(_boyd_ascent(mat, p, c) for c in candidates)
+    starts = np.vstack([column, vt[0], rng.standard_normal((6, Phi.N))])
+    lower = max(_boyd_ascent(mat, p, starts).tolist())
     # float noise can push the ascent a hair past the interpolation bound
     return NormBracket(p=p, lower=min(lower, upper), upper=upper)
 

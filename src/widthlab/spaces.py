@@ -318,6 +318,11 @@ def generate_Kq(N: int, q: float, count: int, seed: int) -> ModelClassSurrogate:
     give the uniform distribution on the ball.  q = inf uses uniform
     coordinates in [-1, 1], which is that ball's uniform law directly.
     The class is measured in l_2^N.
+
+    The resolution is 0.0, which reads "the cloud is the class": every
+    bound on a kq class describes the sampled cloud, not the ball B_q^N.
+    The cloud does not cover the ball; in the default cloud (2,000 draws
+    from B_1^32) the vertices +-e_i lie 0.72-0.88 from their nearest point.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")

@@ -11,6 +11,7 @@ import widthlab.csrecovery as csrecovery
 import widthlab.spaces as spaces
 from widthlab.csrecovery import (
     L1ConvergenceError,
+    RipCertificate,
     SensingMatrix,
     build_nonlinear_pair,
     gaussian_matrix,
@@ -24,6 +25,7 @@ from widthlab.csrecovery import (
 from widthlab.spaces import (
     ModelClassSurrogate,
     generate_sparse_class,
+    norm,
     pairwise_distances,
 )
 from test_extend import dense_sample_check, outcome
@@ -80,6 +82,75 @@ def test_rip_sampled_mode_reports_support_count():
     assert not cert.exhaustive
     assert cert.supports_checked == 200
     assert 0.0 <= cert.delta < 1.0
+
+
+def reference_rip_check(Phi, k, samples=1000, seed=0):
+    """rip_check one support at a time: an SVD of each column submatrix.
+
+    The reference the stacked SVDs reproduce under ==.
+    """
+    def support_delta(support):
+        svals = np.linalg.svd(Phi.matrix[:, list(support)], compute_uv=False)
+        return max(1.0 - float(svals[-1]), float(svals[0]) - 1.0, 0.0)
+
+    total = math.comb(Phi.N, k)
+    if total <= samples:
+        delta = max(support_delta(s)
+                    for s in itertools.combinations(range(Phi.N), k))
+        return RipCertificate(order=k, delta=delta, exhaustive=True,
+                              supports_checked=total)
+    rng = np.random.default_rng(seed)
+    delta = 0.0
+    for _ in range(samples):
+        support = rng.choice(Phi.N, size=k, replace=False)
+        delta = max(delta, support_delta(support))
+    return RipCertificate(order=k, delta=delta, exhaustive=False,
+                          supports_checked=samples)
+
+
+RIP_CASES = [
+    # exhaustive: C(6, k) <= 1000 supports, and C(9, 3) = 84 of a 5 x 9
+    (SensingMatrix(np.eye(6)), 2, 1000),
+    (SensingMatrix(np.eye(6)), 3, 1000),
+    (gaussian_matrix(5, 9, seed=12), 3, 1000),
+    # sampled: C(60, 3) = 34,220 supports
+    (gaussian_matrix(16, 60, seed=3), 3, 1),
+    (gaussian_matrix(16, 60, seed=3), 3, 200),
+    (gaussian_matrix(16, 60, seed=3), 3, 1000),
+]
+RIP_IDS = ["eye6-k2", "eye6-k3", "gauss5x9-k3",
+           "sampled-1", "sampled-200", "sampled-1000"]
+
+
+@pytest.mark.parametrize("budget", [1, 7, spaces._BLOCK_ELEMENTS])
+@pytest.mark.parametrize("Phi, k, samples", RIP_CASES, ids=RIP_IDS)
+def test_rip_check_equals_the_per_support_loop(Phi, k, samples, budget):
+    for seed in (0, 5):
+        with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget):
+            got = rip_check(Phi, k, samples=samples, seed=seed)
+        assert got == reference_rip_check(Phi, k, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1000, spaces._BLOCK_ELEMENTS])
+@pytest.mark.parametrize("Phi, k, samples", RIP_CASES, ids=RIP_IDS)
+def test_rip_check_stacks_at_most_one_block(Phi, k, samples, budget):
+    # every support is in exactly one stack, and no stack holds more than
+    # budget / (n k) submatrices, one if a submatrix alone exceeds budget
+    stacks = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget), \
+            mock.patch.object(np.linalg, "svd", recording_svd):
+        cert = rip_check(Phi, k, samples=samples)
+    block = max(1, budget // (Phi.n * k))
+    assert all(shape[1:] == (Phi.n, k) for shape in stacks)
+    assert [shape[0] for shape in stacks[:-1]] == [block] * (len(stacks) - 1)
+    assert 1 <= stacks[-1][0] <= block
+    assert sum(shape[0] for shape in stacks) == cert.supports_checked
 
 
 def test_op_norm_bracket_endpoints_are_tight():
@@ -147,6 +218,91 @@ def test_operator_norm_bound_check_inequalities():
                 (1.0 - rep.delta) * scale / math.sqrt(40.0))
             # the inverted reading is weaker on the lower side
             assert rep.derived_lower <= rep.inverted_lower + 1e-12
+
+
+def reference_boyd_ascent(mat, p, x0):
+    """The l_p ascent from one start point, one numpy call at a time.
+
+    Returns the best objective value and the number of fixed-point steps
+    taken; the reference the stacked ascent reproduces under ==.
+    """
+    dual_exp = 1.0 / (p - 1.0)
+    x = x0 / norm(x0, p)
+    best = float(np.linalg.norm(mat @ x))
+    steps = 0
+    for _ in range(csrecovery._BOYD_ITERATIONS):
+        y = mat @ x
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            break
+        z = mat.T @ (y / ny)
+        x = np.sign(z) * np.abs(z) ** dual_exp
+        nx = norm(x, p)
+        if nx == 0.0:
+            break
+        x /= nx
+        steps += 1
+        val = float(np.linalg.norm(mat @ x))
+        if val <= best * (1.0 + 1e-12):
+            best = max(best, val)
+            break
+        best = val
+    return best, steps
+
+
+def bracket_starts(Phi, seed):
+    """op_norm_bracket's start points: the largest column, the top right
+    singular vector and six Gaussian rows."""
+    col_norms = np.linalg.norm(Phi.matrix, axis=0)
+    column = np.zeros(Phi.N)
+    column[int(np.argmax(col_norms))] = 1.0
+    vt = np.linalg.svd(Phi.matrix, full_matrices=False)[2]
+    rng = np.random.default_rng(seed)
+    return np.vstack([column, vt[0], rng.standard_normal((6, Phi.N))])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=48),
+    N=st.integers(min_value=1, max_value=160),
+    p=st.sampled_from([1.1, 1.25, 1.5, 1.75, 1.9]),
+    fortran=st.booleans(),
+    columns=st.sampled_from(["plain", "duplicated", "zero", "tiny"]),
+)
+@settings(max_examples=80)
+def test_op_norm_bracket_equals_the_per_start_ascent(seed, n, N, p, fortran,
+                                                      columns):
+    # duplicated and zero columns, and entries so small that the dual
+    # power underflows to a zero iterate, make the starts stop at
+    # different steps and by different rules
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, N))
+    if columns == "duplicated":
+        mat[:, rng.integers(N, size=N // 2)] = mat[:, rng.integers(N, size=N // 2)]
+    elif columns == "zero":
+        mat[:, rng.integers(N, size=(N + 1) // 2)] = 0.0
+    elif columns == "tiny":
+        mat *= 1e-100
+    Phi = SensingMatrix(np.asfortranarray(mat) if fortran else mat)
+    starts = bracket_starts(Phi, seed)
+    reference = [reference_boyd_ascent(Phi.matrix, p, x0)[0] for x0 in starts]
+    assert csrecovery._boyd_ascent(Phi.matrix, p, starts).tolist() == reference
+    bracket = op_norm_bracket(Phi, p, seed=seed)
+    assert bracket.lower == min(max(reference), bracket.upper)
+
+
+def test_stacked_ascent_starts_stop_at_different_steps():
+    # on the first default cs matrix the eight starts stop after different
+    # numbers of steps, and a start on zero columns stops at once
+    Phi = gaussian_matrix(40, 128, seed=0)
+    mat = Phi.matrix.copy()
+    mat[:, :3] = 0.0
+    starts = np.vstack([bracket_starts(Phi, 0), np.eye(128)[:2]])
+    runs = [reference_boyd_ascent(mat, 1.5, x0) for x0 in starts]
+    assert len({steps for _, steps in runs}) > 2
+    assert runs[-1] == (0.0, 0)
+    got = csrecovery._boyd_ascent(mat, 1.5, starts)
+    assert got.tolist() == [best for best, _ in runs]
 
 
 def test_l1_decode_satisfies_measurements_exactly():
