@@ -146,8 +146,6 @@ class CounterexampleRow:
 class CounterexampleReport:
     rows: tuple[CounterexampleRow, ...]
     entropy_rows: tuple[tuple[int, float, float], ...]  # (n, lower, alpha_{2^n}/2)
-    r: float
-    m: int
 
     @property
     def all_errors_below_envelope(self) -> bool:
@@ -201,6 +199,4 @@ def counterexample_report(
     for n in range(1, n_max + 1):
         bracket = entropy_bracket(K, n)
         entropy_rows.append((n, bracket.lower, float(alpha.alpha(2**n)) / 2.0))
-    return CounterexampleReport(
-        rows=tuple(rows), entropy_rows=tuple(entropy_rows), r=alpha.r, m=m
-    )
+    return CounterexampleReport(rows=tuple(rows), entropy_rows=tuple(entropy_rows))

@@ -31,9 +31,7 @@ class DemoMap:
     Lipschitz excess (linear in mesh size).
     """
 
-    name: str
     domain_dim: int
-    target_dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     gamma_of_radius: Callable[[float], float]
     d2_bound: float
@@ -59,9 +57,7 @@ def _plane_wave(X: np.ndarray) -> np.ndarray:
 DEMOS = {
     # rows of the Jacobian: (cos x, -sin x, 2 cos 2x); norm <= sqrt(5) everywhere
     "scalar-wave": DemoMap(
-        name="scalar-wave",
         domain_dim=1,
-        target_dim=3,
         fn=_scalar_wave,
         gamma_of_radius=lambda rho: math.sqrt(5.0),
         d2_bound=4.25,
@@ -70,9 +66,7 @@ DEMOS = {
     # Jacobian rows (cos x1 cos x2, -sin x1 sin x2) and (x2, x1)/4; the second
     # row's norm is ||x||/4, so the constant grows with the reachable radius
     "plane-wave": DemoMap(
-        name="plane-wave",
         domain_dim=2,
-        target_dim=2,
         fn=_plane_wave,
         gamma_of_radius=lambda rho: math.sqrt(1.0 + rho**2 / 16.0),
         d2_bound=2.2,

@@ -14,9 +14,7 @@ M on S to a requested accuracy:
      each mesh so the smoothed map carries no sub-mesh structure; on the
      vertex grid the kernel is a stencil, convolved through numpy.fft by
      overlap-add over blocks of the first axis, each transformed at about
-     eight stencil lengths, so the transforms never grow with the mesh; a
-     grid that fits one block is convolved as scipy.signal.fftconvolve
-     does, bit for bit, with no scipy import;
+     eight stencil lengths, so the transforms never grow with the mesh;
   3. interpolation on a Kuhn (sorted-coordinate) simplicial mesh, halving
      the mesh size until the audited interpolation error and the audited
      extra Lipschitz constant fit their budgets;
@@ -40,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spaces
 from .extend import lipschitz_audit
 from .spaces import norm
 
@@ -369,10 +368,6 @@ def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int) -> np.ndarray:
 # stencil's overlap costs about 1/_BLOCK_STENCILS of each transform; 4 to 16
 # timed alike on the default finest level (3.5M vertices, 295 taps, 2 cores)
 _BLOCK_STENCILS = 8
-# transform samples per batch of blocks; it bounds the smoothing temporaries
-# (a few arrays of this many doubles) whatever the length of the first axis,
-# unless one block's transform alone is larger
-_BATCH_SAMPLES = 1 << 16
 
 
 def _next_fast_len(target: int) -> int:
@@ -389,35 +384,6 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
-def _rfftn(x: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    """scipy.fft.rfftn(x, shape, axes=axes) on numpy.fft, bit for bit.
-
-    Both wrap pocketfft, which runs the real pass on the last axis and then
-    the complex passes on the other axes in the order given;
-    numpy.fft.rfftn runs those complex passes in reverse order.
-    """
-    spec = np.fft.rfft(x, shape[-1], axis=axes[-1])
-    for size, axis in zip(shape[:-1], axes[:-1]):
-        spec = np.fft.fft(spec, size, axis=axis)
-    return spec
-
-
-def _irfftn(spec: np.ndarray, shape: tuple[int, ...],
-            axes: tuple[int, ...]) -> np.ndarray:
-    """scipy.fft.irfftn(spec, shape, axes=axes) on numpy.fft, bit for bit.
-
-    pocketfft runs the complex passes on the leading axes in order, the real
-    pass on the last, and scales once by 1/prod(shape) at the end;
-    numpy.fft.irfftn scales by 1/n on each axis, so every pass here is
-    unscaled (norm="forward") and the one scale follows.
-    """
-    for size, axis in zip(shape[:-1], axes[:-1]):
-        spec = np.fft.ifft(spec, size, axis=axis, norm="forward")
-    out = np.fft.irfft(spec, shape[-1], axis=axes[-1], norm="forward")
-    out *= 1.0 / math.prod(shape)
-    return out
-
-
 def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
                  base: np.ndarray) -> np.ndarray:
     """Convolve row-major vertex samples with a stencil, component-wise, in place.
@@ -430,20 +396,16 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
     axes are padded whole.  With L the stencil length, the transform length
     is F = next_fast_len(_BLOCK_STENCILS * L) and the base-shifted samples
     are cut into blocks of B = F - L + 1 rows, so that a block's full
-    convolution fits its transform.  The blocks are transformed a batch at
-    a time against the stencil, transformed once at F.  Each block's full
+    convolution fits its transform; a grid shorter than B is one block.
+    The blocks are transformed a batch at a time by numpy.fft.rfftn and
+    multiplied by the stencil's transform, taken once at F; the unscaled
+    inverse (norm="forward") is scaled once by 1/prod of the transform
+    shape.  A batch holds about spaces._BLOCK_ELEMENTS transform samples,
+    which bounds the temporaries whatever the length of the first axis,
+    unless one block's transform alone is larger.  Each block's full
     convolution is added into place, its last L - 1 rows onto the next
     block's first, and the same-mode centre is written back over the
-    samples.  When the P points of an axis fit one block, B = P and
-    F = next_fast_len(P + L - 1): the steps are then those of
-    scipy.signal.fftconvolve(..., mode="same"), with the same transform
-    sizes and product order.  fftconvolve transforms through scipy.fft's
-    pocketfft, the same code numpy.fft runs one axis at a time; _rfftn and
-    _irfftn run those one-axis passes in scipy.fft's axis order and scale
-    once by 1/N after the last pass, as scipy.fft does, so every pass
-    rounds alike and the values agree with fftconvolve bit for bit.
-    numpy.fft.rfftn's reversed passes and its 1/n per axis would not.
-    Several blocks agree with it to rounding.
+    samples.
     Returns grid_values, overwritten with the smoothed samples.
     """
     if stencil.size == 1:
@@ -452,18 +414,16 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
         raise ValueError("grid values must be C-contiguous to be smoothed in place")
     n, P, L = mesh.n, mesh.points_per_axis, stencil.shape[0]
     F = _next_fast_len(_BLOCK_STENCILS * L)
-    if P + L - 1 <= F:
-        B, F = P, _next_fast_len(P + L - 1)
-    else:
-        B = F - L + 1
+    B = F - L + 1
     rest = (P,) * (n - 1)
     fshape = (F,) + (_next_fast_len(P + L - 1),) * (n - 1)
     axes = tuple(range(1, n + 1))
     c = (L - 1) // 2  # full row c + i is same-mode row i
     inner = (slice(0, P),) * (n - 1)
-    centre = (slice(None), slice(0, B + L - 1)) + (slice(c, c + P),) * (n - 1)
-    per_batch = max(1, _BATCH_SAMPLES // math.prod(fshape))
-    kernel = _rfftn(stencil, fshape, tuple(range(n)))
+    # a block's full convolution fills its F = B + L - 1 rows
+    centre = (slice(None),) * 2 + (slice(c, c + P),) * (n - 1)
+    per_batch = max(1, spaces._BLOCK_ELEMENTS // math.prod(fshape))
+    kernel = np.fft.rfftn(stencil, fshape, axes=tuple(range(n)))
     grid = grid_values.reshape((P,) * n + (grid_values.shape[1],))
     for comp in range(grid_values.shape[1]):
         samples, shift = grid[..., comp], base[comp]
@@ -477,9 +437,10 @@ def _smooth_grid(grid_values: np.ndarray, mesh: KuhnMesh, stencil: np.ndarray,
             if part:
                 np.subtract(samples[start + whole * B:stop], shift,
                             out=blocks[(whole, slice(0, part)) + inner])
-            spec = _rfftn(blocks, fshape, axes)
+            spec = np.fft.rfftn(blocks, fshape, axes=axes)
             spec *= kernel
-            full = _irfftn(spec, fshape, axes)[centre]
+            full = np.fft.irfftn(spec, fshape, axes=axes, norm="forward")[centre]
+            full *= 1.0 / math.prod(fshape)
             # full row t of block j is convolution row start + j B + t
             full[1:, :L - 1] += full[:-1, B:]
             if start:

@@ -137,9 +137,9 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     rows.  One matrix product per block screens every query-point pair in
     Gram form (module docstring), and the reference expression runs only on
     the pairs the screen keeps, _BLOCK_ELEMENTS / dim pairs at a time, so
-    no temporary grows as queries x points x dim.  When the squared norms
-    are large enough for the Gram form to overflow, or not finite, every
-    pair goes to the reference expression.
+    no temporary grows as queries x points x dim.  When a block's squared
+    norms are large enough for the Gram form to overflow, or not finite,
+    every pair of the block goes to the reference expression.
     """
     queries = np.asarray(queries, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -153,29 +153,16 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     m, dim = points.shape
     sq_q = np.einsum("ij,ij->i", queries, queries)
     sq_p = np.einsum("ij,ij->i", points, points)
-    # 4 (||q||^2 + ||p||^2) finite keeps every Gram-form quantity finite
-    with np.errstate(over="ignore"):
-        screen = bool(np.isfinite(4.0 * (np.max(sq_q, initial=0.0) + sq_p.max())))
-    margin = _screen_margin(dim)
-    lo_p = (1.0 - margin) * sq_p
     out = np.full(len(queries), math.inf)
     block_rows = max(1, _BLOCK_ELEMENTS // m)
     batch = max(1, _BLOCK_ELEMENTS // max(dim, 1))
     for start in range(0, len(queries), block_rows):
         block = queries[start:start + block_rows]
-        if screen:
-            sq_b = sq_q[start:start + block_rows]
-            cross = block @ points.T
-            cross *= 2.0
-            lo = lo_p - cross
-            lo += ((1.0 - margin) * sq_b - _UNDERFLOW)[:, None]
-            least = np.argmin(lo, axis=1)
-            hi = (1.0 + margin) * (sq_p[least] + sq_b)
-            hi -= cross[np.arange(len(block)), least]
-            hi += _UNDERFLOW
-            rows, cols = (lo <= hi[:, None]).nonzero()
-        else:
-            rows, cols = np.divmod(np.arange(len(block) * m), m)
+        lo, hi = _gram_bounds(block, sq_q[start:start + block_rows], points, sq_p)
+        # every lo_i past the hi of the row of least lo is strictly farther
+        least = np.argmin(lo, axis=1)
+        rows, cols = (lo <= hi[np.arange(len(block)), least][:, None]).nonzero()
+        del lo, hi  # before the next block's bounds exist
         best = out[start:start + block_rows]
         for s in range(0, len(rows), batch):
             r, c = rows[s:s + batch], cols[s:s + batch]
@@ -186,30 +173,31 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_bounds(cloud, sq, start, upper):
-    """Gram-form bounds (lo, hi) on the pairs (start + r, c) with upper[r, c].
+def _gram_bounds(a, sq_a, b, sq_b):
+    """Gram-form bounds (lo, hi) on the pairs of rows (a_i, b_j).
 
     lo <= d^2 <= hi for the reference distance d of each pair (module
-    docstring), in row-major order; sq holds the squared row norms.  Where
-    4 (||a||^2 + ||b||^2) may overflow, as in nearest_distances, the
-    bounds are -inf and inf.
+    docstring), as (len(a), len(b)) arrays; sq_a and sq_b hold the squared
+    row norms.  Where 4 (||a||^2 + ||b||^2) may overflow, or is not
+    finite, the bounds are -inf and inf.
     """
-    top = sq.max(initial=0.0)
+    shape = (len(a), len(b))
+    # 4 (||a||^2 + ||b||^2) finite keeps every Gram-form quantity finite
     with np.errstate(over="ignore"):
-        finite = np.isfinite(4.0 * (top + top))
+        finite = np.isfinite(4.0 * (sq_a.max(initial=0.0) + sq_b.max(initial=0.0)))
     if not finite:
-        count = int(upper.sum())
-        return np.full(count, -math.inf), np.full(count, math.inf)
-    margin = _screen_margin(cloud.shape[1])
-    sq_b = sq[start:start + len(upper)]
-    cross = cloud[start:start + len(upper)] @ cloud.T
+        return np.full(shape, -math.inf), np.full(shape, math.inf)
+    margin = _screen_margin(a.shape[1])
+    cross = a @ b.T
     cross *= 2.0
-    lo = (1.0 - margin) * sq - cross
-    lo += ((1.0 - margin) * sq_b - _UNDERFLOW)[:, None]
-    hi = (1.0 + margin) * (sq + sq_b[:, None])
+    hi = sq_b + sq_a[:, None]
+    hi *= 1.0 + margin
     hi -= cross
     hi += _UNDERFLOW
-    return lo[upper], hi[upper]
+    # lo takes cross's place, so a block holds two arrays of its size
+    lo = np.subtract((1.0 - margin) * sq_b, cross, out=cross)
+    lo += ((1.0 - margin) * sq_a - _UNDERFLOW)[:, None]
+    return lo, hi
 
 
 def _screened_pairs(clouds, keep):
@@ -218,7 +206,7 @@ def _screened_pairs(clouds, keep):
     clouds are 2-d arrays with the same number of rows.  Their upper
     triangle goes through in blocks of about _BLOCK_ELEMENTS / rows rows,
     one matrix product per block and cloud, so no temporary grows as
-    rows^2.  keep gets one (lo, hi) of _pair_bounds per cloud for each
+    rows^2.  keep gets one (lo, hi) of _gram_bounds per cloud for each
     block and returns a mask of the block's pairs to keep.  Returns the
     kept pairs' rows i and j, in row-major order, and per cloud their
     distances from one pairwise_distances call on the rows those pairs use.
@@ -228,8 +216,10 @@ def _screened_pairs(clouds, keep):
     block_rows = max(1, _BLOCK_ELEMENTS // max(m, 1))
     kept_i, kept_j = [], []
     for start in range(0, m, block_rows):
-        upper = np.arange(m) > np.arange(start, min(m, start + block_rows))[:, None]
-        bounds = [_pair_bounds(c, sq, start, upper) for c, sq in zip(clouds, sqs)]
+        stop = min(m, start + block_rows)
+        upper = np.arange(m) > np.arange(start, stop)[:, None]
+        bounds = [[x[upper] for x in _gram_bounds(c[start:stop], sq[start:stop], c, sq)]
+                  for c, sq in zip(clouds, sqs)]
         kept = np.zeros_like(upper)
         kept[upper] = keep(*bounds)
         rows, cols = kept.nonzero()

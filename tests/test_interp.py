@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from widthlab.demos import pipeline_budget
 from widthlab.extend import lipschitz_audit, sample_pairs
 import widthlab.interp as interp
+import widthlab.spaces as spaces
 from widthlab.interp import (
     UNIT_SPACING,
     _BLOCK_STENCILS,
-    _irfftn,
     _next_fast_len,
-    _rfftn,
     _smooth_grid,
     KuhnMesh,
     MeshBudgetError,
@@ -240,66 +239,6 @@ def test_smooth_grid_preserves_constants_and_respects_the_moment_bound(n):
     assert float(np.max(np.abs(smoothed - values))) <= moment + 1e-12
 
 
-@pytest.mark.parametrize("n,subdivisions", [
-    (1, 40), (1, 41), (2, 20), (2, 21), (3, 8), (3, 9),
-])
-@pytest.mark.parametrize("d", [1, 3])
-def test_smooth_grid_equals_fftconvolve_same_mode(n, subdivisions, d):
-    # the reference is scipy.signal's same-mode convolution of the
-    # base-shifted samples; agreement must be exact, not approximate
-    from scipy.signal import fftconvolve
-
-    mesh = KuhnMesh(n, 1.0, subdivisions)
-    _, _, _, stencil = bump_kernel(1.0 / (3.5 * mesh.h), n, mesh.h)
-    assert stencil.shape == (7,) * n
-    rng = np.random.default_rng(100 * n + subdivisions + d)
-    base = rng.uniform(-2.0, 2.0, size=d)
-    values = base + rng.standard_normal((mesh.vertex_count, d))
-    shape = (mesh.points_per_axis,) * n
-    expected = np.stack([
-        (fftconvolve(values[:, c].reshape(shape) - base[c], stencil, mode="same")
-         + base[c]).ravel()
-        for c in range(d)
-    ], axis=1)
-    smoothed = _smooth_grid(values, mesh, stencil, base)
-    assert smoothed is values  # smoothed in place
-    assert np.array_equal(smoothed, expected)
-
-
-# (batch shape, transform shape): odd and 5-smooth lengths, some shorter
-# than the transform, over 1, 2 and 3 transform axes
-@pytest.mark.parametrize("shape,fshape", [
-    ((7,), (7,)), ((45,), (45,)), ((33,), (40,)),
-    ((9, 11), (9, 11)), ((20, 13), (24, 15)),
-    ((5, 6, 7), (5, 6, 7)), ((4, 5, 3), (8, 9, 10)),
-])
-@pytest.mark.parametrize("count", [1, 3])
-def test_transform_helpers_equal_scipy_fft(shape, fshape, count):
-    # scipy.fft is the oracle; agreement must be exact, not approximate
-    from scipy.fft import irfftn, rfftn
-
-    rng = np.random.default_rng(sum(fshape) + count)
-    x = rng.standard_normal((count,) + shape)
-    axes = tuple(range(1, len(shape) + 1))
-    spec = _rfftn(x, fshape, axes)
-    assert np.array_equal(spec, rfftn(x, fshape, axes=axes))
-    assert np.array_equal(_irfftn(spec, fshape, axes), irfftn(spec, fshape, axes=axes))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_transform_helpers_equal_scipy_fft_on_a_stencil(n):
-    # _smooth_grid transforms the stencil over all of its axes, padded
-    from scipy.fft import irfftn, rfftn
-
-    mesh = KuhnMesh(n, 1.0, 20)
-    _, _, _, stencil = bump_kernel(1.0 / (3.5 * mesh.h), n, mesh.h)
-    fshape = (_next_fast_len(_BLOCK_STENCILS * stencil.shape[0]),) + (27,) * (n - 1)
-    axes = tuple(range(n))
-    spec = _rfftn(stencil, fshape, axes)
-    assert np.array_equal(spec, rfftn(stencil, fshape))
-    assert np.array_equal(_irfftn(spec, fshape, axes), irfftn(spec, fshape))
-
-
 def test_next_fast_len_equals_scipy_up_to_2_17():
     from scipy.fft import next_fast_len
 
@@ -340,8 +279,10 @@ def convolution_tolerance(values: np.ndarray, base: np.ndarray,
     stencil.size terms is off by at most stencil.size u max|x|.  A forward
     and an inverse transform of length F, with the product between them,
     are off by about 16 u log2(F) max|x| along each axis (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., section 24.1); the
-    mesh-length transform bounds every block's F.  Restoring base rounds
+    and Stability of Numerical Algorithms, 2nd ed., section 24.1).  F is
+    taken at the mesh length P + L - 1, which bounds the block transforms
+    of a grid of several blocks; a grid of one block is transformed at a
+    longer F, so the bound is the stricter there.  Restoring base rounds
     once more.
     """
     from scipy.fft import next_fast_len
@@ -353,17 +294,18 @@ def convolution_tolerance(values: np.ndarray, base: np.ndarray,
     return u * (terms * shifted + 2.0 * float(np.max(np.abs(values))))
 
 
-def check_against_shifted_sum(n: int, subdivisions: int, radius_cells: float):
+def check_against_shifted_sum(n: int, subdivisions: int, radius_cells: float,
+                              d: int = 3):
     mesh = KuhnMesh(n, 1.0, subdivisions)
     _, _, _, stencil = bump_kernel(1.0 / (radius_cells * mesh.h), n, mesh.h)
     rng = np.random.default_rng(10 * n + subdivisions)
-    base = rng.uniform(-2.0, 2.0, size=3)
-    values = base + rng.standard_normal((mesh.vertex_count, 3))
+    base = rng.uniform(-2.0, 2.0, size=d)
+    values = base + rng.standard_normal((mesh.vertex_count, d))
     shape = (mesh.points_per_axis,) * n
     expected = np.stack([
         (shifted_sum_convolution(values[:, c].reshape(shape) - base[c], stencil)
          + base[c]).ravel()
-        for c in range(3)
+        for c in range(d)
     ], axis=1)
     tol = convolution_tolerance(values, base, stencil, mesh.points_per_axis)
     smoothed = _smooth_grid(values, mesh, stencil, base)
@@ -373,11 +315,55 @@ def check_against_shifted_sum(n: int, subdivisions: int, radius_cells: float):
 
 
 def block_length(stencil: np.ndarray) -> int:
-    """Rows per block once a grid no longer fits a single block."""
+    """Rows per overlap-add block of the first grid axis."""
     from scipy.fft import next_fast_len
 
     L = stencil.shape[0]
     return next_fast_len(_BLOCK_STENCILS * L, True) - L + 1
+
+
+@pytest.mark.parametrize("n,subdivisions", [
+    (1, 40), (1, 41), (2, 20), (2, 21), (3, 8), (3, 9),
+])
+@pytest.mark.parametrize("d", [1, 3])
+def test_smooth_grid_in_one_block_equals_the_shifted_sum(n, subdivisions, d):
+    # every axis fits one overlap-add block, so the first axis is padded
+    # to the block transform like the others are padded to theirs
+    mesh, stencil = check_against_shifted_sum(n, subdivisions, 3.5, d)
+    assert stencil.shape == (7,) * n
+    assert mesh.points_per_axis <= block_length(stencil)
+
+
+@pytest.mark.parametrize("n,subdivisions,one_block", [
+    (1, 40, True), (1, 199, False), (2, 20, True), (2, 149, False),
+])
+def test_smooth_grid_transforms_every_grid_at_the_block_length(
+        n, subdivisions, one_block, monkeypatch):
+    # one-block and several-block grids alike take their first-axis
+    # transforms at next_fast_len(_BLOCK_STENCILS * L), whatever P is
+    mesh = KuhnMesh(n, 1.0, subdivisions)
+    _, _, _, stencil = bump_kernel(1.0 / (3.5 * mesh.h), n, mesh.h)
+    L = stencil.shape[0]
+    shapes = []
+    rfftn = np.fft.rfftn
+
+    def recording_rfftn(x, s, axes):
+        shapes.append((x.shape, tuple(s), tuple(axes)))
+        return rfftn(x, s, axes=axes)
+
+    monkeypatch.setattr(np.fft, "rfftn", recording_rfftn)
+    values = np.random.default_rng(n).standard_normal((mesh.vertex_count, 2))
+    _smooth_grid(values, mesh, stencil, np.zeros(2))
+    B = block_length(stencil)
+    assert (mesh.points_per_axis <= B) == one_block
+    # the stencil over its own axes, then batches of blocks of each component
+    (first, *batches) = shapes
+    assert first[0] == stencil.shape and first[2] == tuple(range(n))
+    assert batches and all(axes == tuple(range(1, n + 1)) for _, _, axes in batches)
+    F = _next_fast_len(_BLOCK_STENCILS * L)
+    assert all(fshape[0] == F for _, fshape, _ in shapes)
+    blocks = sum(x_shape[0] for x_shape, _, _ in batches)
+    assert blocks == 2 * -(-mesh.points_per_axis // B)
 
 
 @pytest.mark.parametrize("subdivisions,radius_cells,one_block_per_batch", [
@@ -391,7 +377,7 @@ def test_smooth_grid_over_several_blocks_equals_the_shifted_sum(
     # blocks at the default batch size, and a one-sample budget puts every
     # block in a batch of its own
     if one_block_per_batch:
-        monkeypatch.setattr(interp, "_BATCH_SAMPLES", 1)
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 1)
     mesh, stencil = check_against_shifted_sum(1, subdivisions, radius_cells)
     B = block_length(stencil)
     assert mesh.points_per_axis > 2 * B and mesh.points_per_axis % B != 0
@@ -401,7 +387,7 @@ def test_smooth_grid_over_several_blocks_equals_the_shifted_sum(
 def test_smooth_grid_over_several_blocks_of_a_plane_equals_the_shifted_sum(
         one_block_per_batch, monkeypatch):
     if one_block_per_batch:
-        monkeypatch.setattr(interp, "_BATCH_SAMPLES", 1)
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 1)
     mesh, stencil = check_against_shifted_sum(2, 149, 3.5)
     assert mesh.points_per_axis > 2 * block_length(stencil)
 
