@@ -342,6 +342,16 @@ def run_python(args: list[str], timeout: int) -> subprocess.CompletedProcess:
                           timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
+def mesh_cap() -> str:
+    """Code that gives a child interpreter this process's interp mesh cap.
+
+    The conftest fixture lowers interp._MAX_VERTICES for the tests; a child
+    that runs the pipeline starts from the default without this.
+    """
+    return ("import widthlab.interp\n"
+            f"widthlab.interp._MAX_VERTICES = {widthlab.interp._MAX_VERTICES}\n")
+
+
 def test_reproduce_script_advertises_usage():
     proc = run_python([str(SCRIPT), "--help"], timeout=60)
     assert proc.returncode == 0
@@ -349,7 +359,10 @@ def test_reproduce_script_advertises_usage():
 
 
 def test_reproduce_script_quick_run_writes_every_artifact(tmp_path):
-    proc = run_python([str(SCRIPT), "--quick", "--out", str(tmp_path)], timeout=300)
+    code = (mesh_cap() + "import runpy, sys\n"
+            f"sys.argv = {[str(SCRIPT), '--quick', '--out', str(tmp_path)]!r}\n"
+            f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')\n")
+    proc = run_python(["-c", code], timeout=300)
     assert proc.returncode == 0, proc.stderr
     expected = {
         "entropy": ["entropy.csv"],
@@ -379,9 +392,12 @@ def test_cli_import_loads_no_scipy():
 def test_interp_pipeline_smooths_without_scipy():
     # smoothing runs on numpy.fft alone; scipy.fft costs about 0.3 s of
     # imports, scipy.signal about a second, more than the small run below
+    # the run below needs a 17-vertex mesh; a tight cap stops it early when
+    # a broken smoothing step keeps its audits from passing
     code = (
         "import sys, numpy as np\n"
         "import widthlab.interp as wi\n"
+        "wi._MAX_VERTICES = 1024\n"
         "taps = []\n"
         "smooth = wi._smooth_grid\n"
         "def counted(grid, mesh, stencil, base):\n"
@@ -408,7 +424,7 @@ def scipy_modules_after(tmp_path, command, *args):
     cfg.write_text(runpy.run_path(str(SCRIPT))["QUICK_OVERLAY"])
     out = tmp_path / command
     argv = [command, *args, "--config", str(cfg), "--out", str(out)]
-    code = ("import sys\n"
+    code = (mesh_cap() + "import sys\n"
             "from widthlab.cli import main\n"
             f"main({argv!r})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")

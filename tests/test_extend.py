@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import widthlab.extend as extend
 import widthlab.spaces as spaces
 from widthlab.extend import (
     ExtensionFeasibilityError,
     SampledLipschitzMap,
+    _two_ball_step,
     kirszbraun_eval_batch,
     lipschitz_audit,
     sample_pairs,
 )
 from widthlab.spaces import generate_Kq, pairwise_distances
-from widthlab.stablewidth import build_stable_pair
+from widthlab.stablewidth import EVAL_TOL, build_stable_pair
 
 
 def fit_gamma(xs, fs, slack=1e-9):
@@ -266,7 +268,11 @@ def test_kirszbraun_batch_matches_sequential_accumulation():
 
 
 def reference_kirszbraun(map_, X, tol=1e-8):
-    """The Kirszbraun loop that scans every constraint row at every step."""
+    """The Kirszbraun loop that scans every constraint row at every step.
+
+    It takes the kernel's two-ball step through the same helper, on the
+    same trigger, so its values are the screened kernel's bit for bit.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Q = X.shape[0]
     m = map_.count
@@ -282,17 +288,26 @@ def reference_kirszbraun(map_, X, tol=1e-8):
         radii = map_.gamma * d + slack[:n_c]
         y = cf[nearest].copy()
         worst = 0.0
-        for _ in range(100_000):
+        last = before = -1
+        for _ in range(extend._ITERATION_CAP):
             dist = np.sqrt(np.sum((y - cf[:n_c]) ** 2, axis=1))
             viol = dist - radii
             j = int(np.argmax(viol))
             worst = float(viol[j])
             if worst <= tol:
                 break
-            # pull y onto the violated sphere; dist[j] > radii[j] >= 0
-            y = cf[j] + (y - cf[j]) * (radii[j] / dist[j])
+            # the two-ball step when j was the row of the step before last
+            p = None
+            if j == before != last:
+                p = _two_ball_step(y, cf[last], float(radii[last]),
+                                   cf[j], float(radii[j]))
+            if p is None:
+                # pull y onto the violated sphere; dist[j] > radii[j] >= 0
+                p = cf[j] + (y - cf[j]) * (radii[j] / dist[j])
+            y = p
+            before, last = last, j
         else:
-            raise ExtensionFeasibilityError(worst, 100_000)
+            raise ExtensionFeasibilityError(worst, extend._ITERATION_CAP)
         Y[q] = y
         if d[nearest] > 0.0:
             cx[n_c] = x
@@ -341,14 +356,68 @@ def test_screened_kernel_equals_the_full_scan_far_from_the_origin():
 
 def test_screened_kernel_equals_the_full_scan_on_the_default_roundtrip():
     # stable-width's first task at its defaults: the n=2 pair of seed 0's
-    # first spawned seed on the 2000-point l1-ball, at tol 1e-7; one of
-    # its decoder queries takes 1,535 projections
+    # first spawned seed on the 2000-point l1-ball, at tol 1e-7; without
+    # the two-ball step one of its decoder queries took 1,535 projections
     K = generate_Kq(32, 1.0, 2000, seed=0)
     pair = build_stable_pair(K, 2, seed=3757552657)
     Z = kirszbraun_eval_batch(pair.encoder, K.points, tol=1e-7)
     assert np.array_equal(Z, reference_kirszbraun(pair.encoder, K.points, tol=1e-7))
     assert np.array_equal(kirszbraun_eval_batch(pair.decoder, Z, tol=1e-7),
                           reference_kirszbraun(pair.decoder, Z, tol=1e-7))
+
+
+def test_two_ball_step_by_hand():
+    # unit disks at (0, 0) and (1.5, 0) meet at (0.75, +-sqrt(0.4375))
+    p = _two_ball_step(np.array([0.75, 2.0]), np.array([0.0, 0.0]), 1.0,
+                       np.array([1.5, 0.0]), 1.0)
+    assert p[0] == pytest.approx(0.75, abs=1e-15)
+    assert p[1] == pytest.approx(math.sqrt(0.4375), abs=1e-15)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_two_ball_step_is_the_nearest_point_of_the_circle(seed, dim):
+    rng = np.random.default_rng(seed)
+    a, b, y = rng.standard_normal((3, dim))
+    d = float(np.linalg.norm(b - a))
+    # radii whose spheres meet: r_a + r_b > d > |r_a - r_b|
+    r_a = rng.uniform(0.1, 2.0) * d
+    r_b = rng.uniform(abs(d - r_a), d + r_a)
+    p = _two_ball_step(y, a, r_a, b, r_b)
+    if p is None:
+        return  # tangent after rounding, or y on the axis
+    assert np.linalg.norm(p - a) == pytest.approx(r_a, rel=1e-12)
+    assert np.linalg.norm(p - b) == pytest.approx(r_b, rel=1e-12)
+    # the nearest point of the circle: y - p is normal to the circle at p,
+    # so it lies in the span of the two sphere normals p - a and p - b
+    basis = np.linalg.qr(np.stack([p - a, p - b], axis=1))[0]
+    e = y - p
+    off = e - basis @ (basis.T @ e)
+    assert np.linalg.norm(off) <= 1e-9 * (1.0 + np.linalg.norm(e))
+
+
+@pytest.mark.parametrize("case", ["disjoint", "nested", "concentric", "axis"])
+def test_two_ball_step_falls_back_without_a_circle(case):
+    a, b = np.array([0.0, 0.0]), np.array([1.5, 0.0])
+    y = np.array([0.75, 2.0])
+    args = {
+        "disjoint": (y, a, 0.5, b, 0.5),
+        "nested": (y, a, 3.0, b, 1.0),
+        "concentric": (y, a, 1.0, a.copy(), 2.0),
+        "axis": (np.array([5.0, 0.0]), a, 1.0, b, 1.0),
+    }[case]
+    assert _two_ball_step(*args) is None
+
+
+@pytest.mark.parametrize("n, seed", [(2, 3757552657), (3, 673228719)])
+def test_default_decoder_roundtrips_converge_within_a_small_cap(n, seed):
+    # stable-width's n=2 and n=3 pairs at seed 0; alternating projections
+    # took up to 15,447 steps on one of these decoder queries, and the
+    # two-ball step brings every query under 10
+    K = generate_Kq(32, 1.0, 2000, seed=0)
+    pair = build_stable_pair(K, n, seed=seed)
+    with mock.patch.object(extend, "_ITERATION_CAP", 32):
+        recon = pair.roundtrip_batch(K.points, tol=EVAL_TOL)
+    assert recon.shape == K.points.shape
 
 
 def test_kirszbraun_refuses_non_finite_queries_and_tolerances():
