@@ -356,9 +356,11 @@ def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
     K = _build_class(cfg)
-    reports = [rep for _, rep in _width_series(K, cfg, threads)]
+    results = _width_series(K, cfg, threads)
+    reports = [rep for _, rep in results]
     delta0 = float(np.max(np.linalg.norm(K.points, axis=1)))
-    gamma = max(rep.lip_M for rep in reports)
+    # A needs an upper bound on the decoder constant; an audit is a lower one
+    gamma = max(max(pair.gamma_M, rep.lip_M) for pair, rep in results)
     inputs = carl_inputs_from_width_series(reports, delta0=delta0, gamma=gamma,
                                            r=float(cfg["r"]))
     entropy_series = [entropy_bracket(K, rep.n) for rep in reports]

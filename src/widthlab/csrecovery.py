@@ -41,9 +41,9 @@ import numpy as np
 from . import spaces
 from .spaces import (
     ModelClassSurrogate,
-    _screened_pairs,
     nearest_distances,
     norm,
+    pair_ratio_extremes,
 )
 from .stablewidth import EncoderDecoderPair
 
@@ -463,39 +463,18 @@ def build_nonlinear_pair(
 
     gamma_a is the largest net-pair ratio ||Phi(x_i - x_j)|| / ||x_i - x_j||
     and gamma_M one over the smallest, so the pair's constants describe the
-    map that is extended.  The ratios are those of pairwise_distances,
-    taken only on the pairs whose Gram-form ratio bounds (widthlab.spaces)
-    reach an extreme, so both budgets are the full matrices' bit for bit.
+    map that is extended.  The extremes are those of
+    spaces.pair_ratio_extremes, so both budgets are the full distance
+    matrices' bit for bit.
     """
     xs = sparse_net.points
     if len(xs) < 2:
         raise ValueError("the net needs two points to fix the budgets")
     images = xs @ Phi.matrix.T
-    # a pair stays open while its ratio bounds reach the largest lower or
-    # the least upper bound so far; rounding is monotone, so the bounds
-    # hold for the exact ratios too, and a pair that may be at gap 0 has an
-    # infinite upper bound, which keeps it open for the distinct check
-    best, least = -math.inf, math.inf
-
-    def extreme_pairs(x_bounds, f_bounds):
-        nonlocal best, least
-        (lo_x, hi_x), (lo_f, hi_f) = x_bounds, f_bounds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_lo = np.sqrt(np.maximum(lo_f, 0.0)) / np.sqrt(hi_x)
-            ratio_hi = np.sqrt(hi_f) / np.sqrt(np.maximum(lo_x, 0.0))
-        best = max(best, ratio_lo.max(initial=-math.inf))
-        least = min(least, ratio_hi.min(initial=math.inf))
-        return (ratio_hi >= best) | (ratio_lo <= least)
-
-    _, _, (gaps, dists) = _screened_pairs((xs, images), extreme_pairs)
-    if not np.all(gaps > 0.0):
-        raise ValueError("net points must be pairwise distinct")
-    ratios = dists / gaps
-    if not ratios.min() > 0.0:
+    least, largest, _ = pair_ratio_extremes(xs, images)
+    if not least > 0.0:
         raise ValueError("Phi maps two net points to one image; pair undefined")
-    return EncoderDecoderPair.over_net(
-        sparse_net, images, float(ratios.max()), 1.0 / float(ratios.min())
-    )
+    return EncoderDecoderPair.over_net(sparse_net, images, largest, 1.0 / least)
 
 
 @dataclass(frozen=True)

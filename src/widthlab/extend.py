@@ -5,7 +5,9 @@ problem: find y with ||y - f_i|| <= gamma * ||x - x_i|| + tol for all i,
 solved by projecting onto the most violated ball.  The intersection is
 nonempty whenever the samples are a gamma-Lipschitz pair set, so the
 iteration converges; the cap signals numerical failure rather than being
-silently swallowed.
+silently swallowed.  SampledLipschitzMap checks that condition when built:
+its largest sample pair ratio (widthlab.spaces.pair_ratio_extremes) may
+exceed gamma by the relative slack 1e-9 at most.
 
 Where two balls meet in a thin lens, projecting onto them in turn crawls
 (von Neumann's alternating projections; Bauschke and Borwein, Set-Valued
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _UNDERFLOW, _screen_margin, _screened_pairs, norm
+from .spaces import _UNDERFLOW, _screen_margin, norm, pair_ratio_extremes
 
 __all__ = [
     "SampledLipschitzMap",
@@ -91,11 +93,12 @@ class SampledLipschitzMap:
     Both sides carry the l_2 norm, the setting of the Kirszbraun extension,
     and their dimensions are the row lengths of xs and fs.  Construction
     checks that the samples are a gamma-Lipschitz pair set:
-    ||f_i - f_j|| <= gamma * ||x_i - x_j|| for all pairs, up to a tiny
-    relative slack absorbing float rounding.  Distances are those of
-    pairwise_distances, taken only on the pairs the Gram-form screen of
-    widthlab.spaces leaves open, so the verdict and the error naming the
-    first violating pair are those of the full distance matrices.
+    ||f_i - f_j|| <= gamma * ||x_i - x_j|| for all pairs, up to a relative
+    slack 1e-9 absorbing float rounding, so it raises ValueError when the
+    largest pair ratio exceeds gamma (1 + 1e-9), naming the pair of that
+    ratio, and when two domain samples are at distance 0.  The ratios are
+    those of spaces.pair_ratio_extremes, so the verdict and the error are
+    those of the full distance matrices.
     """
 
     xs: np.ndarray
@@ -118,30 +121,13 @@ class SampledLipschitzMap:
         bad = np.flatnonzero(~np.isfinite(np.hstack([xs, fs])).all(axis=1))
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite")
-        # a pair stays open while it may be a duplicate (lo_x <= 0), the
-        # farthest domain pair behind the slack (hi_x reaches the best lo
-        # so far), or a violation: the slack is at least 1e-9, and rounding
-        # is monotone, so bounds that clear the budget clear the exact gaps
-        best_lo = -math.inf
-
-        def open_pairs(x_bounds, f_bounds):
-            nonlocal best_lo
-            (lo_x, hi_x), (_, hi_f) = x_bounds, f_bounds
-            best_lo = max(best_lo, lo_x.max(initial=-math.inf))
-            reach = self.gamma * np.sqrt(np.maximum(lo_x, 0.0)) + 1e-9
-            return (lo_x <= 0.0) | (hi_x >= best_lo) | (np.sqrt(hi_f) > reach)
-
-        i, j, (dx, df) = _screened_pairs((xs, fs), open_pairs)
-        if np.any(dx == 0.0):
-            raise ValueError("domain samples must be pairwise distinct")
-        slack = 1e-9 * (1.0 + dx.max(initial=0.0))
-        bad = df > self.gamma * dx + slack
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise ValueError(
-                f"samples {i[k]},{j[k]} violate the gamma-Lipschitz condition: "
-                f"target gap {df[k]:.6g} > {self.gamma} * {dx[k]:.6g}"
-            )
+        if xs.shape[0] > 1:
+            _, largest, pair = pair_ratio_extremes(xs, fs)
+            if largest > self.gamma * (1.0 + 1e-9):
+                raise ValueError(
+                    f"samples {pair[0]},{pair[1]} violate the gamma-Lipschitz "
+                    f"condition: pair ratio {largest} > gamma {self.gamma}"
+                )
 
     @property
     def count(self) -> int:

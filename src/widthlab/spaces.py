@@ -32,10 +32,13 @@ distance d_i to a query from below, lo_i <= d_i^2, and the distance of the
 row of least lo from above, d^2 <= hi.  A row with lo_i > hi is strictly
 farther than that row, so the nearest reference distance is the least
 over the rows with lo_i <= hi, bit for bit.  The same bounds on the pairs
-of one cloud (_screened_pairs) leave open only the pairs that can decide
-a check or an extreme, such as the farthest pair or the pair of largest
-ratio, for the sampled maps of widthlab.extend and the budgets of
-widthlab.csrecovery.  widthlab.extend runs the same screen inside its
+of two clouds with one row per sample bound every pair ratio
+||f_i - f_j|| / ||x_i - x_j|| from both sides, so pair_ratio_extremes
+evaluates exactly only the pairs that can reach the least or the largest
+ratio.  Those extremes are the Lipschitz constants of a finite map and of
+its inverse: the check of widthlab.extend's sampled maps, the budgets of
+widthlab.csrecovery and the rescaled draws of widthlab.stablewidth's
+random projection.  widthlab.extend runs the same screen inside its
 Kirszbraun scans.
 """
 
@@ -51,6 +54,7 @@ __all__ = [
     "AlphaSequence",
     "norm",
     "pairwise_distances",
+    "pair_ratio_extremes",
     "nearest_distances",
     "generate_Kq",
     "generate_diag_class",
@@ -200,35 +204,62 @@ def _gram_bounds(a, sq_a, b, sq_b):
     return lo, hi
 
 
-def _screened_pairs(clouds, keep):
-    """The pairs i < j of rows that keep leaves open, and their distances.
+def pair_ratio_extremes(xs: np.ndarray, fs: np.ndarray):
+    """Least and largest ratio ||f_i - f_j|| / ||x_i - x_j|| over pairs i < j.
 
-    clouds are 2-d arrays with the same number of rows.  Their upper
-    triangle goes through in blocks of about _BLOCK_ELEMENTS / rows rows,
-    one matrix product per block and cloud, so no temporary grows as
-    rows^2.  keep gets one (lo, hi) of _gram_bounds per cloud for each
-    block and returns a mask of the block's pairs to keep.  Returns the
-    kept pairs' rows i and j, in row-major order, and per cloud their
-    distances from one pairwise_distances call on the rows those pairs use.
+    xs and fs hold one sample a row, at least two.  Returns (least,
+    largest, (i, j)), (i, j) the first pair of the largest in row-major
+    order, each the dense pairwise_distances ratios' bit for bit:
+    pairwise_distances runs only on the rows of the pairs whose Gram-form
+    ratio bounds (module docstring) can reach an extreme.  Rows go through
+    in blocks of about _BLOCK_ELEMENTS / rows rows, so no temporary grows
+    as rows^2.  inf / inf, where both gaps pass the float range, counts
+    toward neither extreme (with no other pair: inf, -inf and None).  Rows
+    of xs at distance 0 raise ValueError.
     """
-    m = len(clouds[0])
-    sqs = [np.einsum("ij,ij->i", c, c) for c in clouds]
-    block_rows = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
+    m = len(xs)
+    if xs.ndim != 2 or fs.ndim != 2 or len(fs) != m or m < 2:
+        raise ValueError("xs and fs must be 2-d with the same rows, at least two")
+    sq_x = np.einsum("ij,ij->i", xs, xs)
+    sq_f = np.einsum("ij,ij->i", fs, fs)
+    block_rows = max(1, _BLOCK_ELEMENTS // m)
+    # bounds on the extremes of the defined ratios: top <= largest and
+    # least <= bottom
+    top, bottom = -math.inf, math.inf
     kept_i, kept_j = [], []
-    for start in range(0, m, block_rows):
-        stop = min(m, start + block_rows)
-        upper = np.arange(m) > np.arange(start, stop)[:, None]
-        bounds = [[x[upper] for x in _gram_bounds(c[start:stop], sq[start:stop], c, sq)]
-                  for c, sq in zip(clouds, sqs)]
-        kept = np.zeros_like(upper)
-        kept[upper] = keep(*bounds)
-        rows, cols = kept.nonzero()
-        kept_i.append(rows + start)
-        kept_j.append(cols)
+    for start in range(0, m - 1, block_rows):
+        block = slice(start, start + block_rows)
+        lo_x, hi_x = _gram_bounds(xs[block], sq_x[block], xs[start:], sq_x[start:])
+        lo_f, hi_f = _gram_bounds(fs[block], sq_f[block], fs[start:], sq_f[start:])
+        # rounding is monotone, so lo <= ratio <= hi for every exact ratio;
+        # a pair that may be at gap 0 has hi = inf and stays open.  Bounds
+        # on and below the diagonal belong to the same pairs, or to none,
+        # so they may tighten top and bottom too
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = np.sqrt(np.maximum(lo_f, 0.0, out=lo_f), out=lo_f)
+            lo /= np.sqrt(hi_x, out=hi_x)
+            hi = np.sqrt(hi_f, out=hi_f)
+            hi /= np.sqrt(np.maximum(lo_x, 0.0, out=lo_x), out=lo_x)
+        top, bottom = max(top, float(lo.max())), min(bottom, float(hi.min()))
+        rows, cols = ((hi >= top) | (lo <= bottom)).nonzero()
+        upper = cols > rows
+        kept_i.append(rows[upper] + start)
+        kept_j.append(cols[upper] + start)
     i, j = np.concatenate(kept_i), np.concatenate(kept_j)
     used, inverse = np.unique(np.concatenate([i, j]), return_inverse=True)
     a, b = inverse[:len(i)], inverse[len(i):]
-    return i, j, [pairwise_distances(c[used])[a, b] for c in clouds]
+    gaps = pairwise_distances(xs[used])[a, b]
+    if not gaps.all():
+        k = int(np.argmin(gaps))
+        raise ValueError(f"domain rows {i[k]},{j[k]} are at distance 0; "
+                         "they must be pairwise distinct")
+    with np.errstate(invalid="ignore"):
+        ratios = pairwise_distances(fs[used])[a, b] / gaps
+    largest = float(np.fmax.reduce(ratios, initial=-math.inf))
+    hit = np.flatnonzero(ratios == largest)
+    pair = (int(i[hit[0]]), int(j[hit[0]])) if hit.size else None
+    return float(np.fmin.reduce(ratios, initial=math.inf)), largest, pair
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The pipeline behind build_stable_pair: cover the class by a 2^n-point inner
 net, embed the net into R^(26n) by a verified random projection that keeps
-all net pair distances within [1/2, 1] of their true values, then extend
-net -> image with constant 1 (encoder) and image -> net with constant 2
+all net pair distances within [1/2, 1] of their true values (jl_project
+reads the extreme ratios from widthlab.spaces.pair_ratio_extremes), then
+extend net -> image with constant 1 (encoder) and image -> net with constant 2
 (decoder) by ball-intersection evaluation.  The roundtrip reproduces the
 net, so the class error is at most 3 times the net radius: one net radius
 to reach the net, 2 more through the decoder's constant.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .extend import SampledLipschitzMap, lipschitz_audit, sample_pairs
 from .nets import EntropyBracket, greedy_cover
-from .spaces import ModelClassSurrogate, norm
+from .spaces import ModelClassSurrogate, norm, pair_ratio_extremes
 
 __all__ = [
     "DIM_PER_LEVEL",
@@ -98,32 +99,28 @@ _JL_RETRY_CAP = 32
 def jl_project(points: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
     """Gaussian projection verified on all pairs of the given points.
 
-    The raw Gaussian map is rescaled so the worst pairwise expansion is
-    exactly 1 (upper bound tight), then the contraction side is checked:
-    every pair must keep at least half its distance.  Draws are retried on
+    Each draw T is rescaled by the largest pair ratio of the images
+    points @ T.T, so the worst pairwise expansion is 1 (upper bound tight),
+    then the contraction side is checked: the least ratio must be at least
+    half the largest.  The ratios are those of spaces.pair_ratio_extremes,
+    so points at distance 0 raise ValueError.  Draws are retried on
     independent seed streams, lowest stream index winning, so the outcome
     does not depend on evaluation order.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if target_dim < 1:
         raise ValueError("target_dim must be positive")
-    count, dim = points.shape
-    iu = np.triu_indices(count, k=1)
-    diffs = points[iu[0]] - points[iu[1]]
-    true_d = np.linalg.norm(diffs, axis=1)
     worst = -math.inf
     for attempt in range(_JL_RETRY_CAP):
         rng = np.random.default_rng([seed, attempt])
-        T = rng.standard_normal((target_dim, dim)) / math.sqrt(target_dim)
-        if len(true_d) == 0:
+        T = rng.standard_normal((target_dim, points.shape[1])) / math.sqrt(target_dim)
+        if len(points) < 2:
             return T
-        proj_d = np.linalg.norm(diffs @ T.T, axis=1)
-        ratios = proj_d / true_d
-        T_scaled = T / np.max(ratios)
-        low = float(np.min(ratios) / np.max(ratios))
+        least, largest, _ = pair_ratio_extremes(points, points @ T.T)
+        low = least / largest
         worst = max(worst, low)
         if low >= 0.5:
-            return T_scaled
+            return T / largest
     raise JLDistortionError(_JL_RETRY_CAP, worst)
 
 

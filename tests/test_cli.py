@@ -119,6 +119,17 @@ def test_width_commands_are_thread_count_invariant(tmp_path, name):
             == outputs_at_threads(tmp_path, name, SMALL_WIDTHS, 2))
 
 
+def test_carl_base_is_never_below_the_decoder_budgets(tmp_path):
+    # a sampled audit is a lower bound on a constant, so A = 1 + 16 gamma^2
+    # takes the budget gamma_M = 2 where the audits read below it
+    out = run_cli(tmp_path, "carl", SMALL_WIDTHS)
+    text = (out / "carl_cover.csv").read_text()
+    lines = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0][2] == "A"
+    assert {row[2] for row in lines[1:]} == {"65.0"}
+    assert "- base A = 65.0 at gamma = 2.0" in (out / "report.md").read_text()
+
+
 SMALL_CS = """
 [cs]
 n = 20
@@ -334,12 +345,42 @@ def test_interp_command_smoke(tmp_path):
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reports.py"
 
 
-def run_python(args: list[str], timeout: int) -> subprocess.CompletedProcess:
+def run_python(args: list[str], timeout: int,
+               cwd: Path | None = None) -> subprocess.CompletedProcess:
     """Run the interpreter on args, importing the widthlab these tests import."""
     src = str(Path(widthlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+                          timeout=timeout, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_property_that_fails(x):
+    assert x < 0
+
+
+def test_a_test_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # hypothesis's failure report raised a DeprecationWarning inside a
+    # pytest hook, and with every warning an error the session stopped
+    # there in an INTERNALERROR, before the tests after it ran
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    run = run_python(["-m", "pytest", "-c", str(PYPROJECT), "--rootdir",
+                      str(tmp_path), "-p", "no:cacheprovider", "-q",
+                      "test_property.py"], timeout=120, cwd=tmp_path)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
 
 
 def mesh_cap() -> str:

@@ -26,9 +26,9 @@ from widthlab.spaces import (
     ModelClassSurrogate,
     generate_sparse_class,
     norm,
-    pairwise_distances,
 )
 from test_extend import dense_sample_check, outcome
+from test_spaces import dense_ratio_extremes
 
 
 def test_sigma_k_known_values():
@@ -588,14 +588,10 @@ def dense_budgets(Phi, net):
     """
     xs = net.points
     images = xs @ Phi.matrix.T
-    upper = np.triu(np.ones((len(xs), len(xs)), dtype=bool), 1)
-    gaps = pairwise_distances(xs)[upper]
-    if not np.all(gaps > 0.0):
-        raise ValueError("net points must be pairwise distinct")
-    ratios = pairwise_distances(images)[upper] / gaps
-    if not ratios.min() > 0.0:
+    least, largest, _ = dense_ratio_extremes(xs, images)
+    if not least > 0.0:
         raise ValueError("Phi maps two net points to one image; pair undefined")
-    gamma_a, gamma_M = float(ratios.max()), 1.0 / float(ratios.min())
+    gamma_a, gamma_M = largest, 1.0 / least
     # the sampled maps of EncoderDecoderPair.over_net
     for domain, targets, gamma in ((xs, images, gamma_a), (images, xs, gamma_M)):
         if gamma <= 0:
@@ -629,7 +625,7 @@ def test_budgets_hand_made_cases_equal_the_dense_budgets():
     tiny = ModelClassSurrogate(np.array([[1e-170, 0.0], [2e-170, 0.0], [1.0, 2.0]]))
     Phi = SensingMatrix(np.array([[1.0, 2.0], [0.5, -1.0]]))
     assert assert_budgets_equal_the_dense_budgets(Phi, tiny).startswith(
-        "net points must be pairwise distinct")
+        "domain rows 0,1 are at distance 0")
     # two net points on one image
     flat = SensingMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     net = ModelClassSurrogate(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0],

@@ -19,6 +19,8 @@ from widthlab.extend import (
 from widthlab.spaces import generate_Kq, pairwise_distances
 from widthlab.stablewidth import EVAL_TOL, build_stable_pair
 
+from test_spaces import dense_ratio_extremes
+
 
 def fit_gamma(xs, fs, slack=1e-9):
     """Smallest budget making (xs, fs) a valid l_2 Lipschitz sample set."""
@@ -73,19 +75,14 @@ def dense_sample_check(xs, fs, gamma):
     """SampledLipschitzMap's pair check on full distance matrices.
 
     The reference the screened check reproduces: the same verdict, and a
-    ValueError of the same text for the first violating pair i < j.
+    ValueError of the same text for the pair of the largest ratio, when
+    that ratio exceeds gamma (1 + 1e-9).
     """
-    dx = pairwise_distances(xs)
-    if np.any((dx + np.eye(len(xs))) == 0.0):
-        raise ValueError("domain samples must be pairwise distinct")
-    df = pairwise_distances(fs)
-    slack = 1e-9 * (1.0 + dx.max())
-    bad = df > gamma * dx + slack
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
+    _, largest, pair = dense_ratio_extremes(xs, fs)
+    if largest > gamma * (1.0 + 1e-9):
         raise ValueError(
-            f"samples {i},{j} violate the gamma-Lipschitz condition: "
-            f"target gap {df[i, j]:.6g} > {gamma} * {dx[i, j]:.6g}"
+            f"samples {pair[0]},{pair[1]} violate the gamma-Lipschitz "
+            f"condition: pair ratio {largest} > gamma {gamma}"
         )
 
 
@@ -99,31 +96,27 @@ def outcome(check, *args):
     return None
 
 
-def edge_budget(xs, fs, pair, target):
-    """The gamma at which pair's bound gamma * dx + slack rounds to target."""
-    dx = pairwise_distances(xs)
-    slack = 1e-9 * (1.0 + dx.max())
-    gap = dx[pair]
-    gamma = (target - slack) / gap
-    while gamma * gap + slack < target:
+def edge_budget(target):
+    """The gamma at which the bound gamma * (1 + 1e-9) rounds to target."""
+    gamma = target / (1.0 + 1e-9)
+    while gamma * (1.0 + 1e-9) < target:
         gamma = np.nextafter(gamma, math.inf)
-    while gamma * gap + slack > target:
+    while gamma * (1.0 + 1e-9) > target:
         gamma = np.nextafter(gamma, -math.inf)
-    assert gamma * gap + slack == target
+    assert gamma * (1.0 + 1e-9) == target
     return float(gamma)
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
 @pytest.mark.parametrize("shift", [0.0, 1e6 + 0.1, 1e6 + 0.3, 1e6 + 0.7])
 def test_sample_check_one_ulp_from_the_budget(side, shift):
-    # the target gap of pair (0, 1) sits 1 ulp below (side 1) or above
-    # (side -1) its bound; row 2 is the farthest domain point, so its gap
-    # sets the slack; near 1e6 the Gram form keeps only a few digits of
-    # the gaps, while the differences of the rows stay exact
+    # the bound sits 1 ulp above (side 1) or below (side -1) the ratio of
+    # pair (0, 1), the largest; near 1e6 the Gram form keeps only a few
+    # digits of the gaps, while the differences of the rows stay exact
     xs = np.array([[0.0, 0.0], [1.0, 0.0], [-7.0, 9.0]]) + shift
     fs = np.array([[0.0, 1.0], [1.25, 1.0], [0.5, 1.2]]) + shift
-    df = pairwise_distances(fs)[0, 1]
-    gamma = edge_budget(xs, fs, (0, 1), np.nextafter(df, side * math.inf))
+    ratio = pairwise_distances(fs)[0, 1] / pairwise_distances(xs)[0, 1]
+    gamma = edge_budget(np.nextafter(ratio, side * math.inf))
     got = outcome(SampledLipschitzMap, xs, fs, gamma)
     assert got == outcome(dense_sample_check, xs, fs, gamma)
     assert (got is None) == (side > 0)
@@ -136,18 +129,17 @@ def test_sample_check_hand_made_cases_equal_the_dense_check():
     far = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, 0.0], [0.0, -5.0],
                     [1.0, 2.0]]) * 1e153
     cases = [
-        # duplicate domain rows, with equal images at the origin so no
-        # other check opens the pair
+        # duplicate domain rows, with equal images
         (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [3.0, 3.0]]),
-         np.array([[0.0], [0.5], [0.0], [1.0]]), 1.0, "domain samples"),
+         np.array([[0.0], [0.5], [0.0], [1.0]]), 1.0, "domain rows 0,2"),
         # distinct rows whose squared gap underflows to 0
         (np.array([[1e-170, 0.0], [2e-170, 0.0], [5.0, 5.0]]),
-         np.zeros((3, 1)), 1.0, "domain samples"),
+         np.zeros((3, 1)), 1.0, "domain rows 0,1"),
         # two images that coincide: fine one way, duplicates the other
         (np.array([[0.0], [1.0], [3.0]]), np.array([[2.0], [2.0], [0.0]]),
          1.0, None),
         (np.array([[2.0], [2.0], [0.0]]), np.array([[0.0], [1.0], [3.0]]),
-         1.0, "domain samples"),
+         1.0, "domain rows 0,1"),
         # rows whose squared norms overflow: every pair is exact
         (far, far * 0.5, 0.5, None),
         (far, far * 0.5, 0.25, "samples 0,1"),
@@ -164,7 +156,7 @@ def test_sample_check_hand_made_cases_equal_the_dense_check():
         a = rng.uniform(2e-162, 3e-161, size=2)
         b = a + rng.uniform(-1e-162, 1e-162, size=2)
         cases.append((np.array([a, b, [5.0, 5.0]]), np.zeros((3, 1)), 1.0,
-                      "domain samples"))
+                      "domain rows 0,1"))
     for xs, fs, gamma, expected in cases:
         got = outcome(SampledLipschitzMap, xs, fs, gamma)
         assert got == outcome(dense_sample_check, xs, fs, gamma)
@@ -194,11 +186,11 @@ def test_sample_check_equals_the_dense_check(seed, count, dims, grid, shift,
     if grid:
         xs, fs = np.round(2.0 * xs), np.round(2.0 * fs)
     xs, fs = (xs + shift) * scale, (fs + shift) * scale
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dx, df = pairwise_distances(xs), pairwise_distances(fs)
-        ratios = (df - 1e-9 * (1.0 + dx.max())) / dx
-    ratios = ratios[np.isfinite(ratios) & (ratios > 0.0)]
-    gamma = float(ratios.max()) if ratios.size else 1.0
+    try:
+        largest = dense_ratio_extremes(xs, fs)[1]
+    except ValueError:  # domain rows at distance 0
+        largest = 1.0
+    gamma = largest / (1.0 + 1e-9) if 0.0 < largest < math.inf else 1.0
     for _ in range(abs(steps)):
         gamma = float(np.nextafter(gamma, steps * math.inf))
     with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget):

@@ -17,6 +17,7 @@ from widthlab.spaces import (
     generate_sparse_class,
     nearest_distances,
     norm,
+    pair_ratio_extremes,
     pairwise_distances,
 )
 
@@ -297,11 +298,92 @@ def test_huge_clouds_raise_no_overflow_warnings(center, spread):
         near = nearest_distances(X[:4], X)
         dist = pairwise_distances(X)
         SampledLipschitzMap(xs=X, fs=X, gamma=1.0)
+        extremes = pair_ratio_extremes(X, X)
         cover = greedy_cover(ModelClassSurrogate(X), 4)
     assert np.array_equal(near, np.zeros(4))
     assert np.array_equal(np.diagonal(dist), np.zeros(12))
     assert np.isinf(dist).any() == (center == 0.0)
+    assert extremes == (1.0, 1.0, (0, 1))
     assert cover.count == 4
+
+
+def dense_ratio_extremes(xs, fs):
+    """pair_ratio_extremes on full distance matrices: the reference it reproduces.
+
+    The ratios of the pairs i < j in row-major order.  A ratio inf / inf,
+    where both gaps pass the float range, counts toward neither extreme.
+    """
+    i, j = np.triu_indices(len(xs), 1)
+    gaps = pairwise_distances(xs)[i, j]
+    zero = np.flatnonzero(gaps == 0.0)
+    if zero.size:
+        k = zero[0]
+        raise ValueError(f"domain rows {i[k]},{j[k]} are at distance 0; "
+                         "they must be pairwise distinct")
+    with np.errstate(invalid="ignore"):
+        ratios = pairwise_distances(fs)[i, j] / gaps
+    defined = np.flatnonzero(~np.isnan(ratios))
+    if defined.size == 0:
+        return math.inf, -math.inf, None
+    k = defined[np.argmax(ratios[defined])]
+    return float(ratios[defined].min()), float(ratios[k]), (int(i[k]), int(j[k]))
+
+
+def result(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_pair_ratio_extremes_hand_made_cases():
+    # every ratio ties: the first pair in row-major order is named
+    xs = np.array([[0.0], [1.0], [3.0], [4.0]])
+    assert pair_ratio_extremes(xs, 2.0 * xs) == (2.0, 2.0, (0, 1))
+    fs = np.array([[0.0], [1.0], [1.0], [9.0]])
+    assert pair_ratio_extremes(xs, fs) == (0.0, 8.0, (2, 3))
+    # gaps past the float range on both sides read inf / inf and count
+    # toward neither extreme; a pair past it on one side only does
+    far = np.array([[0.0], [1.5e154], [1.5e154 + 1e140]])
+    assert pair_ratio_extremes(far, far) == (1.0, 1.0, (1, 2))
+    assert pair_ratio_extremes(far[:2], far[:2]) == (math.inf, -math.inf, None)
+    assert pair_ratio_extremes(far[1:], far[:2]) == (math.inf, math.inf, (0, 1))
+    # distinct rows whose squared gap underflows to 0
+    tiny = np.array([[1e-170, 0.0], [5.0, 5.0], [2e-170, 0.0]])
+    for a, b in ((tiny, np.ones((3, 1))), (far, far), (far[:2], far[:2]), (xs, fs)):
+        assert result(pair_ratio_extremes, a, b) == result(dense_ratio_extremes, a, b)
+    with pytest.raises(ValueError, match="domain rows 0,2 are at distance 0"):
+        pair_ratio_extremes(tiny, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="at least two"):
+        pair_ratio_extremes(xs[:1], fs[:1])
+    with pytest.raises(ValueError, match="same rows"):
+        pair_ratio_extremes(xs, fs[:3])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(2, 14),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    grid=st.booleans(),
+    shift=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    scale=st.sampled_from([1.0, 1e-160, 3e153]),
+    budget=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+def test_pair_ratio_extremes_equal_the_dense_ratios(seed, count, dims, grid,
+                                                    shift, scale, budget):
+    # grid rows tie many ratios exactly and repeat rows; shift cancels the
+    # Gram form; scale underflows or overflows the squares; budget screens
+    # one row or more a block
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((count, dims[0]))
+    fs = rng.standard_normal((count, dims[1]))
+    if grid:
+        xs, fs = np.round(2.0 * xs), np.round(2.0 * fs)
+    xs, fs = (xs + shift) * scale, (fs + shift) * scale
+    with mock.patch.object(spaces, "_BLOCK_ELEMENTS", budget):
+        got = result(pair_ratio_extremes, xs, fs)
+    assert got == result(dense_ratio_extremes, xs, fs)
 
 
 @given(

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widthlab.stablewidth as stablewidth
 from widthlab.nets import entropy_bracket
 from widthlab.spaces import AlphaSequence, generate_Kq, generate_diag_class
 from widthlab.stablewidth import (
     CarlInputs,
+    JLDistortionError,
     PhiUndefinedError,
     build_stable_pair,
     carl_cover_bound,
@@ -21,6 +23,8 @@ from widthlab.stablewidth import (
     phi_of_eps,
     stability_probe,
 )
+
+from test_spaces import dense_ratio_extremes
 
 
 def test_jl_dim_known_values():
@@ -52,6 +56,49 @@ def test_jl_project_certified_distortion():
     assert float(ratio.min()) >= 0.5 - 1e-9
     again = jl_project(pts, target_dim=24, seed=3)
     assert np.array_equal(T, again)
+
+
+def dense_jl_project(points, target_dim, seed):
+    """jl_project on full distance matrices: the reference it reproduces."""
+    worst = -math.inf
+    for attempt in range(stablewidth._JL_RETRY_CAP):
+        rng = np.random.default_rng([seed, attempt])
+        T = rng.standard_normal((target_dim, points.shape[1])) / math.sqrt(target_dim)
+        least, largest, _ = dense_ratio_extremes(points, points @ T.T)
+        worst = max(worst, least / largest)
+        if least / largest >= 0.5:
+            return T / largest
+    raise JLDistortionError(stablewidth._JL_RETRY_CAP, worst)
+
+
+@pytest.mark.parametrize("target_dim, seed, draws", [(24, 3, 30), (24, 0, None),
+                                                     (40, 1, 1)])
+def test_jl_project_equals_the_dense_reference(target_dim, seed, draws):
+    # the draw, or the worst ratio of JLDistortionError, bit for bit: seed
+    # 3 passes on its 30th draw, seed 0 on none of the 32
+    pts = np.random.default_rng(0).standard_normal((40, 30))
+
+    def run(project):
+        try:
+            return project(pts, target_dim, seed)
+        except JLDistortionError as exc:
+            return exc.worst_ratio
+
+    got, want = run(jl_project), run(dense_jl_project)
+    assert np.array_equal(got, want)
+    if draws is None:
+        assert isinstance(got, float) and got < 0.5
+    else:
+        # the returned T is the last draw, rescaled
+        raw = np.random.default_rng([seed, draws - 1]).standard_normal((target_dim, 30))
+        assert np.allclose(got / got[0, 0], raw / raw[0, 0], rtol=1e-12, atol=0.0)
+
+
+def test_jl_project_refuses_points_at_distance_zero():
+    # the squared gap of rows 0 and 1 underflows to 0; no draw is tried
+    pts = np.array([[1e-170, 0.0], [2e-170, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="domain rows 0,1 are at distance 0"):
+        jl_project(pts, 2, seed=0)
 
 
 def small_diag_class():
