@@ -19,8 +19,25 @@ no unique nearest point (concentric centres; disjoint, nested or tangent
 spheres; y on the line through the centres) it takes the plain
 projection.  The stop rule is unchanged, so only the values of such
 queries move.  In the default stable-width run (seed 0) the most steps
-one query takes fall from 15,447 to 9, and all queries together take
-11,459 steps in place of 44,691.
+one query takes fall from 15,447 to 9, and all 31,164 queries together
+take 11,459 steps in place of 44,691.
+
+Every iterate is an affine combination of stored values: the start is a
+stored value, and a projection and a two-ball step combine y with
+centres.  So the loop never leaves the affine hull of the sample values,
+where a Kirszbraun value can always be taken, since projecting onto that
+hull moves no point farther from any centre.  When the m sample values
+span a proper affine subspace of the value space (m - 1 < df, the row
+length of the values), the loop runs in that hull's coordinates: one
+SVD of the centred values (fs[1:] - fs[0]).T gives an orthonormal basis
+B of m - 1 columns, the loop, its screen, the two-ball step and the stop
+rule run unchanged on (fs - fs[0]) B, and values map back as
+fs[0] + C B^T.  That is exact in exact arithmetic, and each scan
+multiplies m - 1 columns in place of df: a stable-width encoder's 2^n
+values span 2^n - 1 of its 26n code coordinates, 3 of 52 at n=2.  A
+query that never moves from a sample's value, such as a query at that
+sample, returns the sample's row of fs bit for bit.  Maps whose values
+span their space (m - 1 >= df) run in the value coordinates.
 
 Every map here is a batch map on the rows of a 2-d array; one point is a
 one-row batch.  Kirszbraun batches extend lazily: each solved query joins
@@ -38,7 +55,8 @@ allowance whose float bound the widthlab.spaces docstring proves.  Once
 per query the screen bounds every reference distance d_i to the query from
 below, lo_i <= d_i^2, and the distance of the row of least lo from above;
 hence the few candidates for the nearest point and a lower bound on each
-radius.  At each projection step it
+squared radius, gamma^2 lo_i + s_i^2 <= (gamma d_i + s_i)^2 for a row of
+slack s_i, which takes no square root.  At each projection step it
 yields the set S of rows whose violation may reach 0, and only the rows
 of S are evaluated with the reference expressions.  Every row outside S
 has a violation below 0 < tol, so it can neither be the argmax of a
@@ -58,7 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _UNDERFLOW, _screen_margin, norm, pair_ratio_extremes
+from .spaces import (_UNDERFLOW, _ratio_extremes, _screen_margin,
+                     _screened_pair_ratios, norm)
 
 __all__ = [
     "SampledLipschitzMap",
@@ -98,7 +117,9 @@ class SampledLipschitzMap:
     largest pair ratio exceeds gamma (1 + 1e-9), naming the pair of that
     ratio, and when two domain samples are at distance 0.  The ratios are
     those of spaces.pair_ratio_extremes, so the verdict and the error are
-    those of the full distance matrices.
+    those of the full distance matrices.  A pair whose two gaps both pass
+    the float range has no measurable ratio (inf / inf), and the first such
+    pair in row-major order raises ValueError too.
     """
 
     xs: np.ndarray
@@ -122,7 +143,15 @@ class SampledLipschitzMap:
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite")
         if xs.shape[0] > 1:
-            _, largest, pair = pair_ratio_extremes(xs, fs)
+            i, j, ratios = _screened_pair_ratios(xs, fs)
+            unmeasured = np.flatnonzero(np.isnan(ratios))
+            if unmeasured.size:
+                k = unmeasured[0]
+                raise ValueError(
+                    f"samples {i[k]},{j[k]} have gaps past the float range on "
+                    "both sides; their ratio cannot be measured"
+                )
+            _, largest, pair = _ratio_extremes(i, j, ratios)
             if largest > self.gamma * (1.0 + 1e-9):
                 raise ValueError(
                     f"samples {pair[0]},{pair[1]} violate the gamma-Lipschitz "
@@ -174,6 +203,27 @@ def _two_ball_step(y, a, r_a, b, r_b):
     return a + t * u + (math.sqrt(rho_sq) / norm_w) * w
 
 
+def _hull_coordinates(fs):
+    """Coordinates of the m rows of fs in their affine hull, or None.
+
+    When m - 1 < df, the row length, the rows span a proper affine subspace
+    of R^df.  Returns (origin, basis, coords): origin = fs[0], basis the
+    df x (m - 1) left singular vectors of the centred values
+    (fs[1:] - origin).T, an orthonormal basis of their span, and coords =
+    (fs - origin) @ basis, so that fs = origin + coords @ basis.T in exact
+    arithmetic.  None when m - 1 >= df.
+    """
+    m, df = fs.shape
+    if m - 1 >= df:
+        return None
+    origin = fs[0]
+    # an SVD, not a QR: the width experiments already run LAPACK's SVD for
+    # their linear baseline, and a first QR would load another
+    # factorization's code into the process, about 68 KB resident
+    basis = np.linalg.svd((fs[1:] - origin).T, full_matrices=False)[0]
+    return origin, basis, (fs - origin) @ basis
+
+
 def kirszbraun_eval_batch(
     map_: SampledLipschitzMap,
     X: np.ndarray,
@@ -197,10 +247,15 @@ def kirszbraun_eval_batch(
     into a later infeasible system.
     The sample constraints themselves are always enforced without slack.
     Queries equal to a constraint point return that point's value (its ball
-    has radius 0).  A query still infeasible after _ITERATION_CAP
-    projections raises ExtensionFeasibilityError; a query that is not
-    finite, or whose squared norm overflows, a query row whose length is
-    not the samples', and a tol that is not positive raise ValueError.
+    has radius 0).  When the m sample values span a proper affine subspace
+    (m - 1 < df), the loop runs in that hull's coordinates and maps its
+    values back (module docstring); a query that never moves from a
+    sample's value, such as a query at that sample, returns the sample's
+    row of map_.fs bit for bit.  A query still infeasible after
+    _ITERATION_CAP projections raises ExtensionFeasibilityError; a query
+    that is not finite, or whose squared norm overflows, a query row whose
+    length is not the samples', and a tol that is not positive raise
+    ValueError.
     Each scan evaluates exactly only the rows the Gram-form screen of the
     module docstring keeps.
     """
@@ -217,19 +272,27 @@ def kirszbraun_eval_batch(
     Q = X.shape[0]
     m = map_.count
     gamma = map_.gamma
+    # the loop runs on the values' coordinates in their affine hull, when
+    # that is a proper subspace: no iterate can leave it
+    hull = _hull_coordinates(map_.fs)
+    fs = map_.fs if hull is None else hull[2]
     cx = np.concatenate([map_.xs, np.empty((Q, X.shape[1]))], axis=0)
-    cf = np.concatenate([map_.fs, np.empty((Q, map_.fs.shape[1]))], axis=0)
+    cf = np.concatenate([fs, np.empty((Q, fs.shape[1]))], axis=0)
     margin_x = _screen_margin(X.shape[1])
-    margin_f = _screen_margin(map_.fs.shape[1])
+    margin_f = _screen_margin(fs.shape[1])
     up_f, down_f = 0.5 + 0.5 * margin_f, 0.5 - 0.5 * margin_f
     # squared row norms of the store, widened by the screen's margins; the
     # rows queries fill start at 0, so the widening never sees garbage
     sq_cx = np.concatenate([np.einsum("ij,ij->i", map_.xs, map_.xs), np.zeros(Q)])
     lo_cx = (1.0 - margin_x) * sq_cx
-    hi_cf = np.concatenate([np.einsum("ij,ij->i", map_.fs, map_.fs), np.zeros(Q)])
+    hi_cf = np.concatenate([np.einsum("ij,ij->i", fs, fs), np.zeros(Q)])
+    # less down_f slack^2 on a query's row, the slack's share of the lower
+    # bound on its squared radius
     hi_cf = up_f * hi_cf + _UNDERFLOW
     slack = np.zeros(m + Q)
-    Y = np.empty((Q, map_.fs.shape[1]))
+    Y = np.empty((Q, fs.shape[1]))
+    # (query, sample) for each query that kept a sample's value untouched
+    kept = []
     n_c = m
     # the loops call np.add.reduce and the argmin/argmax methods directly:
     # np.sum, np.argmin and np.argmax run the same reductions behind a
@@ -248,14 +311,12 @@ def kirszbraun_eval_batch(
         d_near = np.sqrt(np.add.reduce((cx[near] - x) ** 2, axis=1))
         k = int(d_near.argmin())
         nearest = int(near[k])
-        # a lower bound on every radius; row i is kept while
+        # gamma^2 lo_i + slack_i^2 <= (gamma d_i + slack_i)^2 bounds every
+        # squared radius from below; row i is kept while
         # cf_i . y <= bound_i + up_f ||y||^2, which its violation needs in
         # order to reach 0
-        radii_lo = np.sqrt(np.maximum(lo, 0.0, out=lo), out=lo)
-        radii_lo *= gamma
-        radii_lo += slack[:n_c]
-        bound = radii_lo * radii_lo
-        bound *= -down_f
+        bound = np.maximum(lo, 0.0, out=lo)
+        bound *= -down_f * gamma * gamma
         bound += hi_cf[:n_c]
         y = cf[nearest].copy()
         # the rows of the last two steps, and the radius of the last one
@@ -287,14 +348,24 @@ def kirszbraun_eval_batch(
         else:
             raise ExtensionFeasibilityError(worst, _ITERATION_CAP)
         Y[q] = y
+        if last < 0 and nearest < m:
+            kept.append((q, nearest))
         if d_near[k] > 0.0:
             cx[n_c] = x
             cf[n_c] = y
             sq_cx[n_c] = sq_x[q]
             lo_cx[n_c] = (1.0 - margin_x) * sq_x[q]
-            hi_cf[n_c] = up_f * (y @ y) + _UNDERFLOW
             slack[n_c] = max(worst, 0.0) + 100.0 * tol
+            hi_cf[n_c] = up_f * (y @ y) + _UNDERFLOW - down_f * slack[n_c] * slack[n_c]
             n_c += 1
+    if hull is not None:
+        origin, basis, _ = hull
+        Y = Y @ basis.T + origin
+        # a sample's value kept untouched is its row of fs, bit for bit;
+        # row by row, as the kernel runs no fancy-index assignment
+        # elsewhere and its first one pages in about 68 KB of numpy's code
+        for q, row in kept:
+            Y[q] = map_.fs[row]
     return Y
 
 

@@ -217,6 +217,25 @@ def pair_ratio_extremes(xs: np.ndarray, fs: np.ndarray):
     toward neither extreme (with no other pair: inf, -inf and None).  Rows
     of xs at distance 0 raise ValueError.
     """
+    return _ratio_extremes(*_screened_pair_ratios(xs, fs))
+
+
+def _ratio_extremes(i, j, ratios):
+    """pair_ratio_extremes' result from the output of _screened_pair_ratios."""
+    largest = float(np.fmax.reduce(ratios, initial=-math.inf))
+    hit = np.flatnonzero(ratios == largest)
+    pair = (int(i[hit[0]]), int(j[hit[0]])) if hit.size else None
+    return float(np.fmin.reduce(ratios, initial=math.inf)), largest, pair
+
+
+def _screened_pair_ratios(xs, fs):
+    """The pairs i < j that pair_ratio_extremes evaluates, and their ratios.
+
+    Returns (i, j, ratios) in row-major order.  Every pair whose two gaps
+    pass the float range is among them, with ratio nan: a gap may overflow
+    only in a block whose Gram-form bounds are infinite, and such a block
+    keeps all its pairs.
+    """
     xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
     m = len(xs)
     if xs.ndim != 2 or fs.ndim != 2 or len(fs) != m or m < 2:
@@ -255,11 +274,7 @@ def pair_ratio_extremes(xs: np.ndarray, fs: np.ndarray):
         raise ValueError(f"domain rows {i[k]},{j[k]} are at distance 0; "
                          "they must be pairwise distinct")
     with np.errstate(invalid="ignore"):
-        ratios = pairwise_distances(fs[used])[a, b] / gaps
-    largest = float(np.fmax.reduce(ratios, initial=-math.inf))
-    hit = np.flatnonzero(ratios == largest)
-    pair = (int(i[hit[0]]), int(j[hit[0]])) if hit.size else None
-    return float(np.fmin.reduce(ratios, initial=math.inf)), largest, pair
+        return i, j, pairwise_distances(fs[used])[a, b] / gaps
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ reads the extreme ratios from widthlab.spaces.pair_ratio_extremes), then
 extend net -> image with constant 1 (encoder) and image -> net with constant 2
 (decoder) by ball-intersection evaluation.  The roundtrip reproduces the
 net, so the class error is at most 3 times the net radius: one net radius
-to reach the net, 2 more through the decoder's constant.
+to reach the net, 2 more through the decoder's constant.  A Kirszbraun
+value lies in the affine hull of its map's sample values
+(widthlab.extend), so a level-n encoder's codes lie in a (2^n - 1)-dim
+affine subspace of R^(26n), 3 of 52 dimensions at n=2, and the decoder's
+outputs in the hull of the net.
 
 The covering machinery converts a nonincreasing width sequence delta_m into
 cover-count bounds: a class whose m-parameter width is below eps/8 splits a

@@ -130,6 +130,31 @@ def test_carl_base_is_never_below_the_decoder_budgets(tmp_path):
     assert "- base A = 65.0 at gamma = 2.0" in (out / "report.md").read_text()
 
 
+def test_budget_failures_prints_the_counts_of_its_csvs(tmp_path, capsys):
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                                / "scripts" / "budget_failures.py"))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_WIDTHS)
+    assert script["run"](["--seeds", "0", "1", "--config", str(cfg),
+                          "--out", str(tmp_path / "runs")]) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert table[0] == ["seed", "lip_M", "lip_a", "lip_a_ulp", "error"]
+    totals = np.zeros(4, dtype=int)
+    for seed, row in zip([0, 1], table[1:3]):
+        text = (tmp_path / "runs" / f"seed_{seed}" / "stable_width.csv").read_text()
+        lines = [line.split(",") for line in text.splitlines()
+                 if not line.startswith("#")]
+        a = np.array([float(r[lines[0].index("lip_a")]) for r in lines[1:]])
+        M = np.array([float(r[lines[0].index("lip_M")]) for r in lines[1:]])
+        assert len(a) == 2  # n = 2, 3
+        counts = [int(np.sum(M > 2.0 * (1.0 + 1e-9))), int(np.sum(a > 1.0 + 1e-12)),
+                  int(np.sum((a > 1.0) & (a <= 1.0 + 1e-12))), 0]
+        assert row == [str(seed), *map(str, counts[:3]), "-"]
+        totals += counts
+    assert table[3] == ["total", *map(str, totals)]
+    assert len(table) == 4
+
+
 SMALL_CS = """
 [cs]
 n = 20

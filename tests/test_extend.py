@@ -17,6 +17,7 @@ from widthlab.extend import (
     sample_pairs,
 )
 from widthlab.spaces import generate_Kq, pairwise_distances
+from widthlab.cli import _task_seeds
 from widthlab.stablewidth import EVAL_TOL, build_stable_pair
 
 from test_spaces import dense_ratio_extremes
@@ -32,9 +33,11 @@ def fit_gamma(xs, fs, slack=1e-9):
 
 @st.composite
 def sample_sets(draw):
+    # values of up to 12 coordinates, so that their count may pass it
+    # (m - 1 >= df) or not (m - 1 < df, the kernel's hull coordinates)
     count = draw(st.integers(min_value=2, max_value=8))
     dim_in = draw(st.integers(min_value=1, max_value=4))
-    dim_out = draw(st.integers(min_value=1, max_value=3))
+    dim_out = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((count, dim_in))
@@ -75,10 +78,20 @@ def dense_sample_check(xs, fs, gamma):
     """SampledLipschitzMap's pair check on full distance matrices.
 
     The reference the screened check reproduces: the same verdict, and a
-    ValueError of the same text for the pair of the largest ratio, when
-    that ratio exceeds gamma (1 + 1e-9).
+    ValueError of the same text for the first pair in row-major order
+    whose two gaps pass the float range, or else for the pair of the
+    largest ratio, when that ratio exceeds gamma (1 + 1e-9).
     """
     _, largest, pair = dense_ratio_extremes(xs, fs)
+    i, j = np.triu_indices(len(xs), 1)
+    both = np.flatnonzero(np.isinf(pairwise_distances(xs)[i, j])
+                          & np.isinf(pairwise_distances(fs)[i, j]))
+    if both.size:
+        k = both[0]
+        raise ValueError(
+            f"samples {i[k]},{j[k]} have gaps past the float range on "
+            "both sides; their ratio cannot be measured"
+        )
     if largest > gamma * (1.0 + 1e-9):
         raise ValueError(
             f"samples {pair[0]},{pair[1]} violate the gamma-Lipschitz "
@@ -144,6 +157,15 @@ def test_sample_check_hand_made_cases_equal_the_dense_check():
         (far, far * 0.5, 0.5, None),
         (far, far * 0.5, 0.25, "samples 0,1"),
         (far, far[::-1] * 1e-160, 1.0, None),
+        # gaps past the float range on both sides: a ratio near 1.13 that
+        # reads inf / inf, with squared norms that overflow or stay finite
+        (np.array([[0.0], [1.5e154]]), np.array([[0.0], [1.7e154]]), 1.0,
+         "samples 0,1 have gaps past the float range"),
+        (np.array([[1e154], [-1e154]]), np.array([[1e154], [-1e154]]), 1.0,
+         "samples 0,1 have gaps past the float range"),
+        (np.array([[0.0], [1.0], [1e154], [-1e154]]),
+         np.array([[0.0], [1.0], [-1e154], [1e154]]), 1.0,
+         "samples 2,3 have gaps past the float range"),
         # one and two samples
         (np.array([[0.3, -1.0]]), np.array([[2.0]]), 1e-3, None),
         (np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]), 2.0, None),
@@ -215,6 +237,30 @@ def test_kirszbraun_feasibility_residual(map_, seed):
         assert float(np.max(gaps)) <= 1e-6
 
 
+@given(sample_sets(), st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([0.0, 1e3]))
+def test_kirszbraun_values_stay_in_the_hull_and_meet_every_ball(map_, seed,
+                                                                shift):
+    # with m - 1 < df the kernel runs in the hull's coordinates, otherwise
+    # in the value space's; either way a Kirszbraun value lies in the affine
+    # hull of the sample values and meets every sample ball
+    map_ = SampledLipschitzMap(xs=map_.xs, fs=map_.fs + shift, gamma=map_.gamma)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((6, map_.xs.shape[1])) * 2.0
+    X = np.concatenate([X, map_.xs[:2], X[:2]])
+    Y = kirszbraun_eval_batch(map_, X, tol=1e-8)
+    f0 = map_.fs[0]
+    spread = np.linalg.norm(map_.fs - f0, axis=1).max()
+    for x, y in zip(X, Y):
+        coef = np.linalg.lstsq((map_.fs[1:] - f0).T, y - f0, rcond=None)[0]
+        off = y - f0 - coef @ (map_.fs[1:] - f0)
+        assert np.linalg.norm(off) <= 1e-12 * max(spread, np.linalg.norm(y - f0),
+                                                  np.linalg.norm(f0))
+        gaps = (np.linalg.norm(y[None, :] - map_.fs, axis=1)
+                - map_.gamma * np.linalg.norm(x[None, :] - map_.xs, axis=1))
+        assert float(np.max(gaps)) <= 1e-6
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_kirszbraun_scalar_interval_consistency(seed):
     rng = np.random.default_rng(seed)
@@ -263,15 +309,20 @@ def reference_kirszbraun(map_, X, tol=1e-8):
     """The Kirszbraun loop that scans every constraint row at every step.
 
     It takes the kernel's two-ball step through the same helper, on the
-    same trigger, so its values are the screened kernel's bit for bit.
+    same trigger, and the kernel's coordinates in the affine hull of the
+    values through the same helper, so its values are the screened
+    kernel's bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Q = X.shape[0]
     m = map_.count
+    hull = extend._hull_coordinates(map_.fs)
+    fs = map_.fs if hull is None else hull[2]
     cx = np.concatenate([map_.xs, np.empty((Q, X.shape[1]))], axis=0)
-    cf = np.concatenate([map_.fs, np.empty((Q, map_.fs.shape[1]))], axis=0)
+    cf = np.concatenate([fs, np.empty((Q, fs.shape[1]))], axis=0)
     slack = np.zeros(m + Q)
-    Y = np.empty((Q, map_.fs.shape[1]))
+    Y = np.empty((Q, fs.shape[1]))
+    kept = {}  # query -> the sample whose value it kept untouched
     n_c = m
     for q in range(Q):
         x = X[q]
@@ -301,16 +352,24 @@ def reference_kirszbraun(map_, X, tol=1e-8):
         else:
             raise ExtensionFeasibilityError(worst, extend._ITERATION_CAP)
         Y[q] = y
+        if last == -1 and nearest < m:
+            kept[q] = nearest
         if d[nearest] > 0.0:
             cx[n_c] = x
             cf[n_c] = y
             slack[n_c] = max(worst, 0.0) + 100.0 * tol
             n_c += 1
-    return Y
+    if hull is None:
+        return Y
+    origin, basis, _ = hull
+    out = Y @ basis.T + origin
+    for q, sample in kept.items():
+        out[q] = map_.fs[sample]
+    return out
 
 
-def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0):
-    """Samples near a plane mapped onto a torus at 0.9 gamma, and queries.
+def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0, count=60):
+    """count samples near a plane mapped onto a torus at 0.9 gamma, and queries.
 
     Samples and queries lie within 1e-3 of a random 2-plane, and the
     target curves, so many queries need projections, some of them hundreds.
@@ -319,8 +378,8 @@ def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0):
     """
     rng = np.random.default_rng(seed)
     plane = np.linalg.qr(rng.standard_normal((dim_in, 2)))[0].T
-    t = rng.uniform(0.0, 1.0, (60, 2))
-    xs = t @ plane + 1e-4 * rng.standard_normal((60, dim_in))
+    t = rng.uniform(0.0, 1.0, (count, 2))
+    xs = t @ plane + 1e-4 * rng.standard_normal((count, dim_in))
     torus = np.linalg.qr(rng.standard_normal((dim_out, 4)))[0].T
     fs = np.concatenate([np.cos(3 * t), np.sin(3 * t)], axis=1) @ torus
     fs *= 0.9 * gamma / fit_gamma(xs, fs, slack=0.0)
@@ -344,6 +403,45 @@ def test_screened_kernel_equals_the_full_scan_far_from_the_origin():
     map_, X = _surface_case(32, 52, 1.0, seed=3, shift=1e4)
     assert np.array_equal(kirszbraun_eval_batch(map_, X, tol=1e-8),
                           reference_kirszbraun(map_, X, tol=1e-8))
+
+
+@pytest.mark.parametrize("dim_out, shift", [(52, 0.0), (130, 0.0), (130, 1e4)])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_screened_kernel_equals_the_full_scan_in_the_value_hull(gamma, dim_out,
+                                                                 shift):
+    # 20 values span 19 dimensions of R^52 or R^130, so both loops run in
+    # the hull's coordinates; far from the origin its basis comes from
+    # differences of rows near 1e4
+    map_, X = _surface_case(32, dim_out, gamma, seed=dim_out, shift=shift,
+                            count=20)
+    assert extend._hull_coordinates(map_.fs)[1].shape == (dim_out, 19)
+    assert np.array_equal(kirszbraun_eval_batch(map_, X, tol=1e-8),
+                          reference_kirszbraun(map_, X, tol=1e-8))
+
+
+@pytest.mark.parametrize("count", [20, 60])
+def test_kirszbraun_returns_the_samples_bit_for_bit(count):
+    # 20 values in R^52 run in hull coordinates and 60 do not; either way
+    # a query at a sample keeps that sample's stored value
+    map_, X = _surface_case(32, 52, 1.0, seed=7, shift=0.5, count=count)
+    assert (extend._hull_coordinates(map_.fs) is None) == (count > 52)
+    assert np.array_equal(kirszbraun_eval_batch(map_, map_.xs, tol=1e-8), map_.fs)
+    # one sample: a hull of no dimensions, and every value is that sample's
+    one = SampledLipschitzMap(xs=map_.xs[:1], fs=map_.fs[:1], gamma=1.0)
+    assert np.array_equal(kirszbraun_eval_batch(one, X, tol=1e-8),
+                          np.repeat(map_.fs[:1], len(X), axis=0))
+
+
+def test_default_roundtrips_return_the_net_bit_for_bit():
+    # stable-width's default pairs, n = 2..5 at seed 0's task seeds: the
+    # encoder's values span 2^n - 1 of its 26n dimensions, and the decoder's
+    # 2^n - 1 of 32, and the roundtrip of a net point is that point
+    K = generate_Kq(32, 1.0, 2000, seed=0)
+    for n, seed in zip(range(2, 6), _task_seeds(0, 4)):
+        pair = build_stable_pair(K, n, seed=seed)
+        assert extend._hull_coordinates(pair.encoder.fs)[1].shape[1] == 2**n - 1
+        recon = pair.roundtrip_batch(pair.net.points, tol=EVAL_TOL)
+        assert np.array_equal(recon, pair.net.points)
 
 
 def test_screened_kernel_equals_the_full_scan_on_the_default_roundtrip():

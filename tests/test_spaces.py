@@ -287,7 +287,8 @@ def test_nearest_distances_off_the_screen_for_huge_and_non_finite_rows():
 def test_huge_clouds_raise_no_overflow_warnings(center, spread):
     # near 1e154 the Gram forms' probes pass the float range, so every pair
     # goes to the exact expression; at a spread of 1.2e154 the squared gaps
-    # pass it too and read inf, as in pdist and cdist; neither warns
+    # pass it too and read inf, as in pdist and cdist, and the sampled map
+    # refuses the pairs whose two gaps do; neither warns
     from widthlab.extend import SampledLipschitzMap
     from widthlab.nets import greedy_cover
 
@@ -297,12 +298,15 @@ def test_huge_clouds_raise_no_overflow_warnings(center, spread):
         warnings.simplefilter("error")
         near = nearest_distances(X[:4], X)
         dist = pairwise_distances(X)
-        SampledLipschitzMap(xs=X, fs=X, gamma=1.0)
+        built = result(SampledLipschitzMap, X, X, 1.0)
         extremes = pair_ratio_extremes(X, X)
         cover = greedy_cover(ModelClassSurrogate(X), 4)
     assert np.array_equal(near, np.zeros(4))
     assert np.array_equal(np.diagonal(dist), np.zeros(12))
     assert np.isinf(dist).any() == (center == 0.0)
+    assert isinstance(built, str) == (center == 0.0)
+    if isinstance(built, str):
+        assert "gaps past the float range on both sides" in built
     assert extremes == (1.0, 1.0, (0, 1))
     assert cover.count == 4
 
