@@ -9,7 +9,8 @@ Per seed and in total it prints four counts:
 - lip_a: rows whose encoder audit exceeds GAMMA_A + 1e-12;
 - lip_a_ulp: rows whose encoder audit lies in (GAMMA_A, GAMMA_A + 1e-12],
   the last bits of a rescaled projection;
-- error: runs that stopped with an exception (its name is printed).
+- error: runs that stopped with an exception (its name is printed, and
+  its traceback goes to stderr).
 
     PYTHONPATH=src python scripts/budget_failures.py --seeds 0 17 --threads 2
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import traceback
 from pathlib import Path
 
 from widthlab.cli import main
@@ -73,7 +75,8 @@ def run(argv: list[str] | None = None) -> int:
             with contextlib.redirect_stdout(sys.stderr):
                 main(argv_cmd)
         except Exception as exc:  # a run that stops counts as an error
-            counts = {"lip_M": 0, "lip_a": 0, "lip_a_ulp": 0}
+            traceback.print_exc()
+            counts = dict.fromkeys(COLUMNS[:3], 0)
             error = type(exc).__name__
             totals["error"] += 1
         else:

@@ -130,9 +130,11 @@ def test_carl_base_is_never_below_the_decoder_budgets(tmp_path):
     assert "- base A = 65.0 at gamma = 2.0" in (out / "report.md").read_text()
 
 
+BUDGET_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "budget_failures.py"
+
+
 def test_budget_failures_prints_the_counts_of_its_csvs(tmp_path, capsys):
-    script = runpy.run_path(str(Path(__file__).resolve().parents[1]
-                                / "scripts" / "budget_failures.py"))
+    script = runpy.run_path(str(BUDGET_SCRIPT))
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_WIDTHS)
     assert script["run"](["--seeds", "0", "1", "--config", str(cfg),
@@ -153,6 +155,23 @@ def test_budget_failures_prints_the_counts_of_its_csvs(tmp_path, capsys):
         totals += counts
     assert table[3] == ["total", *map(str, totals)]
     assert len(table) == 4
+
+
+def test_budget_failures_counts_a_run_that_stops(tmp_path, capsys):
+    script = runpy.run_path(str(BUDGET_SCRIPT))
+
+    def stop(argv):
+        raise ExtensionFeasibilityError(1e-3, 100_000)
+
+    script["run"].__globals__["main"] = stop
+    assert script["run"](["--seeds", "5", "6", "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["5", "0", "0", "0", "ExtensionFeasibilityError"],
+        ["6", "0", "0", "0", "ExtensionFeasibilityError"],
+        ["total", "0", "0", "0", "2"],
+    ]
+    assert err.count("Traceback") == 2
 
 
 SMALL_CS = """
