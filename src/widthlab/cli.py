@@ -5,9 +5,11 @@ config file, then applies command-line overrides; the resolved settings
 are embedded as comment headers in every CSV so runs are reproducible from
 their outputs alone.  Floats are written with repr so reruns are
 byte-identical.  Only the width series of stable-width and carl runs on
-worker processes (--threads); its items get their seeds from a spawned
-SeedSequence before any worker starts, so --threads never changes the
-numbers.  The other subcommands run in the calling process.
+worker processes (--threads), forked from the running CLI on Linux and
+spawned elsewhere; its items get their seeds from SeedSequence.spawn
+before any worker starts, so --threads never changes the numbers.  The
+other subcommands run in the calling process: their items cost less
+than the pool that would run them (see _parallel).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import configparser
 import functools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +120,33 @@ def _parallel(fn, items, threads: int) -> list:
 
     fn, the items and the results cross a process boundary, so they must
     pickle: fn is a module-level function, or a functools.partial of one.
-    Workers are spawned, not forked, so they inherit no thread or lock
-    state from the caller.  Each imports widthlab afresh, on numpy
-    alone, about a fifth of a second, so no more are started than
-    there are items, and a single item runs here.
+    On Linux the workers are forked, so each begins as a copy of this
+    process, with numpy, widthlab and the class cloud already in memory:
+    two workers mapping four trivial items cost about 0.02 s of CPU,
+    where spawned workers, which import numpy and widthlab afresh, cost
+    0.54-0.79 s.  Other platforms spawn, as multiprocessing does by
+    default there: Windows has no fork, and macOS system frameworks are
+    unsafe after one.
+
+    A forked child inherits its parent's threads and locks in whatever
+    state they were in, which is safe here because:
+    - only the CLI's width series calls this private helper, and the CLI
+      runs no Python threads of its own;
+    - with a fork context, ProcessPoolExecutor (3.11) forks every worker
+      before it starts its manager thread;
+    - numpy's OpenBLAS pool is fork-safe through its own pthread_atfork
+      handlers;
+    - fork starts no resource-tracker process.
+    CPython 3.12 and later emit a DeprecationWarning when a process with
+    several OS threads (an OpenBLAS pool) forks; default filters hide it.
+    forkserver is not used: its server is no child of this process, so
+    the workers' CPU time would drop out of RUSAGE_CHILDREN.
+
+    No more workers are started than there are items, and a single item,
+    or a single thread, runs here.  entropy and cs keep their items in
+    one process: on two forked workers their defaults took 0.24-0.26 s
+    and 0.41-0.46 s, against 0.18-0.21 s and 0.36-0.40 s in one process
+    (whole process, single-threaded BLAS, 2-core host).
     """
     workers = min(threads, len(items))
     if workers <= 1:
@@ -128,8 +154,9 @@ def _parallel(fn, items, threads: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    context = multiprocessing.get_context(
+        "fork" if sys.platform == "linux" else "spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(fn, items))
 
 
@@ -381,6 +408,9 @@ def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
         f"(finite: {_fmt(math.isfinite(rate.C))})",
         f"- base A = {_fmt(inputs.A)} at gamma = {_fmt(gamma)}",
     ]
+    if cfg["class"] == "diag":
+        lines.append(f"- r = {cfg['r']} is both the rate exponent and the "
+                     "diag class's alpha exponent, alpha_j = (1 + log2 j)^(-r/2)")
     _write_report(out, "carl", cfg, lines)
 
 

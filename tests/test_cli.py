@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import multiprocessing
 import os
 import pickle
 import runpy
@@ -127,7 +128,22 @@ def test_carl_base_is_never_below_the_decoder_budgets(tmp_path):
     lines = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
     assert lines[0][2] == "A"
     assert {row[2] for row in lines[1:]} == {"65.0"}
-    assert "- base A = 65.0 at gamma = 2.0" in (out / "report.md").read_text()
+    report = (out / "report.md").read_text()
+    assert "- base A = 65.0 at gamma = 2.0" in report
+    # only a diag class shares r with the rate
+    assert COUPLED_R not in report
+
+
+COUPLED_R = "is both the rate exponent and the diag class's alpha exponent"
+
+
+def test_carl_report_names_the_coupled_r_of_a_diag_class(tmp_path):
+    out = run_cli(tmp_path, "carl",
+                  "[carl]\nclass = diag\nambient_dim = 16\nn_max = 2\n"
+                  "pair_samples = 300\nr = 1.5\n")
+    lines = (out / "report.md").read_text().splitlines()
+    assert [line for line in lines if COUPLED_R in line] == [
+        f"- r = 1.5 {COUPLED_R}, alpha_j = (1 + log2 j)^(-r/2)"]
 
 
 BUDGET_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "budget_failures.py"
@@ -240,21 +256,30 @@ def _fail_on_three(item: int) -> int:
 
 
 def test_parallel_runs_items_in_order_and_raises_the_worker_error():
+    # a worker still running after the pool returns outlives the CLI
     assert _parallel(abs, [-3, 1, -4, 1, -5], threads=2) == [3, 1, 4, 1, 5]
+    assert multiprocessing.active_children() == []
     with pytest.raises(ExtensionFeasibilityError) as info:
         _parallel(_fail_on_three, [1, 2, 3, 4], threads=2)
     assert info.value.max_residual == 4.5e-8
     assert info.value.iterations == 100_000
+    assert multiprocessing.active_children() == []
+
+
+# workers are forked from the CLI on Linux, and spawned where fork is
+# missing or unsafe
+POOL_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Worker counts of the process pools started; each maps in this process."""
+    """(workers, start method) of the process pools started; each maps in
+    this process."""
     started = []
 
     class RecordingPool:
         def __init__(self, max_workers, mp_context=None):
-            started.append(max_workers)
+            started.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -276,7 +301,7 @@ def test_parallel_starts_no_more_workers_than_items(pool_starts):
     # one item, or one thread, runs in this process
     assert _parallel(abs, items[:1], threads=64) == [1]
     assert _parallel(abs, items, threads=1) == [1, 2, 3, 4]
-    assert pool_starts == [4, 3]
+    assert pool_starts == [(4, POOL_START_METHOD), (3, POOL_START_METHOD)]
 
 
 @pytest.mark.parametrize("name, ini, workers", [
@@ -287,7 +312,7 @@ def test_parallel_starts_no_more_workers_than_items(pool_starts):
 def test_only_the_width_series_starts_workers(tmp_path, pool_starts, name,
                                               ini, workers):
     run_cli(tmp_path, name, ini, threads=2)
-    assert pool_starts == workers
+    assert pool_starts == [(w, POOL_START_METHOD) for w in workers]
 
 
 def test_counterexample_command_smoke(tmp_path):
