@@ -465,7 +465,9 @@ def build_nonlinear_pair(
     and gamma_M one over the smallest, so the pair's constants describe the
     map that is extended.  The extremes are those of
     spaces.pair_ratio_extremes, so both budgets are the full distance
-    matrices' bit for bit.
+    matrices' bit for bit, and its ValueError passes through: for net
+    points at distance 0, and for a pair whose gaps pass the float range
+    both in the net and in its images, whose ratio cannot be measured.
     """
     xs = sparse_net.points
     if len(xs) < 2:

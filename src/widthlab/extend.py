@@ -76,8 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (_UNDERFLOW, _ratio_extremes, _screen_margin,
-                     _screened_pair_ratios, norm)
+from .spaces import _UNDERFLOW, _screen_margin, norm, pair_ratio_extremes
 
 __all__ = [
     "SampledLipschitzMap",
@@ -115,11 +114,10 @@ class SampledLipschitzMap:
     ||f_i - f_j|| <= gamma * ||x_i - x_j|| for all pairs, up to a relative
     slack 1e-9 absorbing float rounding, so it raises ValueError when the
     largest pair ratio exceeds gamma (1 + 1e-9), naming the pair of that
-    ratio, and when two domain samples are at distance 0.  The ratios are
-    those of spaces.pair_ratio_extremes, so the verdict and the error are
-    those of the full distance matrices.  A pair whose two gaps both pass
-    the float range has no measurable ratio (inf / inf), and the first such
-    pair in row-major order raises ValueError too.
+    ratio.  The ratios come from one call to spaces.pair_ratio_extremes, so
+    the verdict and the error are those of the full distance matrices, and
+    its ValueError for two domain samples at distance 0, or for a pair
+    whose two gaps both pass the float range (inf / inf), passes through.
     """
 
     xs: np.ndarray
@@ -143,15 +141,7 @@ class SampledLipschitzMap:
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite")
         if xs.shape[0] > 1:
-            i, j, ratios = _screened_pair_ratios(xs, fs)
-            unmeasured = np.flatnonzero(np.isnan(ratios))
-            if unmeasured.size:
-                k = unmeasured[0]
-                raise ValueError(
-                    f"samples {i[k]},{j[k]} have gaps past the float range on "
-                    "both sides; their ratio cannot be measured"
-                )
-            _, largest, pair = _ratio_extremes(i, j, ratios)
+            _, largest, pair = pair_ratio_extremes(xs, fs)
             if largest > self.gamma * (1.0 + 1e-9):
                 raise ValueError(
                     f"samples {pair[0]},{pair[1]} violate the gamma-Lipschitz "

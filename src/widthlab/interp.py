@@ -518,9 +518,6 @@ def finite_rank_pipeline(
     lam = delta / (2.0 * gamma * R1)
     cut = RadialCutoff(R1=R1, lam=lam)
     R_cut = cut.support_radius
-    # l_inf cube bound: ||x||_inf >= R2 forces ||x||_2 >= R_cut, and for
-    # l_p norms the equivalence constant is 1
-    R2 = R_cut
 
     M0 = M(np.zeros((1, n)))[0]
     d_out = M0.shape[0]
@@ -548,7 +545,7 @@ def finite_rank_pipeline(
     # kinks O(h) and make the audited excess genuinely converge.
     m = kernel_scale(gamma, delta, eps, n)
 
-    D = R2 + 1.0 / m
+    D = R_cut + 1.0 / m
 
     # The cutoff has derivative breaks on the spheres of radius R1 and R_cut.
     # Mollification smooths them into shells of width 2/m whose curvature

@@ -35,7 +35,9 @@ over the rows with lo_i <= hi, bit for bit.  The same bounds on the pairs
 of two clouds with one row per sample bound every pair ratio
 ||f_i - f_j|| / ||x_i - x_j|| from both sides, so pair_ratio_extremes
 evaluates exactly only the pairs that can reach the least or the largest
-ratio.  Those extremes are the Lipschitz constants of a finite map and of
+ratio.  A pair whose two gaps both pass the float range reads inf / inf,
+which no screen or expression can resolve, so pair_ratio_extremes refuses
+it.  Those extremes are the Lipschitz constants of a finite map and of
 its inverse: the check of widthlab.extend's sampled maps, the budgets of
 widthlab.csrecovery and the rescaled draws of widthlab.stablewidth's
 random projection.  widthlab.extend runs the same screen inside its
@@ -213,26 +215,10 @@ def pair_ratio_extremes(xs: np.ndarray, fs: np.ndarray):
     pairwise_distances runs only on the rows of the pairs whose Gram-form
     ratio bounds (module docstring) can reach an extreme.  Rows go through
     in blocks of about _BLOCK_ELEMENTS / rows rows, so no temporary grows
-    as rows^2.  inf / inf, where both gaps pass the float range, counts
-    toward neither extreme (with no other pair: inf, -inf and None).  Rows
-    of xs at distance 0 raise ValueError.
-    """
-    return _ratio_extremes(*_screened_pair_ratios(xs, fs))
-
-
-def _ratio_extremes(i, j, ratios):
-    """pair_ratio_extremes' result from the output of _screened_pair_ratios."""
-    largest = float(np.fmax.reduce(ratios, initial=-math.inf))
-    hit = np.flatnonzero(ratios == largest)
-    pair = (int(i[hit[0]]), int(j[hit[0]])) if hit.size else None
-    return float(np.fmin.reduce(ratios, initial=math.inf)), largest, pair
-
-
-def _screened_pair_ratios(xs, fs):
-    """The pairs i < j that pair_ratio_extremes evaluates, and their ratios.
-
-    Returns (i, j, ratios) in row-major order.  Every pair whose two gaps
-    pass the float range is among them, with ratio nan: a gap may overflow
+    as rows^2.  ValueError names the first pair in row-major order of
+    rows of xs at distance 0, or else of a ratio that cannot be measured:
+    with finite rows, a pair whose two gaps both pass the float range,
+    inf / inf.  Every such pair is evaluated, since a gap may overflow
     only in a block whose Gram-form bounds are infinite, and such a block
     keeps all its pairs.
     """
@@ -243,7 +229,7 @@ def _screened_pair_ratios(xs, fs):
     sq_x = np.einsum("ij,ij->i", xs, xs)
     sq_f = np.einsum("ij,ij->i", fs, fs)
     block_rows = max(1, _BLOCK_ELEMENTS // m)
-    # bounds on the extremes of the defined ratios: top <= largest and
+    # bounds on the extremes of the ratios: top <= largest and
     # least <= bottom
     top, bottom = -math.inf, math.inf
     kept_i, kept_j = [], []
@@ -274,7 +260,14 @@ def _screened_pair_ratios(xs, fs):
         raise ValueError(f"domain rows {i[k]},{j[k]} are at distance 0; "
                          "they must be pairwise distinct")
     with np.errstate(invalid="ignore"):
-        return i, j, pairwise_distances(fs[used])[a, b] / gaps
+        ratios = pairwise_distances(fs[used])[a, b] / gaps
+    unmeasured = np.flatnonzero(np.isnan(ratios))
+    if unmeasured.size:
+        k = unmeasured[0]
+        raise ValueError(f"samples {i[k]},{j[k]} have gaps past the float range "
+                         "on both sides; their ratio cannot be measured")
+    k = int(ratios.argmax())
+    return float(ratios.min()), float(ratios[k]), (int(i[k]), int(j[k]))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "CarlRateReport",
     "ProbeRecord",
     "JLDistortionError",
-    "PhiUndefinedError",
     "jl_dim",
     "jl_project",
     "build_stable_pair",
@@ -68,10 +67,6 @@ class JLDistortionError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.tries, self.worst_ratio)
-
-
-class PhiUndefinedError(ValueError):
-    """eps lies below the last measured width, so phi(eps) is not finite."""
 
 
 def jl_dim(eps: float) -> int:
@@ -107,7 +102,9 @@ def jl_project(points: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
     points @ T.T, so the worst pairwise expansion is 1 (upper bound tight),
     then the contraction side is checked: the least ratio must be at least
     half the largest.  The ratios are those of spaces.pair_ratio_extremes,
-    so points at distance 0 raise ValueError.  Draws are retried on
+    whose ValueError passes through: for points at distance 0, and for a
+    pair whose gaps pass the float range both in the points and in their
+    images, whose ratio cannot be measured.  Draws are retried on
     independent seed streams, lowest stream index winning, so the outcome
     does not depend on evaluation order.
     """
@@ -347,17 +344,16 @@ class CarlInputs:
         return 1.0 + 16.0 * self.gamma**2
 
 
-def phi_of_eps(inputs: CarlInputs, eps: float) -> int:
-    """Smallest m with delta_m <= eps; raises when eps is below the sequence."""
+def phi_of_eps(inputs: CarlInputs, eps: float) -> int | float:
+    """Smallest m with delta_m <= eps.
+
+    Below the width sequence no m qualifies, and phi is math.inf, the
+    least element of the empty set.
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     hit = np.nonzero(inputs.delta_sequence <= eps)[0]
-    if len(hit) == 0:
-        raise PhiUndefinedError(
-            f"eps = {eps:.6g} below the last measured width "
-            f"{inputs.delta_sequence[-1]:.6g}"
-        )
-    return int(hit[0])
+    return int(hit[0]) if len(hit) else math.inf
 
 
 @dataclass(frozen=True)
@@ -368,7 +364,7 @@ class CarlCoverBound:
     R: float
     A: float
     L: int
-    exponent: float  # math.inf when phi was undefined at some level
+    exponent: float  # math.inf when phi is infinite at some level
 
     @property
     def log2_bound(self) -> float:
@@ -379,20 +375,15 @@ def carl_cover_bound(inputs: CarlInputs, eps: float, R: float) -> CarlCoverBound
     """Dyadic recursion bound on the eps-cover count of a radius-R class.
 
     L is the smallest level count with 2^L eps >= R (at least one level);
-    the exponent is sum_{k=1..L} phi(2^k eps / 8).  Levels where phi is
-    undefined make the bound infinite rather than erroring out.
+    the exponent is sum_{k=1..L} phi(2^k eps / 8), infinite when some
+    level lies below the width sequence.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if R < 0:
         raise ValueError("R must be nonnegative")
     L = max(1, math.ceil(math.log2(R / eps)) if R > eps else 1)
-    total = 0
-    for k in range(1, L + 1):
-        try:
-            total += phi_of_eps(inputs, (2.0**k) * eps / 8.0)
-        except PhiUndefinedError:
-            return CarlCoverBound(eps=eps, R=R, A=inputs.A, L=L, exponent=math.inf)
+    total = sum(phi_of_eps(inputs, (2.0**k) * eps / 8.0) for k in range(1, L + 1))
     return CarlCoverBound(eps=eps, R=R, A=inputs.A, L=L, exponent=float(total))
 
 

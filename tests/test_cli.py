@@ -617,3 +617,39 @@ def test_every_exported_function_has_a_consumer_in_the_package():
     assert not unused
     # an exemption whose name gained a consumer is dropped
     assert not UNCONSUMED_EXPORTS & used
+
+
+# private names of one widthlab module that another one reads, by reader;
+# a new reach into another module's internals is a change to this table
+PRIVATE_REACHES = {
+    "extend": {"spaces._UNDERFLOW", "spaces._screen_margin"},
+    "nets": {"spaces._distances"},
+    "csrecovery": {"spaces._BLOCK_ELEMENTS"},
+    "interp": {"spaces._BLOCK_ELEMENTS"},
+}
+
+
+def test_private_names_read_across_modules_are_the_listed_ones():
+    # `from .m import _x` and reads of `m._x`, m another widthlab module
+    package = Path(widthlab.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reaches = {}
+    for path in package.glob("*.py"):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= {f"{node.module}.{alias.name}" for alias in node.names
+                          if node.module in modules and private(alias.name)}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and private(node.attr)):
+                found.add(f"{node.value.id}.{node.attr}")
+        found = {name for name in found if name.split(".")[0] != path.stem}
+        if found:
+            reaches[path.stem] = found
+    assert reaches == PRIVATE_REACHES

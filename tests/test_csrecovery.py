@@ -643,6 +643,16 @@ def test_budgets_hand_made_cases_equal_the_dense_budgets():
         build_nonlinear_pair(Phi, ModelClassSurrogate(np.array([[0.0, 1.0]])))
 
 
+def test_build_nonlinear_pair_refuses_a_pair_it_cannot_measure():
+    # pair (0, 1) has gaps past the float range in the net and in its
+    # images, so its ratio reads inf / inf
+    net = ModelClassSurrogate(np.array([[1e155, 0.0], [-1e155, 0.0],
+                                        [0.0, 1e155]]))
+    with pytest.raises(ValueError, match="samples 0,1 have gaps past the "
+                       "float range on both sides; their ratio cannot be measured"):
+        build_nonlinear_pair(SensingMatrix(2.0 * np.eye(2)), net)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(2, 14),

@@ -287,8 +287,8 @@ def test_nearest_distances_off_the_screen_for_huge_and_non_finite_rows():
 def test_huge_clouds_raise_no_overflow_warnings(center, spread):
     # near 1e154 the Gram forms' probes pass the float range, so every pair
     # goes to the exact expression; at a spread of 1.2e154 the squared gaps
-    # pass it too and read inf, as in pdist and cdist, and the sampled map
-    # refuses the pairs whose two gaps do; neither warns
+    # pass it too and read inf, as in pdist and cdist, and the ratios and
+    # the sampled map refuse the pairs whose two gaps do; neither warns
     from widthlab.extend import SampledLipschitzMap
     from widthlab.nets import greedy_cover
 
@@ -299,7 +299,7 @@ def test_huge_clouds_raise_no_overflow_warnings(center, spread):
         near = nearest_distances(X[:4], X)
         dist = pairwise_distances(X)
         built = result(SampledLipschitzMap, X, X, 1.0)
-        extremes = pair_ratio_extremes(X, X)
+        extremes = result(pair_ratio_extremes, X, X)
         cover = greedy_cover(ModelClassSurrogate(X), 4)
     assert np.array_equal(near, np.zeros(4))
     assert np.array_equal(np.diagonal(dist), np.zeros(12))
@@ -307,16 +307,20 @@ def test_huge_clouds_raise_no_overflow_warnings(center, spread):
     assert isinstance(built, str) == (center == 0.0)
     if isinstance(built, str):
         assert "gaps past the float range on both sides" in built
-    assert extremes == (1.0, 1.0, (0, 1))
+    assert extremes == (built if center == 0.0 else (1.0, 1.0, (0, 1)))
     assert cover.count == 4
 
 
 def dense_ratio_extremes(xs, fs):
     """pair_ratio_extremes on full distance matrices: the reference it reproduces.
 
-    The ratios of the pairs i < j in row-major order.  A ratio inf / inf,
-    where both gaps pass the float range, counts toward neither extreme.
+    The ratios of the pairs i < j in row-major order.  Fewer than two rows
+    raise ValueError, as does the first pair at domain distance 0, and
+    after it the first pair whose two gaps pass the float range, where the
+    ratio reads inf / inf.
     """
+    if len(xs) < 2:
+        raise ValueError("xs and fs must be 2-d with the same rows, at least two")
     i, j = np.triu_indices(len(xs), 1)
     gaps = pairwise_distances(xs)[i, j]
     zero = np.flatnonzero(gaps == 0.0)
@@ -324,13 +328,15 @@ def dense_ratio_extremes(xs, fs):
         k = zero[0]
         raise ValueError(f"domain rows {i[k]},{j[k]} are at distance 0; "
                          "they must be pairwise distinct")
-    with np.errstate(invalid="ignore"):
-        ratios = pairwise_distances(fs)[i, j] / gaps
-    defined = np.flatnonzero(~np.isnan(ratios))
-    if defined.size == 0:
-        return math.inf, -math.inf, None
-    k = defined[np.argmax(ratios[defined])]
-    return float(ratios[defined].min()), float(ratios[k]), (int(i[k]), int(j[k]))
+    image_gaps = pairwise_distances(fs)[i, j]
+    both = np.flatnonzero(np.isinf(gaps) & np.isinf(image_gaps))
+    if both.size:
+        k = both[0]
+        raise ValueError(f"samples {i[k]},{j[k]} have gaps past the float range "
+                         "on both sides; their ratio cannot be measured")
+    ratios = image_gaps / gaps
+    k = np.argmax(ratios)
+    return float(ratios.min()), float(ratios[k]), (int(i[k]), int(j[k]))
 
 
 def result(fn, *args):
@@ -347,11 +353,13 @@ def test_pair_ratio_extremes_hand_made_cases():
     assert pair_ratio_extremes(xs, 2.0 * xs) == (2.0, 2.0, (0, 1))
     fs = np.array([[0.0], [1.0], [1.0], [9.0]])
     assert pair_ratio_extremes(xs, fs) == (0.0, 8.0, (2, 3))
-    # gaps past the float range on both sides read inf / inf and count
-    # toward neither extreme; a pair past it on one side only does
+    # gaps past the float range on both sides read inf / inf, and the
+    # first such pair is refused; a pair past it on one side only counts
     far = np.array([[0.0], [1.5e154], [1.5e154 + 1e140]])
-    assert pair_ratio_extremes(far, far) == (1.0, 1.0, (1, 2))
-    assert pair_ratio_extremes(far[:2], far[:2]) == (math.inf, -math.inf, None)
+    unmeasured = ("samples 0,1 have gaps past the float range on both sides; "
+                  "their ratio cannot be measured")
+    assert result(pair_ratio_extremes, far, far) == unmeasured
+    assert result(pair_ratio_extremes, far[:2], far[:2]) == unmeasured
     assert pair_ratio_extremes(far[1:], far[:2]) == (math.inf, math.inf, (0, 1))
     # distinct rows whose squared gap underflows to 0
     tiny = np.array([[1e-170, 0.0], [5.0, 5.0], [2e-170, 0.0]])

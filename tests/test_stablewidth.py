@@ -11,7 +11,6 @@ from widthlab.spaces import AlphaSequence, generate_Kq, generate_diag_class
 from widthlab.stablewidth import (
     CarlInputs,
     JLDistortionError,
-    PhiUndefinedError,
     build_stable_pair,
     carl_cover_bound,
     carl_inputs_from_width_series,
@@ -56,6 +55,15 @@ def test_jl_project_certified_distortion():
     assert float(ratio.min()) >= 0.5 - 1e-9
     again = jl_project(pts, target_dim=24, seed=3)
     assert np.array_equal(T, again)
+
+
+def test_jl_project_refuses_a_pair_it_cannot_measure():
+    # pair (0, 1) has gaps past the float range in the net and in the
+    # first draw's images, so its ratio reads inf / inf
+    net = np.array([[1e155, 0.0], [-1e155, 0.0], [0.0, 1e155]])
+    with pytest.raises(ValueError, match="samples 0,1 have gaps past the "
+                       "float range on both sides; their ratio cannot be measured"):
+        jl_project(net, 3, 0)
 
 
 def dense_jl_project(points, target_dim, seed):
@@ -197,8 +205,8 @@ def test_phi_of_eps_harmonic_oracle():
     inputs = CarlInputs(
         delta_sequence=1.0 / np.arange(1.0, 7.0), gamma=1.0, r=1.0)
     assert phi_of_eps(inputs, 0.25) == 3
-    with pytest.raises(PhiUndefinedError):
-        phi_of_eps(inputs, 0.01)
+    # below the sequence no m qualifies: the least of the empty set
+    assert phi_of_eps(inputs, 0.01) == math.inf
 
 
 def test_carl_base_constant():
