@@ -1,15 +1,16 @@
 """Experiment drivers: deterministic CSV + report output per subcommand.
 
-Each subcommand reads defaults, overlays the matching section of an INI
-config file, then applies command-line overrides; the resolved settings
-are embedded as comment headers in every CSV so runs are reproducible from
-their outputs alone.  Floats are written with repr so reruns are
-byte-identical.  Only the width series of stable-width and carl runs on
-worker processes (--threads), forked from the running CLI on Linux and
-spawned elsewhere; its items get their seeds from SeedSequence.spawn
-before any worker starts, so --threads never changes the numbers.  The
-other subcommands run in the calling process: their items cost less
-than the pool that would run them (see _parallel).
+Each subcommand resolves its settings (defaults, then the matching section
+of an INI config file, then command-line overrides), calls the library and
+writes files; every random draw happens in the library, from the seeds it
+is given.  The resolved settings are embedded as comment headers in every
+CSV so runs are reproducible from their outputs alone.  Floats are written
+with repr so reruns are byte-identical.  Only the width series of
+stable-width and carl runs on worker processes (--threads), forked from
+the running CLI on Linux and spawned elsewhere; its items get their seeds
+from SeedSequence.spawn before any worker starts, so --threads never
+changes the numbers.  The other subcommands run in the calling process:
+their items cost less than the pool that would run them (see _parallel).
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import numpy as np
 from . import __version__
 from .counterexample import counterexample_report
 from .csrecovery import (
-    L1ConvergenceError,
     build_nonlinear_pair,
     gaussian_matrix,
     instance_optimality_trials,
-    l1_decode,
     operator_norm_bound_check,
+    planted_recovery_trials,
     rip_check,
 )
 from .demos import DEMOS, pipeline_budget
@@ -222,18 +222,10 @@ def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
               ["n", "linear_error"], base_rows)
 
     probes = int(cfg["probes"])
-    probe_rows = []
     rng = np.random.default_rng(int(cfg["seed"]) + 1)
     pair, rep = results[-1]
-    for i in range(probes):
-        f = K.points[int(rng.integers(K.count))]
-        eta = float(rng.uniform(0.05, 0.5))
-        direction = rng.standard_normal(f.shape)
-        direction /= np.linalg.norm(direction)
-        g = f + direction * eta * rng.uniform()
-        record = stability_probe(pair, f, g, eta=eta, e_class=rep.sup_error,
-                                 seed=int(rng.integers(2**31)))
-        probe_rows.append((i, record.eta, record.lhs, record.rhs, record.passed))
+    records = [stability_probe(pair, K, rep.sup_error, rng) for _ in range(probes)]
+    probe_rows = [(i, r.eta, r.lhs, r.rhs, r.passed) for i, r in enumerate(records)]
     write_csv(out / "stability_probes.csv", "perturbed decoding probes", cfg,
               ["probe", "eta", "lhs", "rhs", "passed"], probe_rows)
 
@@ -291,29 +283,9 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
               bound_rows)
 
     trials = int(cfg["trials"])
-    rng = np.random.default_rng(int(cfg["seed"]) + 1)
     Phi = gaussian_matrix(n, N, seed=int(cfg["seed"]))
-    recovery_rows = []
-    successes = 0
-    capped = 0
-    for t in range(trials):
-        support = rng.choice(N, size=k, replace=False)
-        x0 = np.zeros(N)
-        x0[support] = rng.standard_normal(k)
-        x0 /= np.linalg.norm(x0)
-        try:
-            xhat = l1_decode(Phi, Phi.matrix @ x0)
-        except L1ConvergenceError as exc:
-            # an uncertified solve still yields an iterate: the lasso
-            # minimiser at the last breakpoint the homotopy reached, or its
-            # end if the certificate failed there; score it as-is and count
-            # it in the report
-            xhat = exc.iterate
-            capped += 1
-        err = float(np.linalg.norm(xhat - x0))
-        ok = err <= 1e-5
-        successes += ok
-        recovery_rows.append((t, err, ok))
+    errors, capped = planted_recovery_trials(Phi, k, trials, int(cfg["seed"]) + 1)
+    recovery_rows = [(t, err, err <= 1e-5) for t, err in enumerate(errors)]
     write_csv(out / "recovery_trials.csv", "planted l1 recovery", cfg,
               ["trial", "error", "recovered"], recovery_rows)
 
@@ -334,10 +306,10 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     lines = [
         f"- operator bound rows holding (derived form): "
         f"{sum(r[8] and r[9] for r in bound_rows)}/{len(bound_rows)}",
-        f"- planted recovery: {successes}/{trials} "
+        f"- planted recovery: {sum(r[2] for r in recovery_rows)}/{trials} "
         f"(capped solves scored as-is: {capped})",
-        f"- delta_2k, sampled lower estimate over {rip.supports_checked} "
-        f"supports: {_fmt(rip.delta)}",
+        f"- delta_2k, {'exact' if rip.exhaustive else 'sampled lower estimate'}"
+        f" over {rip.supports_checked} supports: {_fmt(rip.delta)}",
         f"- budgets from net pair ratios: gamma_a {_fmt(pair.gamma_a)}, "
         f"gamma_M {_fmt(pair.gamma_M)}",
         f"- instance optimality: "

@@ -60,6 +60,7 @@ __all__ = [
     "op_norm_bracket",
     "operator_norm_bound_check",
     "l1_decode",
+    "planted_recovery_trials",
     "sigma_k",
     "build_nonlinear_pair",
     "instance_optimality_trials",
@@ -440,6 +441,31 @@ def l1_decode(Phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
     return _l1_homotopy(Phi, y)[0]
 
 
+def planted_recovery_trials(
+    Phi: SensingMatrix, k: int, trials: int, seed: int
+) -> tuple[list[float], int]:
+    """l1_decode errors on planted unit k-sparse vectors, and the capped count.
+
+    Each trial draws a support of k columns, then Gaussian entries on it.  A
+    capped solve (L1ConvergenceError) is scored at its iterate and counted.
+    """
+    rng = np.random.default_rng(seed)
+    errors = []
+    capped = 0
+    for _ in range(trials):
+        support = rng.choice(Phi.N, size=k, replace=False)
+        x0 = np.zeros(Phi.N)
+        x0[support] = rng.standard_normal(k)
+        x0 /= np.linalg.norm(x0)
+        try:
+            xhat = l1_decode(Phi, Phi.matrix @ x0)
+        except L1ConvergenceError as exc:
+            xhat = exc.iterate
+            capped += 1
+        errors.append(float(np.linalg.norm(xhat - x0)))
+    return errors, capped
+
+
 def sigma_k(x: np.ndarray, k: int, p: float = 2.0) -> float:
     """Best k-term approximation error of x in l_p.
 
@@ -468,11 +494,16 @@ def build_nonlinear_pair(
     matrices' bit for bit, and its ValueError passes through: for net
     points at distance 0, and for a pair whose gaps pass the float range
     both in the net and in its images, whose ratio cannot be measured.
+    A net point whose image is not finite raises ValueError first.
     """
     xs = sparse_net.points
     if len(xs) < 2:
         raise ValueError("the net needs two points to fix the budgets")
-    images = xs @ Phi.matrix.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = xs @ Phi.matrix.T
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=1))
+    if len(bad):
+        raise ValueError(f"the image of net point {bad[0]} is not finite")
     least, largest, _ = pair_ratio_extremes(xs, images)
     if not least > 0.0:
         raise ValueError("Phi maps two net points to one image; pair undefined")

@@ -104,15 +104,14 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     sqrt(sum_k (a[k] - b[k])**2) with the squares summed in coordinate
     order, k = 0, 1, ..., as pdist and cdist sum them; a and b
-    broadcast.
+    broadcast.  numpy sums axis 0 in that order for results of two or more
+    entries; the callers' one-entry results are a point against itself, 0.
     """
     diff = a - b
-    total = np.zeros(diff.shape[1:])
     # squares past the float range are inf, as in pdist and cdist
     with np.errstate(over="ignore"):
         diff *= diff
-        for square in diff:
-            total += square
+        total = np.add.reduce(diff, axis=0)
     return np.sqrt(total, out=total)
 
 

@@ -287,27 +287,24 @@ class ProbeRecord:
 
 def stability_probe(
     pair: EncoderDecoderPair,
-    f: np.ndarray,
-    g: np.ndarray,
-    eta: float,
+    K: ModelClassSurrogate,
     e_class: float,
-    seed: int = 0,
+    rng: np.random.Generator,
 ) -> ProbeRecord:
-    """Decode a corrupted code of a perturbed input and compare to the budget.
+    """Decode a corrupted code of a perturbed class point and compare to the budget.
 
-    With ||f - g|| <= eta and a code y' within eta of a(g), the decoded
-    error obeys ||f - M(y')|| <= 2 * e_class + eta + gamma_M * eta,
-    where e_class is the pair's measured class error.  The corruption is
-    drawn adversarially on the eta-sphere in parameter space.  Both maps
-    run at EVAL_TOL.
+    Draws f from K, eta uniform in [0.05, 0.5), g within eta of f and a code
+    y' at distance eta from a(g), each along a random direction; then
+    ||f - M(y')|| <= 2 * e_class + eta + gamma_M * eta, for the pair's
+    measured class error e_class.  Both maps run at EVAL_TOL.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    gap = float(norm(f - g, 2.0))
-    if gap > eta + 1e-12:
-        raise ValueError(f"||f - g|| = {gap:.6g} exceeds eta = {eta:.6g}")
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(pair.param_dim)
+    f = K.points[int(rng.integers(K.count))]
+    eta = float(rng.uniform(0.05, 0.5))
+    direction = rng.standard_normal(f.shape)
+    direction /= np.linalg.norm(direction)
+    g = f + direction * eta * rng.uniform()
+    corruption = np.random.default_rng(int(rng.integers(2**31)))
+    direction = corruption.standard_normal(pair.param_dim)
     direction /= np.linalg.norm(direction)
     y_prime = pair.encoder.eval_batch(g[None, :], tol=EVAL_TOL) + eta * direction
     decoded = pair.decoder.eval_batch(y_prime, tol=EVAL_TOL)[0]

@@ -17,8 +17,8 @@ from widthlab.csrecovery import (
     build_nonlinear_pair,
     gaussian_matrix,
     instance_optimality_trials,
-    l1_decode,
     operator_norm_bound_check,
+    planted_recovery_trials,
     rip_check,
 )
 from widthlab.demos import pipeline_budget
@@ -189,17 +189,10 @@ def test_sensing_norm_inequalities_hold():
 
 
 def _planted_recovery(n, N, k, trials, seed):
-    rng = np.random.default_rng(seed)
     Phi = gaussian_matrix(n, N, seed=seed)
-    hits = 0
-    for _ in range(trials):
-        support = rng.choice(N, size=k, replace=False)
-        x0 = np.zeros(N)
-        x0[support] = rng.standard_normal(k)
-        x0 /= np.linalg.norm(x0)
-        xhat = l1_decode(Phi, Phi.matrix @ x0)
-        hits += float(np.linalg.norm(xhat - x0)) <= 1e-6
-    return hits
+    errors, capped = planted_recovery_trials(Phi, k, trials, seed)
+    assert capped == 0
+    return sum(err <= 1e-6 for err in errors)
 
 
 def test_sparse_recovery_and_instance_optimality():
@@ -304,14 +297,7 @@ def test_perturbed_decoding_stays_within_stability_budget(width_grid):
         pair, rep = rows[-1]
         rng = np.random.default_rng(17)
         for _ in range(100):
-            f = K.points[int(rng.integers(K.count))]
-            eta = float(rng.uniform(0.02, 0.5))
-            direction = rng.standard_normal(f.shape)
-            direction /= np.linalg.norm(direction)
-            g = f + direction * eta * float(rng.uniform())
-            record = stability_probe(pair, f, g, eta=eta,
-                                     e_class=rep.sup_error,
-                                     seed=int(rng.integers(2**31)))
+            record = stability_probe(pair, K, rep.sup_error, rng)
             total += 1
             passed += record.passed
     elapsed = time.monotonic() - t0

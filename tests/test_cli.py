@@ -20,6 +20,8 @@ from widthlab.extend import ExtensionFeasibilityError
 from widthlab.interp import MeshBudgetError
 from widthlab.stablewidth import JLDistortionError
 
+from test_csrecovery import capped_every_third
+
 SMALL_ENTROPY = """
 [entropy]
 count = 60
@@ -209,23 +211,49 @@ def test_cs_command_is_thread_count_invariant(tmp_path):
 
 
 def test_cs_report_counts_capped_l1_solves(tmp_path, monkeypatch):
-    import widthlab.cli as cli
+    import widthlab.csrecovery as csrecovery
 
-    solve = cli.l1_decode
-    calls = []
-
-    def capped_every_third(Phi, y):
-        calls.append(None)
-        xhat = solve(Phi, y)
-        if len(calls) % 3 == 0:
-            raise L1ConvergenceError(1e-3, 20_000, xhat)
-        return xhat
-
-    monkeypatch.setattr(cli, "l1_decode", capped_every_third)
+    monkeypatch.setattr(csrecovery, "l1_decode", capped_every_third())
     out = run_cli(tmp_path, "cs", SMALL_CS)
     report = (out / "report.md").read_text()
-    # the capped iterates are still scored: 10 trials, 3 of them capped
-    assert "- planted recovery: 10/10 (capped solves scored as-is: 3)" in report
+    # the capped iterates, half the solution, are still scored: 10 trials,
+    # 3 of them capped and so missed
+    assert "- planted recovery: 7/10 (capped solves scored as-is: 3)" in report
+
+
+# a cs run whose rip_check enumerates all 66 supports of order 2
+EXHAUSTIVE_RIP_CS = """
+[cs]
+n = 8
+ambient_dim = 12
+k = 1
+trials = 10
+net_count = 60
+matrices = 2
+"""
+
+
+def test_cs_report_names_an_exhaustive_rip_check_exact(tmp_path):
+    report = (run_cli(tmp_path, "cs", EXHAUSTIVE_RIP_CS)
+              / "report.md").read_text()
+    assert "- delta_2k, exact over 66 supports: " in report
+    assert "sampled" not in report
+    report = (run_cli(tmp_path, "cs", SMALL_CS) / "report.md").read_text()
+    assert "- delta_2k, sampled lower estimate over " in report
+    assert "exact" not in report
+
+
+def test_cli_makes_no_random_draw():
+    # the library draws every random number from the seeds the CLI hands
+    # it; building a generator, or spawning seeds, is no draw
+    draws = {name for name in dir(np.random.Generator)
+             if not name.startswith("_")} - {"bit_generator", "spawn"}
+    source = Path(widthlab.__file__).parent / "cli.py"
+    calls = sorted(
+        node.func.attr for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in draws)
+    assert calls == []
 
 
 SOLVER_ERRORS = [

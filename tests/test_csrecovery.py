@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from widthlab.csrecovery import (
     l1_decode,
     op_norm_bracket,
     operator_norm_bound_check,
+    planted_recovery_trials,
     rip_check,
     sigma_k,
 )
@@ -524,6 +526,61 @@ def test_brute_decode_refuses_huge_support_searches():
         brute_sparse_decode(Phi, np.zeros(10), 5)
 
 
+def reference_planted_rows(Phi, N, k, trials, seed, l1_decode):
+    """The cs command's planted loop when the CLI ran it, l1_decode passed in."""
+    rng = np.random.default_rng(seed + 1)
+    recovery_rows = []
+    successes = 0
+    capped = 0
+    for t in range(trials):
+        support = rng.choice(N, size=k, replace=False)
+        x0 = np.zeros(N)
+        x0[support] = rng.standard_normal(k)
+        x0 /= np.linalg.norm(x0)
+        try:
+            xhat = l1_decode(Phi, Phi.matrix @ x0)
+        except L1ConvergenceError as exc:
+            xhat = exc.iterate
+            capped += 1
+        err = float(np.linalg.norm(xhat - x0))
+        ok = err <= 1e-5
+        successes += ok
+        recovery_rows.append((t, err, ok))
+    return recovery_rows, successes, capped
+
+
+def capped_every_third():
+    """l1_decode, capped with half its solution on every third call."""
+    calls = []
+
+    def decode(Phi, y):
+        calls.append(None)
+        xhat = l1_decode(Phi, y)
+        if len(calls) % 3 == 0:
+            raise L1ConvergenceError(1e-3, 20_000, 0.5 * xhat)
+        return xhat
+
+    return decode
+
+
+@pytest.mark.parametrize("capped_solves", [False, True])
+def test_planted_recovery_trials_equal_the_reference_loop(monkeypatch,
+                                                          capped_solves):
+    Phi = gaussian_matrix(20, 40, seed=0)
+    solve = l1_decode
+    if capped_solves:
+        monkeypatch.setattr(csrecovery, "l1_decode", capped_every_third())
+        solve = capped_every_third()
+    errors, capped = planted_recovery_trials(Phi, 2, 10, seed=1)
+    rows, successes, ref_capped = reference_planted_rows(Phi, 40, 2, 10, 0,
+                                                         solve)
+    assert [(t, err, err <= 1e-5) for t, err in enumerate(errors)] == rows
+    assert (capped, sum(err <= 1e-5 for err in errors)) == (ref_capped,
+                                                            successes)
+    assert capped == (3 if capped_solves else 0)
+    assert successes == (7 if capped_solves else 10)
+
+
 def test_build_nonlinear_pair_constants_come_from_the_net_pairs():
     Phi = gaussian_matrix(24, 48, seed=6)
     net = generate_sparse_class(48, 3, 150, seed=6)
@@ -651,6 +708,18 @@ def test_build_nonlinear_pair_refuses_a_pair_it_cannot_measure():
     with pytest.raises(ValueError, match="samples 0,1 have gaps past the "
                        "float range on both sides; their ratio cannot be measured"):
         build_nonlinear_pair(SensingMatrix(2.0 * np.eye(2)), net)
+
+
+def test_build_nonlinear_pair_refuses_images_past_the_float_range():
+    # the images of points 0 and 1 overflow to inf; the net's own gaps are
+    # finite, so the refusal names the image, not a pair ratio
+    net = ModelClassSurrogate(np.array([[1e300, 0.0], [2e300, 0.0],
+                                        [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="the image of net point 0 is not finite"):
+            build_nonlinear_pair(SensingMatrix(1e10 * np.eye(2)), net)
 
 
 @given(

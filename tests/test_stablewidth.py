@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import widthlab.stablewidth as stablewidth
 from widthlab.nets import entropy_bracket
-from widthlab.spaces import AlphaSequence, generate_Kq, generate_diag_class
+from widthlab.spaces import AlphaSequence, generate_Kq, generate_diag_class, norm
 from widthlab.stablewidth import (
+    EVAL_TOL,
     CarlInputs,
     JLDistortionError,
+    ProbeRecord,
     build_stable_pair,
     carl_cover_bound,
     carl_inputs_from_width_series,
@@ -167,18 +169,58 @@ def test_stability_probe_inequality_fields():
     rep = evaluate_width(pair, K, pair_samples=1000, seed=2)
     rng = np.random.default_rng(4)
     for i in range(10):
-        f = K.points[int(rng.integers(K.count))]
-        eta = float(rng.uniform(0.05, 0.4))
-        direction = rng.standard_normal(f.shape)
-        direction /= np.linalg.norm(direction)
-        g = f + direction * eta * float(rng.uniform())
-        record = stability_probe(pair, f, g, eta=eta, e_class=rep.sup_error,
-                                 seed=int(rng.integers(2**31)))
+        record = stability_probe(pair, K, rep.sup_error, rng)
+        assert 0.05 <= record.eta < 0.5
         assert record.rhs == pytest.approx(
             2.0 * rep.sup_error + record.eta + pair.gamma_M * record.eta,
             rel=1e-12)
         assert record.passed
         assert record.lhs <= record.rhs + 1e-9
+
+
+def reference_stability_probe(pair, f, g, eta, e_class, seed=0):
+    """stability_probe when it took f, g and eta from its caller."""
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    gap = float(norm(f - g, 2.0))
+    if gap > eta + 1e-12:
+        raise ValueError(f"||f - g|| = {gap:.6g} exceeds eta = {eta:.6g}")
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(pair.param_dim)
+    direction /= np.linalg.norm(direction)
+    y_prime = pair.encoder.eval_batch(g[None, :], tol=EVAL_TOL) + eta * direction
+    decoded = pair.decoder.eval_batch(y_prime, tol=EVAL_TOL)[0]
+    lhs = float(norm(f - decoded, 2.0))
+    rhs = 2.0 * e_class + eta + pair.gamma_M * eta
+    return ProbeRecord(eta=eta, lhs=lhs, rhs=rhs)
+
+
+def reference_probe_rows(K, pair, rep, seed, probes):
+    """The stable-width command's probe loop when the CLI drew the probes."""
+    probe_rows = []
+    rng = np.random.default_rng(seed + 1)
+    for i in range(probes):
+        f = K.points[int(rng.integers(K.count))]
+        eta = float(rng.uniform(0.05, 0.5))
+        direction = rng.standard_normal(f.shape)
+        direction /= np.linalg.norm(direction)
+        g = f + direction * eta * rng.uniform()
+        record = reference_stability_probe(pair, f, g, eta=eta,
+                                           e_class=rep.sup_error,
+                                           seed=int(rng.integers(2**31)))
+        probe_rows.append((i, record.eta, record.lhs, record.rhs, record.passed))
+    return probe_rows
+
+
+@pytest.mark.parametrize("K, n", [(small_diag_class(), 2),
+                                  (generate_Kq(12, 1.0, 120, seed=5), 3)])
+def test_stability_probe_draws_the_probes_of_the_reference_loop(K, n):
+    pair = build_stable_pair(K, n=n, seed=7)
+    rep = evaluate_width(pair, K, pair_samples=500, seed=7)
+    rng = np.random.default_rng(3 + 1)
+    rows = [(i, r.eta, r.lhs, r.rhs, r.passed) for i, r in enumerate(
+        stability_probe(pair, K, rep.sup_error, rng) for _ in range(8))]
+    assert rows == reference_probe_rows(K, pair, rep, seed=3, probes=8)
 
 
 def test_hilbert_linear_baseline_monotone_and_exhausts():
