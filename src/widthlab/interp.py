@@ -22,17 +22,22 @@ M on S to a requested accuracy:
      gamma at a sup cost proportional to delta.
 
 The result factors through the mesh's vertex values, so its rank is at most
-the vertex count plus one.  All sup and Lipschitz statements about the
-result are audited on sampled points and pairs: they are honest lower
-bounds, since certifying the true suprema would need mesh sizes far below
-the kernel scale.  The audit set always includes deterministic probes on
-the two spheres where the cutoff breaks differentiability; those shells
-hold the worst curvature after mollification, and random probes alone
-would miss them.
+the vertex count plus one.  Its Lipschitz constant on the closed cube is
+exact: the interpolant is affine on each Kuhn simplex, so the constant is
+the largest spectral norm of the simplex Jacobians (pl_lipschitz).  The
+other statements are audited on sampled points and pairs, and are honest
+lower bounds: the certificate check of M, the sup deviation, and each
+level's Lipschitz excess, since the interpolant minus the mollified map is
+not piecewise linear and certifying its suprema would need mesh sizes far
+below the kernel scale.  The level audits always include deterministic
+probes on the two spheres where the cutoff breaks differentiability; those
+shells hold the worst curvature after mollification, and random probes
+alone would miss them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +59,7 @@ __all__ = [
     "bump_kernel",
     "kernel_scale",
     "pl_eval_batch",
+    "pl_lipschitz",
     "finite_rank_pipeline",
 ]
 
@@ -206,7 +212,11 @@ class PLInterpolant:
     a constant outside.
 
     values are flattened row-major, one row per vertex; continuity across
-    simplex faces holds by construction of the barycentric rule.
+    simplex faces holds by construction of the barycentric rule.  The map
+    is continuous on the closed cube only: where face vertex values differ
+    from outside_value (by up to about 1e-16 in the pipeline), it jumps
+    across the faces.  Its Lipschitz constant is therefore the one on the
+    closed cube (pl_lipschitz), where every point it is measured at lies.
     """
 
     mesh: KuhnMesh
@@ -236,8 +246,9 @@ class PLInterpolant:
 def pl_eval_batch(f: PLInterpolant, X: np.ndarray) -> np.ndarray:
     """Evaluate at rows of X.
 
-    Points outside the closed cube return the constant.  Inside, the
-    containing simplex is located by sorting local cell coordinates in
+    Points outside the closed cube, infinite coordinates included, return
+    the constant; a row holding NaN raises ValueError naming it.  Inside,
+    the containing simplex is located by sorting local cell coordinates in
     descending order (ties by axis index); barycentric weights are the
     successive gaps of the sorted coordinates.
     """
@@ -245,6 +256,9 @@ def pl_eval_batch(f: PLInterpolant, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mesh.n:
         raise ValueError(f"points must be rows of length {mesh.n}")
+    nan = np.flatnonzero(np.isnan(X).any(axis=1))
+    if nan.size:
+        raise ValueError(f"row {nan[0]} holds NaN")
     Q, n = X.shape
     out = np.tile(f.outside_value, (Q, 1))
     inside = np.all(np.abs(X) <= mesh.D * (1.0 + 1e-12), axis=1)
@@ -267,6 +281,60 @@ def pl_eval_batch(f: PLInterpolant, X: np.ndarray) -> np.ndarray:
         acc += gaps[:, step][:, None] * f.values[vidx]
     out[inside] = acc
     return out
+
+
+def pl_lipschitz(f: PLInterpolant) -> float:
+    """Exact Lipschitz constant of f on the closed cube.
+
+    f is affine on each Kuhn simplex and continuous on the cube, which is
+    convex, so its constant there is the largest spectral norm of the
+    simplices' Jacobians.  On the simplex of ordering pi the Jacobian's
+    columns are the successive vertex differences along pi's chain, divided
+    by h.  The top eigenvalue of their n x n Gram matrix is the squared
+    norm for n = 1, (a + c)/2 + hypot((a - c)/2, b) for n = 2, and
+    numpy.linalg.eigvalsh's for n = 3.  Cells go through in blocks of
+    first-axis planes holding about spaces._BLOCK_ELEMENTS values, so no
+    temporary grows with the mesh.
+    """
+    mesh = f.mesh
+    n, S, P = mesh.n, mesh.subdivisions, mesh.points_per_axis
+    d = f.values.shape[1]
+    grid = f.values.reshape((P,) * n + (d,))
+    chains = []
+    for perm in itertools.permutations(range(n)):
+        corner = [0] * n
+        chain = [tuple(corner)]
+        for axis in perm:
+            corner[axis] += 1
+            chain.append(tuple(corner))
+        chains.append(chain)
+    rows = max(1, spaces._BLOCK_ELEMENTS // (P ** (n - 1) * d))
+    top = 0.0
+    for start in range(0, S, rows):
+        stop = min(start + rows, S)
+
+        def corner_values(offset):
+            """Values at each block cell's corner moved by offset."""
+            return grid[(slice(start + offset[0], stop + offset[0]),)
+                        + tuple(slice(o, o + S) for o in offset[1:])]
+
+        for chain in chains:
+            cols = [corner_values(b) - corner_values(a)
+                    for a, b in zip(chain, chain[1:])]
+            # the Gram matrix's lower triangle, (i, j) with j <= i
+            gram = {(i, j): np.einsum("...k,...k->...", cols[i], cols[j])
+                    for i in range(n) for j in range(i + 1)}
+            if n == 1:
+                lam = gram[0, 0]
+            elif n == 2:
+                a, b, c = gram[0, 0], gram[1, 0], gram[1, 1]
+                lam = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+            else:
+                lam = np.linalg.eigvalsh(np.stack(
+                    [np.stack([gram[max(i, j), min(i, j)] for j in range(n)],
+                              axis=-1) for i in range(n)], axis=-2))[..., -1]
+            top = max(top, float(np.max(lam)))
+    return math.sqrt(top) / mesh.h
 
 
 @dataclass(frozen=True)
@@ -494,7 +562,7 @@ def finite_rank_pipeline(
     initial_subdivisions: int,
     min_levels: int,
 ) -> PipelineResult:
-    """Cutoff, mollify, interpolate, rescale; audit every budget along the way.
+    """Cutoff, mollify, interpolate, rescale; check every budget along the way.
 
     M must be a batch map (Q, n) -> (Q, d) that is gamma-Lipschitz on the
     ball the cutoff can reach (checked on sampled pairs).  S_points are the
@@ -502,7 +570,8 @@ def finite_rank_pipeline(
     is halved until the audited interpolation deviation is below eps/2 and
     the audited extra Lipschitz constant below delta/2, with at least
     min_levels levels recorded for convergence regressions; a level past
-    _MAX_VERTICES vertices raises MeshBudgetError.
+    _MAX_VERTICES vertices raises MeshBudgetError.  The result's
+    lip_measured is the rescaled interpolant's exact constant, pl_lipschitz.
     """
     S_points = np.asarray(S_points, dtype=float)
     if S_points.ndim != 2 or not (1 <= S_points.shape[1] <= 3):
@@ -647,15 +716,6 @@ def finite_rank_pipeline(
     sup_dev_on_S = float(
         np.max(norm(final.eval_batch(S_points) - M(S_points), 2.0))
     )
-    # final constant audit over mixed global, S-local, and shell pairs
-    rng2 = np.random.default_rng(seed + 1)
-    base2 = np.concatenate([anchor, S_points], axis=0)
-    dirs2 = rng2.standard_normal(base2.shape)
-    dirs2 /= np.linalg.norm(dirs2, axis=1, keepdims=True)
-    scales2 = rng2.choice([0.25, 1.0, 8.0, 64.0], size=base2.shape[0])
-    pairs2, _ = _probe_pairs(base2, dirs2, scales2, shell_anchor, shell_dirs,
-                             final.mesh.h, D)
-    lip_measured = lipschitz_audit(final.eval_batch, pairs2).measured
     return PipelineResult(
         interpolant=final,
         gamma=gamma,
@@ -665,6 +725,6 @@ def finite_rank_pipeline(
         D=D,
         rank=final.rank_bound,
         sup_dev_on_S=sup_dev_on_S,
-        lip_measured=lip_measured,
+        lip_measured=pl_lipschitz(final),
         levels=tuple(levels),
     )

@@ -118,17 +118,17 @@ def test_one_parameter_coders_beat_every_stable_budget():
     assert [row.k for row in report.rows] == list(range(2, 11))
     for row in report.rows:
         assert row.sup_error < math.sqrt(2.0) * alpha.alpha(row.k)
-        assert row.lip_Mk_lower >= row.lip_Mk_predicted - 1e-9
-    lowers = [row.lip_Mk_lower for row in report.rows]
-    assert all(b > a for a, b in zip(lowers, lowers[1:]))
+        assert row.lip_Mk >= row.lip_Mk_predicted - 1e-9
+    lips = [row.lip_Mk for row in report.rows]
+    assert all(b > a for a, b in zip(lips, lips[1:]))
     assert len(report.entropy_rows) == 6
     for n, lower, floor in report.entropy_rows:
         assert lower >= floor - 1e-12
         assert floor == pytest.approx(alpha.alpha(2**n) / 2.0)
     elapsed = time.monotonic() - t0
     emit(elapsed <= 30.0, "one-parameter-counterexample",
-         f"k=2..10 errors below sqrt(2)*alpha_k, decoder lower bounds rise "
-         f"{lowers[0]:.2f} -> {lowers[-1]:.2f}, entropy floors hold for "
+         f"k=2..10 errors below sqrt(2)*alpha_k, decoder constants rise "
+         f"{lips[0]:.2f} -> {lips[-1]:.2f}, entropy floors hold for "
          f"n=1..6, {elapsed:.1f}s <= 30s")
 
 

@@ -15,9 +15,11 @@ import widthlab
 from widthlab import __version__
 from widthlab.cli import (COMMANDS, DEFAULTS, _build_class, _parallel, main,
                           resolve_config)
+from widthlab.counterexample import DiagMaps, decoder_lipschitz
 from widthlab.csrecovery import L1ConvergenceError
 from widthlab.extend import ExtensionFeasibilityError
 from widthlab.interp import MeshBudgetError
+from widthlab.spaces import AlphaSequence
 from widthlab.stablewidth import JLDistortionError
 
 from test_csrecovery import capped_every_third
@@ -347,8 +349,22 @@ def test_counterexample_command_smoke(tmp_path):
     out = run_cli(tmp_path, "counterexample", "[counterexample]\nk_max = 5\nn_max = 3\n")
     body = (out / "counterexample_maps.csv").read_text()
     assert body.count("\n") >= 5  # header + k = 2..5
-    report = (out / "report.md").read_text()
-    assert "true" in report
+    rows = [line.split(",") for line in body.splitlines()
+            if not line.startswith("#")]
+    header = rows.pop(0)
+    assert header == ["k", "sup_error", "sqrt2_alpha_k", "lip_Mk",
+                      "lip_Mk_predicted"]
+    assert [int(row[0]) for row in rows] == [2, 3, 4, 5]
+    alpha = AlphaSequence(float(DEFAULTS["counterexample"]["r"]))
+    for row in rows:
+        # the class is truncated at 2^(n_max + 1) atoms
+        maps = DiagMaps(k=int(row[0]), alpha=alpha, dim=2 ** (3 + 1))
+        assert float(row[3]) == decoder_lipschitz(maps)
+        assert float(row[3]) >= float(row[4])
+    results = (out / "report.md").read_text().split("## results")[1]
+    flags = [line for line in results.splitlines() if line.startswith("- ")]
+    assert len(flags) == 3
+    assert all(line.endswith(": true") for line in flags)
 
 
 def test_unknown_class_label_fails_without_artifacts(tmp_path):

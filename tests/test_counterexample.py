@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from widthlab.counterexample import (
     DiagMaps,
     counterexample_report,
-    decoder_lipschitz_lower,
+    decoder_lipschitz,
     diag_decode,
     diag_encode,
 )
@@ -117,16 +117,30 @@ def test_batch_maps_agree_with_one_row_batches():
         diag_encode(maps, np.vstack([X[:2], [[0.5, 0.5] + [0.0] * 6]]))
 
 
-def test_decoder_lower_bound_beats_the_breakpoint_ratio():
+def test_decode_refuses_nan_codes_and_clamps_infinite_ones():
+    alpha = AlphaSequence(2.0)
+    maps = DiagMaps(k=3, alpha=alpha, dim=4)
+    with pytest.raises(ValueError, match="row 1"):
+        diag_decode(maps, np.array([[0.3], [np.nan], [np.nan]]))
+    assert np.array_equal(decode(maps, np.inf), atom(alpha, 1, 4))
+    assert np.array_equal(decode(maps, -np.inf), np.zeros(4))
+
+
+def test_decoder_constant_beats_the_breakpoint_ratio():
     alpha = AlphaSequence(2.0)
     for k in range(2, 8):
         maps = DiagMaps(k=k, alpha=alpha, dim=k)
         floor = alpha.alpha(k - 1) / (alpha.alpha(k - 1) - alpha.alpha(k))
-        assert decoder_lipschitz_lower(maps) >= floor - 1e-9
+        assert decoder_lipschitz(maps) >= floor - 1e-9
+
+
+def test_decoder_constant_is_one_at_level_one():
+    # M_1 is the segment from the origin to atom 1 and two clamped rays
+    assert decoder_lipschitz(DiagMaps(k=1, alpha=AlphaSequence(2.0), dim=3)) == 1.0
 
 
 def pairwise_loop_lower(maps, probes=64):
-    """decoder_lipschitz_lower as a double loop over breakpoint/probe pairs."""
+    """Lower bound on Lip(M_k): a double loop over breakpoint/probe pairs."""
     bp = maps.breakpoints
     ts = list(bp) + [0.0, float(bp[-1]) * 1.5]
     ts.extend(np.linspace(0.0, float(bp[-1]), probes).tolist())
@@ -142,15 +156,13 @@ def pairwise_loop_lower(maps, probes=64):
 
 @pytest.mark.parametrize("k", range(2, 11))
 def test_decoder_lower_bound_equals_the_pair_loop(k):
-    alpha = AlphaSequence(2.0)
-    # the report's ambient dimension: 2^(n_max + 1) at n_max = 6
-    assert decoder_lipschitz_lower(DiagMaps(k=k, alpha=alpha, dim=128)) == \
-        pairwise_loop_lower(DiagMaps(k=k, alpha=alpha, dim=128))
-    # in dimension k the loop's 1-d np.linalg.norm goes through a BLAS dot,
-    # whose fused multiply-add may round the last bit differently
-    assert decoder_lipschitz_lower(DiagMaps(k=k, alpha=alpha, dim=k)) == \
-        pytest.approx(pairwise_loop_lower(DiagMaps(k=k, alpha=alpha, dim=k)),
-                      rel=1e-15)
+    # the loop's probes hold every breakpoint, so its lower bound attains
+    # the closed form, up to rounding in either direction
+    for r in (0.5, 1.0, 2.0):
+        # the report's ambient dimension: 2^(n_max + 1) at n_max = 6
+        maps = DiagMaps(k=k, alpha=AlphaSequence(r), dim=128)
+        assert decoder_lipschitz(maps) == pytest.approx(pairwise_loop_lower(maps),
+                                                        rel=1e-13)
 
 
 def test_report_flags_and_rows():
@@ -158,14 +170,14 @@ def test_report_flags_and_rows():
     report = counterexample_report(alpha, k_max=10, n_max=6)
     assert report.all_errors_below_envelope
     assert report.entropy_lower_holds
-    assert report.lip_lower_increasing
+    assert report.lip_increasing
     ks = [row.k for row in report.rows]
     assert ks == list(range(2, 11))
     for row in report.rows:
         assert row.sup_error < row.sqrt2_alpha_k
-        assert row.lip_Mk_lower >= row.lip_Mk_predicted - 1e-9
-    lowers = [row.lip_Mk_lower for row in report.rows]
-    assert all(b > a for a, b in zip(lowers, lowers[1:]))
+        assert row.lip_Mk >= row.lip_Mk_predicted - 1e-9
+    lips = [row.lip_Mk for row in report.rows]
+    assert all(b > a for a, b in zip(lips, lips[1:]))
     errors = [row.sup_error for row in report.rows]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     for n, lower, floor in report.entropy_rows:

@@ -26,6 +26,7 @@ from widthlab.interp import (
     finite_rank_pipeline,
     kernel_scale,
     pl_eval_batch,
+    pl_lipschitz,
 )
 
 
@@ -166,6 +167,55 @@ def test_pl_rank_bound_counts_interior_vertices():
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, lambda x: x, 2),
                       outside_value=np.zeros(2))
     assert f.rank_bound == mesh.vertex_count + 1
+
+
+def test_pl_eval_refuses_nan_rows_and_sends_infinite_ones_outside():
+    mesh = KuhnMesh(2, 1.0, 2)
+    f = PLInterpolant(mesh=mesh, values=grid_values(mesh, lambda x: x, 2),
+                      outside_value=np.array([9.0, 9.0]))
+    with pytest.raises(ValueError, match="row 1"):
+        pl_eval_batch(f, np.array([[0.1, 0.2], [np.nan, 0.0], [0.0, np.nan]]))
+    far = np.array([[np.inf, 0.0], [0.0, -np.inf]])
+    assert np.array_equal(pl_eval_batch(f, far), [[9.0, 9.0], [9.0, 9.0]])
+
+
+def simplex_jacobian_norms(f: PLInterpolant):
+    """Spectral norm of f's Jacobian on each Kuhn simplex, one at a time."""
+    mesh = f.mesh
+    for chain in kuhn_simplices(mesh):
+        vals = f.values[chain @ mesh.vertex_strides()]
+        yield np.linalg.norm(np.diff(vals, axis=0).T / mesh.h, 2)
+
+
+def in_cube_pairs(mesh: KuhnMesh, count: int, seed: int) -> np.ndarray:
+    """(count, 2, n) pairs in the closed cube, from a quarter cell to 64 cells long."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-mesh.D, mesh.D, size=(count, mesh.n))
+    step = rng.standard_normal((count, mesh.n))
+    step *= mesh.h * rng.choice([0.25, 1.0, 8.0, 64.0], size=(count, 1)) / \
+        np.linalg.norm(step, axis=1, keepdims=True)
+    b = np.clip(a + step, -mesh.D, mesh.D)
+    keep = np.any(a != b, axis=1)
+    return np.stack([a[keep], b[keep]], axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3), (3, 2)])
+def test_pl_lipschitz_is_the_largest_simplex_jacobian_norm(n, subdiv, d,
+                                                          monkeypatch):
+    mesh = KuhnMesh(n, 0.8, subdiv)
+    rng = np.random.default_rng(10 * n + d)
+    f = PLInterpolant(mesh=mesh,
+                      values=rng.standard_normal((mesh.vertex_count, d)),
+                      outside_value=np.zeros(d))
+    exact = pl_lipschitz(f)
+    assert exact == pytest.approx(max(simplex_jacobian_norms(f)), rel=1e-12)
+    # sampled pairs in the closed cube only bound it from below
+    audit = lipschitz_audit(f.eval_batch, in_cube_pairs(mesh, 4000, n))
+    assert audit.measured <= exact * (1.0 + 1e-9)
+    # one plane of cells per block
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 1)
+    assert pl_lipschitz(f) == exact
 
 
 def test_pl_continuous_across_shared_faces():
@@ -463,6 +513,23 @@ def test_pipeline_halves_the_mesh_and_reports_levels():
     assert all(b == pytest.approx(a / 2.0) for a, b in zip(hs, hs[1:]))
     assert result.sup_dev_on_S <= 0.05
     assert result.lip_measured <= 1.1
+
+
+def test_pipeline_reports_the_exact_constant_at_every_seed():
+    S = np.linspace(-0.4, 0.4, 33)[:, None]
+    results = [
+        finite_rank_pipeline(
+            unit_wave, S, gamma=1.1, eps=0.05, delta=0.045,
+            seed=seed, initial_subdivisions=8, min_levels=3,
+        )
+        for seed in (0, 1)
+    ]
+    assert results[0].lip_measured == results[1].lip_measured
+    final = results[1].interpolant
+    assert results[1].lip_measured == pl_lipschitz(final)
+    # a sampled audit in the cube may read above it by rounding only
+    audit = lipschitz_audit(final.eval_batch, in_cube_pairs(final.mesh, 4000, 1))
+    assert audit.measured <= results[1].lip_measured * (1.0 + 1e-9)
 
 
 def test_pipeline_smooth_audit_slope_is_quadratic():
