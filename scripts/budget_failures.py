@@ -24,9 +24,7 @@ import traceback
 from pathlib import Path
 
 from widthlab.cli import main
-
-# the budgets build_stable_pair gives its encoder and decoder
-GAMMA_A, GAMMA_M = 1.0, 2.0
+from widthlab.stablewidth import GAMMA_A, GAMMA_M
 
 COLUMNS = ["lip_M", "lip_a", "lip_a_ulp", "error"]
 

@@ -173,11 +173,21 @@ def _build_class(cfg: dict[str, str]) -> ModelClassSurrogate:
     raise SystemExit(f"unknown class kind {kind!r} (want kq, diag or sparse)")
 
 
+def _n_range(cfg: dict[str, str], section: str) -> range:
+    """The levels n_min..n_max of a section; an empty range is refused."""
+    n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
+    if n_min > n_max:
+        raise SystemExit(f"bad [{section}] setting: n_min = {n_min} exceeds "
+                         f"n_max = {n_max}, so no level would run")
+    return range(n_min, n_max + 1)
+
+
 def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
+    n_values = _n_range(cfg, "entropy")
     K = _build_class(cfg)
     seed = int(cfg["seed"])
     rows = []
-    for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
+    for n in n_values:
         bracket = entropy_bracket(K, n)
         rows.append((n, bracket.lower, bracket.upper, bracket.cover.count,
                      seed))
@@ -197,10 +207,10 @@ def _width_pair(K: ModelClassSurrogate, pair_samples: int,
     return pair, rep
 
 
-def _width_series(K: ModelClassSurrogate, cfg: dict[str, str],
+def _width_series(K: ModelClassSurrogate, cfg: dict[str, str], section: str,
                   threads: int) -> list[tuple]:
     """Build and evaluate one stable pair per n; returns (pair, report) rows."""
-    n_values = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
+    n_values = _n_range(cfg, section)
     seeds = _task_seeds(int(cfg["seed"]), len(n_values))
     task = functools.partial(_width_pair, K, int(cfg["pair_samples"]))
     return _parallel(task, list(zip(n_values, seeds)), threads)
@@ -208,7 +218,7 @@ def _width_series(K: ModelClassSurrogate, cfg: dict[str, str],
 
 def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
     K = _build_class(cfg)
-    results = _width_series(K, cfg, threads)
+    results = _width_series(K, cfg, "stable-width", threads)
     rows = [
         (rep.n, rep.sup_error, rep.three_eps_upper, rep.lip_a, rep.lip_M,
          pair.net.count, rep.seed)
@@ -357,7 +367,7 @@ def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
     K = _build_class(cfg)
-    results = _width_series(K, cfg, threads)
+    results = _width_series(K, cfg, "carl", threads)
     reports = [rep for _, rep in results]
     delta0 = float(np.max(np.linalg.norm(K.points, axis=1)))
     # A needs an upper bound on the decoder constant; an audit is a lower one

@@ -6,9 +6,10 @@ forward, 1 / (1 - delta) backward.  Extending both directions off a finite
 sparse net gives a coder pair whose error on arbitrary inputs is controlled
 by the best k-term approximation error plus the net's resolution.  The pair's
 budgets are the net's own extreme pair ratios, which the true delta_2k bounds
-and which the Kirszbraun extensions keep exactly.  A sampled delta_2k can
-only understate the true one, so the pair does not use it; rip_check
-computes it separately.
+and which the Kirszbraun extensions keep exactly.  Those extensions run at
+the engine's one tolerance, widthlab.extend.EVAL_TOL, as the width
+experiments' do.  A sampled delta_2k can only understate the true one, so
+the pair does not use it; rip_check computes it separately.
 
 The certificate used throughout is the norm form of restricted isometry,
 (1 - delta)||x|| <= ||Phi x|| <= (1 + delta)||x||, not the squared form.
@@ -541,11 +542,6 @@ class InstanceOptimalityReport:
         return all(t.passed for t in self.trials)
 
 
-# feasibility target of the roundtrip's Kirszbraun queries in
-# instance_optimality_trials
-_ROUNDTRIP_TOL = 1e-8
-
-
 def instance_optimality_trials(
     pair: EncoderDecoderPair,
     k: int,
@@ -564,7 +560,7 @@ def instance_optimality_trials(
     X = rng.standard_normal((trials, N))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X *= rng.uniform(size=(trials, 1)) ** (1.0 / N)
-    recon = pair.roundtrip_batch(X, tol=_ROUNDTRIP_TOL)
+    recon = pair.roundtrip_batch(X)
     errors = np.linalg.norm(X - recon, axis=1)
     heads = np.zeros((trials, N))
     sigmas = []

@@ -1,13 +1,15 @@
 """Lipschitz maps known on finitely many samples, and their Kirszbraun extension.
 
 Kirszbraun evaluation extends an l_2 -> l_2 map as a convex feasibility
-problem: find y with ||y - f_i|| <= gamma * ||x - x_i|| + tol for all i,
-solved by projecting onto the most violated ball.  The intersection is
+problem: find y with ||y - f_i|| <= gamma * ||x - x_i|| + EVAL_TOL for all
+i, solved by projecting onto the most violated ball.  The intersection is
 nonempty whenever the samples are a gamma-Lipschitz pair set, so the
 iteration converges; the cap signals numerical failure rather than being
 silently swallowed.  SampledLipschitzMap checks that condition when built:
 its largest sample pair ratio (widthlab.spaces.pair_ratio_extremes) may
-exceed gamma by the relative slack 1e-9 at most.
+exceed gamma by the relative slack 1e-9 at most.  EVAL_TOL is the engine's
+constant, not a parameter: every map in the package evaluates as
+eval_batch(X), so no two evaluations can run at different tolerances.
 
 Where two balls meet in a thin lens, projecting onto them in turn crawls
 (von Neumann's alternating projections; Bauschke and Borwein, Set-Valued
@@ -59,7 +61,7 @@ squared radius, gamma^2 lo_i + s_i^2 <= (gamma d_i + s_i)^2 for a row of
 slack s_i, which takes no square root.  At each projection step it
 yields the set S of rows whose violation may reach 0, and only the rows
 of S are evaluated with the reference expressions.  Every row outside S
-has a violation below 0 < tol, so it can neither be the argmax of a
+has a violation below 0 < EVAL_TOL, so it can neither be the argmax of a
 violation that needs a projection nor decide a stop: values, iteration
 counts and ExtensionFeasibilityError are bit-identical to scanning every
 row.
@@ -79,6 +81,7 @@ import numpy as np
 from .spaces import _UNDERFLOW, _screen_margin, norm, pair_ratio_extremes
 
 __all__ = [
+    "EVAL_TOL",
     "SampledLipschitzMap",
     "LipschitzAudit",
     "ExtensionFeasibilityError",
@@ -86,6 +89,11 @@ __all__ = [
     "lipschitz_audit",
     "sample_pairs",
 ]
+
+# per-query feasibility target of every Kirszbraun evaluation: orders
+# tighter than any audited budget, and it keeps thin-intersection queries
+# from hitting the iteration cap at a near-miss residual
+EVAL_TOL = 1e-7
 
 # projections one Kirszbraun query may take before it counts as a failure
 _ITERATION_CAP = 100_000
@@ -152,9 +160,9 @@ class SampledLipschitzMap:
     def count(self) -> int:
         return self.xs.shape[0]
 
-    def eval_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Kirszbraun extension at the rows of X."""
-        return kirszbraun_eval_batch(self, X, tol=tol)
+        return kirszbraun_eval_batch(self, X)
 
 
 @dataclass(frozen=True)
@@ -214,16 +222,12 @@ def _hull_coordinates(fs):
     return origin, basis, (fs - origin) @ basis
 
 
-def kirszbraun_eval_batch(
-    map_: SampledLipschitzMap,
-    X: np.ndarray,
-    tol: float,
-) -> np.ndarray:
+def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarray:
     """Lazy sequential extension at many query points.
 
     Queries are processed in order; each y starts at the value of its
     nearest constraint point and is repeatedly projected onto its currently
-    most violated ball until every residual drops to tol, then joins the
+    most violated ball until every residual drops to EVAL_TOL, then joins the
     constraint set.  Any two values returned by one call therefore obey the
     gamma budget against each other, not just against the original samples.
     A step whose most violated row j was also the row of the step before
@@ -232,9 +236,9 @@ def kirszbraun_eval_batch(
     meet, i at the radius of its own step, or is projected onto j as usual
     when they have no such point.  That step, not the slack, is what keeps
     a thin lens between two balls from slowing the loop to a crawl.
-    Accumulated balls carry their accepted residual plus 100 tol as slack:
-    the tol-level error of one solve is absorbed rather than compounded
-    into a later infeasible system.
+    Accumulated balls carry their accepted residual plus 100 EVAL_TOL as
+    slack: the EVAL_TOL-level error of one solve is absorbed rather than
+    compounded into a later infeasible system.
     The sample constraints themselves are always enforced without slack.
     Queries equal to a constraint point return that point's value (its ball
     has radius 0).  When the m sample values span a proper affine subspace
@@ -243,14 +247,11 @@ def kirszbraun_eval_batch(
     sample's value, such as a query at that sample, returns the sample's
     row of map_.fs bit for bit.  A query still infeasible after
     _ITERATION_CAP projections raises ExtensionFeasibilityError; a query
-    that is not finite, or whose squared norm overflows, a query row whose
-    length is not the samples', and a tol that is not positive raise
-    ValueError.
+    that is not finite, or whose squared norm overflows, and a query row
+    whose length is not the samples' raise ValueError.
     Each scan evaluates exactly only the rows the Gram-form screen of the
     module docstring keeps.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != map_.xs.shape[1]:
         raise ValueError(f"query rows of length {X.shape[1]} do not match "
@@ -322,7 +323,7 @@ def kirszbraun_eval_batch(
             viol = dist - radii
             i = int(viol.argmax())
             worst = float(viol[i])
-            if worst <= tol:
+            if worst <= EVAL_TOL:
                 break
             j = int(rows[i])
             r_j = float(radii[i])
@@ -345,7 +346,7 @@ def kirszbraun_eval_batch(
             cf[n_c] = y
             sq_cx[n_c] = sq_x[q]
             lo_cx[n_c] = (1.0 - margin_x) * sq_x[q]
-            slack[n_c] = max(worst, 0.0) + 100.0 * tol
+            slack[n_c] = max(worst, 0.0) + 100.0 * EVAL_TOL
             hi_cf[n_c] = up_f * (y @ y) + _UNDERFLOW - down_f * slack[n_c] * slack[n_c]
             n_c += 1
     if hull is not None:

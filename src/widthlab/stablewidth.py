@@ -2,16 +2,19 @@
 
 The pipeline behind build_stable_pair: cover the class by a 2^n-point inner
 net, embed the net into R^(26n) by a verified random projection that keeps
-all net pair distances within [1/2, 1] of their true values (jl_project
-reads the extreme ratios from widthlab.spaces.pair_ratio_extremes), then
-extend net -> image with constant 1 (encoder) and image -> net with constant 2
-(decoder) by ball-intersection evaluation.  The roundtrip reproduces the
-net, so the class error is at most 3 times the net radius: one net radius
-to reach the net, 2 more through the decoder's constant.  A Kirszbraun
-value lies in the affine hull of its map's sample values
-(widthlab.extend), so a level-n encoder's codes lie in a (2^n - 1)-dim
-affine subspace of R^(26n), 3 of 52 dimensions at n=2, and the decoder's
-outputs in the hull of the net.
+all net pair distances within [1/GAMMA_M, 1] of their true values
+(jl_project reads the extreme ratios from
+widthlab.spaces.pair_ratio_extremes), then extend net -> image with
+constant GAMMA_A = 1 (encoder) and image -> net with constant GAMMA_M = 2
+(decoder) by ball-intersection evaluation.  Both extensions, and so the
+roundtrip, the audits and the stability probes, run at the engine's one
+tolerance, widthlab.extend.EVAL_TOL; no function here takes a tolerance.
+The roundtrip reproduces the net, so the class error is at most 3 times
+the net radius: one net radius to reach the net, 2 more through the
+decoder's constant.  A Kirszbraun value lies in the affine hull of its
+map's sample values (widthlab.extend), so a level-n encoder's codes lie in
+a (2^n - 1)-dim affine subspace of R^(26n), 3 of 52 dimensions at n=2, and
+the decoder's outputs in the hull of the net.
 
 The covering machinery converts a nonincreasing width sequence delta_m into
 cover-count bounds: a class whose m-parameter width is below eps/8 splits a
@@ -33,7 +36,8 @@ from .spaces import ModelClassSurrogate, norm, pair_ratio_extremes
 
 __all__ = [
     "DIM_PER_LEVEL",
-    "EVAL_TOL",
+    "GAMMA_A",
+    "GAMMA_M",
     "EncoderDecoderPair",
     "WidthReport",
     "CarlInputs",
@@ -53,6 +57,10 @@ __all__ = [
     "carl_inputs_from_width_series",
 ]
 
+# the Lipschitz budgets of build_stable_pair's encoder and decoder
+GAMMA_A = 1.0
+GAMMA_M = 2.0
+
 
 class JLDistortionError(RuntimeError):
     """All resampled projections failed the pairwise distortion check."""
@@ -60,7 +68,7 @@ class JLDistortionError(RuntimeError):
     def __init__(self, tries: int, worst_ratio: float):
         super().__init__(
             f"no projection passed after {tries} draws; worst lower ratio "
-            f"{worst_ratio:.4f} < 0.5"
+            f"{worst_ratio:.4f} < {1.0 / GAMMA_M}"
         )
         self.tries = tries
         self.worst_ratio = worst_ratio
@@ -84,13 +92,6 @@ def jl_dim(eps: float) -> int:
 DIM_PER_LEVEL = jl_dim(3.0 / 5.0)
 
 
-# evaluation tolerance of evaluate_width and stability_probe: per-query
-# feasibility target for the lazy extensions; orders tighter than any
-# audited budget, and it keeps thin-intersection queries from hitting the
-# iteration cap at a near-miss residual
-EVAL_TOL = 1e-7
-
-
 # independent Gaussian draws jl_project tries before it gives up
 _JL_RETRY_CAP = 32
 
@@ -101,12 +102,13 @@ def jl_project(points: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
     Each draw T is rescaled by the largest pair ratio of the images
     points @ T.T, so the worst pairwise expansion is 1 (upper bound tight),
     then the contraction side is checked: the least ratio must be at least
-    half the largest.  The ratios are those of spaces.pair_ratio_extremes,
-    whose ValueError passes through: for points at distance 0, and for a
-    pair whose gaps pass the float range both in the points and in their
-    images, whose ratio cannot be measured.  Draws are retried on
-    independent seed streams, lowest stream index winning, so the outcome
-    does not depend on evaluation order.
+    1 / GAMMA_M of the largest, so that the decoder's budget undoes it.
+    The ratios are those of spaces.pair_ratio_extremes, whose ValueError
+    passes through: for points at distance 0, and for a pair whose gaps
+    pass the float range both in the points and in their images, whose
+    ratio cannot be measured.  Draws are retried on independent seed
+    streams, lowest stream index winning, so the outcome does not depend on
+    evaluation order.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if target_dim < 1:
@@ -120,7 +122,7 @@ def jl_project(points: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
         least, largest, _ = pair_ratio_extremes(points, points @ T.T)
         low = least / largest
         worst = max(worst, low)
-        if low >= 0.5:
+        if low >= 1.0 / GAMMA_M:
             return T / largest
     raise JLDistortionError(_JL_RETRY_CAP, worst)
 
@@ -165,8 +167,8 @@ class EncoderDecoderPair:
     def param_dim(self) -> int:
         return self.encoder.fs.shape[1]
 
-    def roundtrip_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
-        return self.decoder.eval_batch(self.encoder.eval_batch(X, tol=tol), tol=tol)
+    def roundtrip_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.decoder.eval_batch(self.encoder.eval_batch(X))
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ def build_stable_pair(K: ModelClassSurrogate, n: int, seed: int) -> EncoderDecod
         raise ValueError(f"need at least 2^{n} cloud points, have {K.count}")
     net = greedy_cover(K, 2**n)
     T = jl_project(net.points, DIM_PER_LEVEL * n, seed)
-    return EncoderDecoderPair.over_net(net, net.points @ T.T, 1.0, 2.0)
+    return EncoderDecoderPair.over_net(net, net.points @ T.T, GAMMA_A, GAMMA_M)
 
 
 def evaluate_width(
@@ -217,20 +219,17 @@ def evaluate_width(
     level-n net has 2^n centers.  Encoder pairs are sampled from the cloud;
     decoder pairs from encoded cloud points jittered at the scale of the
     net radius, keeping the audit in the region the decoder actually
-    serves.  Every evaluation runs at EVAL_TOL.
+    serves.
     """
     X = K.points
-    recon = pair.roundtrip_batch(X, tol=EVAL_TOL)
+    recon = pair.roundtrip_batch(X)
     sup_error = float(np.max(norm(X - recon, 2.0)))
 
     enc_pairs = sample_pairs(X, pair_samples, seed=seed)
-    audit_a = lipschitz_audit(
-        lambda Z: pair.encoder.eval_batch(Z, tol=EVAL_TOL), enc_pairs
-    )
+    audit_a = lipschitz_audit(pair.encoder.eval_batch, enc_pairs)
     rng = np.random.default_rng(seed + 1)
     images = pair.encoder.eval_batch(
-        X[rng.choice(X.shape[0], size=min(512, X.shape[0]), replace=False)],
-        tol=EVAL_TOL,
+        X[rng.choice(X.shape[0], size=min(512, X.shape[0]), replace=False)]
     )
     # audit the decoder on a bounded endpoint pool (images plus jittered
     # copies at the net scale) so the pair count can stay high while the
@@ -240,9 +239,7 @@ def evaluate_width(
     clones = clones + jitter * rng.standard_normal(clones.shape)
     pool = np.concatenate([images, clones], axis=0)
     dec_pairs = sample_pairs(pool, pair_samples, seed=seed + 1)
-    audit_M = lipschitz_audit(
-        lambda Z: pair.decoder.eval_batch(Z, tol=EVAL_TOL), dec_pairs
-    )
+    audit_M = lipschitz_audit(pair.decoder.eval_batch, dec_pairs)
     return WidthReport(
         n=pair.net.count.bit_length() - 1,
         sup_error=sup_error,
@@ -296,7 +293,7 @@ def stability_probe(
     Draws f from K, eta uniform in [0.05, 0.5), g within eta of f and a code
     y' at distance eta from a(g), each along a random direction; then
     ||f - M(y')|| <= 2 * e_class + eta + gamma_M * eta, for the pair's
-    measured class error e_class.  Both maps run at EVAL_TOL.
+    measured class error e_class.
     """
     f = K.points[int(rng.integers(K.count))]
     eta = float(rng.uniform(0.05, 0.5))
@@ -306,8 +303,8 @@ def stability_probe(
     corruption = np.random.default_rng(int(rng.integers(2**31)))
     direction = corruption.standard_normal(pair.param_dim)
     direction /= np.linalg.norm(direction)
-    y_prime = pair.encoder.eval_batch(g[None, :], tol=EVAL_TOL) + eta * direction
-    decoded = pair.decoder.eval_batch(y_prime, tol=EVAL_TOL)[0]
+    y_prime = pair.encoder.eval_batch(g[None, :]) + eta * direction
+    decoded = pair.decoder.eval_batch(y_prime)[0]
     lhs = float(norm(f - decoded, 2.0))
     rhs = 2.0 * e_class + eta + pair.gamma_M * eta
     return ProbeRecord(eta=eta, lhs=lhs, rhs=rhs)

@@ -421,6 +421,21 @@ def test_bad_interp_setting_fails_in_one_line(tmp_path, ini, message):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["entropy", "stable-width", "carl"])
+def test_empty_n_range_fails_in_one_line(tmp_path, command):
+    # with n_min > n_max, stable-width and carl stopped on an empty result
+    # list and entropy reported an empty table as a bracket ordering that holds
+    out = tmp_path / command
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\ncount = 60\nambient_dim = 8\n"
+                   "n_min = 3\nn_max = 2\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert str(exit_info.value) == (f"bad [{command}] setting: n_min = 3 "
+                                    "exceeds n_max = 2, so no level would run")
+    assert not list(out.iterdir())
+
+
 def test_every_default_setting_is_read_by_the_cli():
     import widthlab.cli as cli
 

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 from unittest import mock
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import widthlab
 import widthlab.extend as extend
 import widthlab.spaces as spaces
 from widthlab.extend import (
@@ -18,7 +22,7 @@ from widthlab.extend import (
 )
 from widthlab.spaces import generate_Kq, pairwise_distances
 from widthlab.cli import _task_seeds
-from widthlab.stablewidth import EVAL_TOL, build_stable_pair
+from widthlab.stablewidth import build_stable_pair
 
 from test_spaces import dense_ratio_extremes
 
@@ -55,7 +59,7 @@ def test_kirszbraun_two_ball_oracle():
         fs=np.array([[0.0], [2.0]]),
         gamma=1.0,
     )
-    got = kirszbraun_eval_batch(map_, np.array([[0.0]]), tol=1e-10)
+    got = kirszbraun_eval_batch(map_, np.array([[0.0]]))
     assert got[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -215,7 +219,7 @@ def test_sample_check_equals_the_dense_check(seed, count, dims, grid, shift,
 
 @given(sample_sets())
 def test_kirszbraun_reproduces_samples(map_):
-    got = kirszbraun_eval_batch(map_, map_.xs, tol=1e-8)
+    got = kirszbraun_eval_batch(map_, map_.xs)
     assert float(np.max(np.linalg.norm(got - map_.fs, axis=1))) <= 1e-7
 
 
@@ -224,7 +228,7 @@ def test_kirszbraun_feasibility_residual(map_, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((5, map_.xs.shape[1])) * 2.0
     # accumulated queries never loosen the sample constraints
-    for x, y in zip(X, kirszbraun_eval_batch(map_, X, tol=1e-8)):
+    for x, y in zip(X, kirszbraun_eval_batch(map_, X)):
         gaps = (np.linalg.norm(y[None, :] - map_.fs, axis=1)
                 - map_.gamma * np.linalg.norm(x[None, :] - map_.xs, axis=1))
         assert float(np.max(gaps)) <= 1e-6
@@ -241,7 +245,7 @@ def test_kirszbraun_values_stay_in_the_hull_and_meet_every_ball(map_, seed,
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((6, map_.xs.shape[1])) * 2.0
     X = np.concatenate([X, map_.xs[:2], X[:2]])
-    Y = kirszbraun_eval_batch(map_, X, tol=1e-8)
+    Y = kirszbraun_eval_batch(map_, X)
     f0 = map_.fs[0]
     spread = np.linalg.norm(map_.fs - f0, axis=1).max()
     for x, y in zip(X, Y):
@@ -262,7 +266,7 @@ def test_kirszbraun_scalar_interval_consistency(seed):
     gamma = fit_gamma(xs, fs)
     map_ = SampledLipschitzMap(xs=xs, fs=fs, gamma=gamma)
     X = rng.uniform(-3, 3, size=(4, 1))
-    for x, y in zip(X[:, 0], kirszbraun_eval_batch(map_, X, tol=1e-10)[:, 0]):
+    for x, y in zip(X[:, 0], kirszbraun_eval_batch(map_, X)[:, 0]):
         radii = gamma * np.abs(x - xs[:, 0])
         lo = float(np.max(fs[:, 0] - radii))
         hi = float(np.min(fs[:, 0] + radii))
@@ -273,7 +277,7 @@ def test_kirszbraun_scalar_interval_consistency(seed):
 def test_kirszbraun_batch_realizes_a_lipschitz_map(map_, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((12, map_.xs.shape[1])) * 1.5
-    Y = kirszbraun_eval_batch(map_, X, tol=1e-8)
+    Y = kirszbraun_eval_batch(map_, X)
     dx = pairwise_distances(X)
     dy = pairwise_distances(Y)
     mask = dx > 1e-9
@@ -289,22 +293,22 @@ def test_kirszbraun_batch_matches_sequential_accumulation():
         gamma=1.0,
     )
     X = np.array([[0.5, 0.25], [2.0, -1.0], [-0.5, 0.5]])
-    batched = kirszbraun_eval_batch(map_, X, tol=1e-9)
+    batched = kirszbraun_eval_batch(map_, X)
     assert batched.shape == (3, 2)
     # query q sees the samples and queries 0..q-1 only, so every prefix of
     # the batch is the batch of that prefix
     for q in range(1, 4):
-        assert np.array_equal(kirszbraun_eval_batch(map_, X[:q], tol=1e-9),
+        assert np.array_equal(kirszbraun_eval_batch(map_, X[:q]),
                               batched[:q])
 
 
-def reference_kirszbraun(map_, X, tol=1e-8):
+def reference_kirszbraun(map_, X):
     """The Kirszbraun loop that scans every constraint row at every step.
 
     It takes the kernel's two-ball step through the same helper, on the
-    same trigger, and the kernel's coordinates in the affine hull of the
-    values through the same helper, so its values are the screened
-    kernel's bit for bit.
+    same trigger, the kernel's coordinates in the affine hull of the
+    values through the same helper, and the kernel's tolerance,
+    extend.EVAL_TOL, so its values are the screened kernel's bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Q = X.shape[0]
@@ -330,7 +334,7 @@ def reference_kirszbraun(map_, X, tol=1e-8):
             viol = dist - radii
             j = int(np.argmax(viol))
             worst = float(viol[j])
-            if worst <= tol:
+            if worst <= extend.EVAL_TOL:
                 break
             # the two-ball step when j was the row of the step before last
             p = None
@@ -350,7 +354,7 @@ def reference_kirszbraun(map_, X, tol=1e-8):
         if d[nearest] > 0.0:
             cx[n_c] = x
             cf[n_c] = y
-            slack[n_c] = max(worst, 0.0) + 100.0 * tol
+            slack[n_c] = max(worst, 0.0) + 100.0 * extend.EVAL_TOL
             n_c += 1
     if hull is None:
         return Y
@@ -383,19 +387,18 @@ def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0, count=60):
 
 
 @pytest.mark.parametrize("dims", [(32, 52), (130, 32)])
-@pytest.mark.parametrize("tol", [1e-7, 1e-8])
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
-def test_screened_kernel_equals_the_full_scan(gamma, tol, dims):
+def test_screened_kernel_equals_the_full_scan(gamma, dims):
     map_, X = _surface_case(*dims, gamma, seed=dims[0])
-    assert np.array_equal(kirszbraun_eval_batch(map_, X, tol=tol),
-                          reference_kirszbraun(map_, X, tol=tol))
+    assert np.array_equal(kirszbraun_eval_batch(map_, X),
+                          reference_kirszbraun(map_, X))
 
 
 def test_screened_kernel_equals_the_full_scan_far_from_the_origin():
     # norms near 1e4 against distances near 1: the Gram form cancels most
     map_, X = _surface_case(32, 52, 1.0, seed=3, shift=1e4)
-    assert np.array_equal(kirszbraun_eval_batch(map_, X, tol=1e-8),
-                          reference_kirszbraun(map_, X, tol=1e-8))
+    assert np.array_equal(kirszbraun_eval_batch(map_, X),
+                          reference_kirszbraun(map_, X))
 
 
 @pytest.mark.parametrize("dim_out, shift", [(52, 0.0), (130, 0.0), (130, 1e4)])
@@ -408,8 +411,8 @@ def test_screened_kernel_equals_the_full_scan_in_the_value_hull(gamma, dim_out,
     map_, X = _surface_case(32, dim_out, gamma, seed=dim_out, shift=shift,
                             count=20)
     assert extend._hull_coordinates(map_.fs)[1].shape == (dim_out, 19)
-    assert np.array_equal(kirszbraun_eval_batch(map_, X, tol=1e-8),
-                          reference_kirszbraun(map_, X, tol=1e-8))
+    assert np.array_equal(kirszbraun_eval_batch(map_, X),
+                          reference_kirszbraun(map_, X))
 
 
 @pytest.mark.parametrize("count", [20, 60])
@@ -418,10 +421,10 @@ def test_kirszbraun_returns_the_samples_bit_for_bit(count):
     # a query at a sample keeps that sample's stored value
     map_, X = _surface_case(32, 52, 1.0, seed=7, shift=0.5, count=count)
     assert (extend._hull_coordinates(map_.fs) is None) == (count > 52)
-    assert np.array_equal(kirszbraun_eval_batch(map_, map_.xs, tol=1e-8), map_.fs)
+    assert np.array_equal(kirszbraun_eval_batch(map_, map_.xs), map_.fs)
     # one sample: a hull of no dimensions, and every value is that sample's
     one = SampledLipschitzMap(xs=map_.xs[:1], fs=map_.fs[:1], gamma=1.0)
-    assert np.array_equal(kirszbraun_eval_batch(one, X, tol=1e-8),
+    assert np.array_equal(kirszbraun_eval_batch(one, X),
                           np.repeat(map_.fs[:1], len(X), axis=0))
 
 
@@ -433,20 +436,20 @@ def test_default_roundtrips_return_the_net_bit_for_bit():
     for n, seed in zip(range(2, 6), _task_seeds(0, 4)):
         pair = build_stable_pair(K, n, seed=seed)
         assert extend._hull_coordinates(pair.encoder.fs)[1].shape[1] == 2**n - 1
-        recon = pair.roundtrip_batch(pair.net.points, tol=EVAL_TOL)
+        recon = pair.roundtrip_batch(pair.net.points)
         assert np.array_equal(recon, pair.net.points)
 
 
 def test_screened_kernel_equals_the_full_scan_on_the_default_roundtrip():
     # stable-width's first task at its defaults: the n=2 pair of seed 0's
-    # first spawned seed on the 2000-point l1-ball, at tol 1e-7; without
+    # first spawned seed on the 2000-point l1-ball; without
     # the two-ball step one of its decoder queries took 1,535 projections
     K = generate_Kq(32, 1.0, 2000, seed=0)
     pair = build_stable_pair(K, 2, seed=3757552657)
-    Z = kirszbraun_eval_batch(pair.encoder, K.points, tol=1e-7)
-    assert np.array_equal(Z, reference_kirszbraun(pair.encoder, K.points, tol=1e-7))
-    assert np.array_equal(kirszbraun_eval_batch(pair.decoder, Z, tol=1e-7),
-                          reference_kirszbraun(pair.decoder, Z, tol=1e-7))
+    Z = kirszbraun_eval_batch(pair.encoder, K.points)
+    assert np.array_equal(Z, reference_kirszbraun(pair.encoder, K.points))
+    assert np.array_equal(kirszbraun_eval_batch(pair.decoder, Z),
+                          reference_kirszbraun(pair.decoder, Z))
 
 
 def test_two_ball_step_by_hand():
@@ -499,23 +502,20 @@ def test_default_decoder_roundtrips_converge_within_a_small_cap(n, seed):
     K = generate_Kq(32, 1.0, 2000, seed=0)
     pair = build_stable_pair(K, n, seed=seed)
     with mock.patch.object(extend, "_ITERATION_CAP", 32):
-        recon = pair.roundtrip_batch(K.points, tol=EVAL_TOL)
+        recon = pair.roundtrip_batch(K.points)
     assert recon.shape == K.points.shape
 
 
-def test_kirszbraun_refuses_non_finite_queries_and_tolerances():
+def test_kirszbraun_refuses_non_finite_queries():
     map_, _ = _surface_case(4, 4, 1.0, seed=1)
     X = np.zeros((4, 4))
     for bad in (math.nan, math.inf, -math.inf):
         X[2, 1] = bad
         with pytest.raises(ValueError, match="query row 2 is not finite"):
-            kirszbraun_eval_batch(map_, X, tol=1e-8)
+            kirszbraun_eval_batch(map_, X)
     # finite, but its squared norm overflows
     with pytest.raises(ValueError, match="query row 0 is not finite"):
-        kirszbraun_eval_batch(map_, np.full((1, 4), 1e200), tol=1e-8)
-    for tol in (0.0, -1e-8, math.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            kirszbraun_eval_batch(map_, np.zeros((1, 4)), tol=tol)
+        kirszbraun_eval_batch(map_, np.full((1, 4), 1e200))
 
 
 @pytest.mark.parametrize("width", [1, 3, 5, 6])
@@ -523,7 +523,22 @@ def test_kirszbraun_refuses_query_rows_of_another_length(width):
     map_, _ = _surface_case(4, 6, 1.0, seed=1)
     with pytest.raises(ValueError, match=f"query rows of length {width} do not "
                                          "match sample rows of length 4"):
-        kirszbraun_eval_batch(map_, np.zeros((2, width)), tol=1e-8)
+        kirszbraun_eval_batch(map_, np.zeros((2, width)))
+
+
+def test_every_eval_batch_takes_only_the_rows():
+    # the tolerance is the engine's constant, so no map's evaluation takes
+    # one: every eval_batch in the package is eval_batch(X), and the kernel
+    # is kirszbraun_eval_batch(map_, X)
+    methods = {}
+    for info in pkgutil.iter_modules(widthlab.__path__):
+        module = importlib.import_module(f"widthlab.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and "eval_batch" in vars(cls):
+                methods[name] = list(inspect.signature(cls.eval_batch).parameters)
+    assert methods == {"SampledLipschitzMap": ["self", "X"],
+                       "PLInterpolant": ["self", "X"]}
+    assert list(inspect.signature(kirszbraun_eval_batch).parameters) == ["map_", "X"]
 
 
 @pytest.mark.parametrize("side", ["xs", "fs"])

@@ -9,7 +9,6 @@ import widthlab.stablewidth as stablewidth
 from widthlab.nets import entropy_bracket
 from widthlab.spaces import AlphaSequence, generate_Kq, generate_diag_class, norm
 from widthlab.stablewidth import (
-    EVAL_TOL,
     CarlInputs,
     JLDistortionError,
     ProbeRecord,
@@ -118,7 +117,7 @@ def small_diag_class():
 def test_stable_pair_recovers_net_centers():
     K = small_diag_class()
     pair = build_stable_pair(K, n=2, seed=0)
-    roundtrip = pair.roundtrip_batch(pair.net.points, tol=1e-8)
+    roundtrip = pair.roundtrip_batch(pair.net.points)
     assert float(np.max(np.linalg.norm(roundtrip - pair.net.points, axis=1))) <= 1e-7
 
 
@@ -188,8 +187,8 @@ def reference_stability_probe(pair, f, g, eta, e_class, seed=0):
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(pair.param_dim)
     direction /= np.linalg.norm(direction)
-    y_prime = pair.encoder.eval_batch(g[None, :], tol=EVAL_TOL) + eta * direction
-    decoded = pair.decoder.eval_batch(y_prime, tol=EVAL_TOL)[0]
+    y_prime = pair.encoder.eval_batch(g[None, :]) + eta * direction
+    decoded = pair.decoder.eval_batch(y_prime)[0]
     lhs = float(norm(f - decoded, 2.0))
     rhs = 2.0 * e_class + eta + pair.gamma_M * eta
     return ProbeRecord(eta=eta, lhs=lhs, rhs=rhs)
