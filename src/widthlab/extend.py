@@ -38,8 +38,10 @@ fs[0] + C B^T.  That is exact in exact arithmetic, and each scan
 multiplies m - 1 columns in place of df: a stable-width encoder's 2^n
 values span 2^n - 1 of its 26n code coordinates, 3 of 52 at n=2.  A
 query that never moves from a sample's value, such as a query at that
-sample, returns the sample's row of fs bit for bit.  Maps whose values
-span their space (m - 1 >= df) run in the value coordinates.
+sample, returns the sample's row of fs bit for bit, and a query at the
+point of an earlier query returns that query's row, so equal queries get
+equal rows after the map back.  Maps whose values span their space
+(m - 1 >= df) run in the value coordinates.
 
 Every map here is a batch map on the rows of a 2-d array; one point is a
 one-row batch.  Kirszbraun batches extend lazily: each solved query joins
@@ -240,15 +242,19 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
     slack: the EVAL_TOL-level error of one solve is absorbed rather than
     compounded into a later infeasible system.
     The sample constraints themselves are always enforced without slack.
-    Queries equal to a constraint point return that point's value (its ball
-    has radius 0).  When the m sample values span a proper affine subspace
+    A query equal to a sample returns that sample's value (the sample's
+    ball has radius 0).  A query equal to an earlier stored query gets that
+    query's answer bit for bit, with no scan, so the realized map is a
+    function.  When the m sample values span a proper affine subspace
     (m - 1 < df), the loop runs in that hull's coordinates and maps its
     values back (module docstring); a query that never moves from a
-    sample's value, such as a query at that sample, returns the sample's
-    row of map_.fs bit for bit.  A query still infeasible after
-    _ITERATION_CAP projections raises ExtensionFeasibilityError; a query
-    that is not finite, or whose squared norm overflows, and a query row
-    whose length is not the samples' raise ValueError.
+    sample's value, whether it started at the sample or at a stored query
+    that kept that value, returns the sample's row of map_.fs bit for bit:
+    each stored row records the sample whose value it holds.  A query
+    still infeasible after _ITERATION_CAP projections raises
+    ExtensionFeasibilityError; a query that is not finite, or whose squared
+    norm overflows, and a query row whose length is not the samples' raise
+    ValueError.
     Each scan evaluates exactly only the rows the Gram-form screen of the
     module docstring keeps.
     """
@@ -281,9 +287,15 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
     # bound on its squared radius
     hi_cf = up_f * hi_cf + _UNDERFLOW
     slack = np.zeros(m + Q)
+    # the sample whose value each stored row holds untouched, or -1, and
+    # the query that each stored query row answered
+    source = list(range(m))
+    answered = []
     Y = np.empty((Q, fs.shape[1]))
-    # (query, sample) for each query that kept a sample's value untouched
+    # (query, sample) for each query that kept a sample's value untouched,
+    # and (query, earlier query) for each query at an earlier stored query
     kept = []
+    repeats = []
     n_c = m
     # the loops call np.add.reduce and the argmin/argmax methods directly:
     # np.sum, np.argmin and np.argmax run the same reductions behind a
@@ -302,6 +314,9 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
         d_near = np.sqrt(np.add.reduce((cx[near] - x) ** 2, axis=1))
         k = int(d_near.argmin())
         nearest = int(near[k])
+        if d_near[k] == 0.0 and nearest >= m:
+            repeats.append((q, answered[nearest - m]))
+            continue
         # gamma^2 lo_i + slack_i^2 <= (gamma d_i + slack_i)^2 bounds every
         # squared radius from below; row i is kept while
         # cf_i . y <= bound_i + up_f ||y||^2, which its violation needs in
@@ -339,11 +354,14 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
         else:
             raise ExtensionFeasibilityError(worst, _ITERATION_CAP)
         Y[q] = y
-        if last < 0 and nearest < m:
-            kept.append((q, nearest))
+        held = source[nearest] if last < 0 else -1
+        if held >= 0:
+            kept.append((q, held))
         if d_near[k] > 0.0:
             cx[n_c] = x
             cf[n_c] = y
+            source.append(held)
+            answered.append(q)
             sq_cx[n_c] = sq_x[q]
             lo_cx[n_c] = (1.0 - margin_x) * sq_x[q]
             slack[n_c] = max(worst, 0.0) + 100.0 * EVAL_TOL
@@ -357,6 +375,8 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
         # elsewhere and its first one pages in about 68 KB of numpy's code
         for q, row in kept:
             Y[q] = map_.fs[row]
+    for q, earlier in repeats:
+        Y[q] = Y[earlier]
     return Y
 
 

@@ -407,27 +407,22 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
-# vertices per batch of _chunked_mesh_eval
-_MESH_CHUNK = 1 << 18
-
-
 def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int) -> np.ndarray:
-    """Evaluate a batch map at all mesh vertices, row-major, memory-bounded."""
-    axis = mesh.axis_coordinates()
-    n, per = mesh.n, mesh.points_per_axis
-    plane = mesh.vertex_count // per  # vertices per index of the first axis
-    total = mesh.vertex_count
+    """Evaluate a batch map at all mesh vertices, row-major, memory-bounded.
+
+    The vertices go to fn_batch in blocks of spaces._BLOCK_ELEMENTS rows.
+    Each block's coordinates come from its flat vertex indices, as
+    -D + h * index per axis, the elementwise expression of
+    axis_coordinates, so every row is bit for bit the vertex's meshgrid
+    row.  No array but the returned values grows with the mesh.
+    """
+    D, h, total = mesh.D, mesh.h, mesh.vertex_count
+    shape = (mesh.points_per_axis,) * mesh.n
     out = np.empty((total, d_out))
-    for start in range(0, total, _MESH_CHUNK):
-        stop = min(start + _MESH_CHUNK, total)
-        first, last = start // plane, (stop - 1) // plane + 1
-        # the whole first-axis planes the chunk touches, then the chunk's rows
-        block = np.empty((last - first,) + (per,) * (n - 1) + (n,))
-        for ax in range(n):
-            coords = axis[first:last] if ax == 0 else axis
-            block[..., ax] = coords.reshape((1,) * ax + (-1,) + (1,) * (n - ax - 1))
-        offset = first * plane
-        out[start:stop] = fn_batch(block.reshape(-1, n)[start - offset:stop - offset])
+    for start in range(0, total, spaces._BLOCK_ELEMENTS):
+        stop = min(start + spaces._BLOCK_ELEMENTS, total)
+        index = np.unravel_index(np.arange(start, stop), shape)
+        out[start:stop] = fn_batch(np.stack([-D + h * i for i in index], axis=1))
     return out
 
 

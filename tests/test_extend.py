@@ -309,6 +309,9 @@ def reference_kirszbraun(map_, X):
     same trigger, the kernel's coordinates in the affine hull of the
     values through the same helper, and the kernel's tolerance,
     extend.EVAL_TOL, so its values are the screened kernel's bit for bit.
+    Like the kernel, it gives a query at an earlier stored query's point
+    that query's answer unscanned, and restores a kept sample's value also
+    through a stored query that kept it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Q = X.shape[0]
@@ -319,12 +322,18 @@ def reference_kirszbraun(map_, X):
     cf = np.concatenate([fs, np.empty((Q, fs.shape[1]))], axis=0)
     slack = np.zeros(m + Q)
     Y = np.empty((Q, fs.shape[1]))
+    source = list(range(m))  # stored row -> the sample whose value it holds, or -1
+    answered = []  # stored query row - m -> the query it answered
     kept = {}  # query -> the sample whose value it kept untouched
+    repeats = {}  # query -> the earlier stored query at its point
     n_c = m
     for q in range(Q):
         x = X[q]
         d = np.sqrt(np.sum((cx[:n_c] - x) ** 2, axis=1))
         nearest = int(np.argmin(d))
+        if d[nearest] == 0.0 and nearest >= m:
+            repeats[q] = answered[nearest - m]
+            continue
         radii = map_.gamma * d + slack[:n_c]
         y = cf[nearest].copy()
         worst = 0.0
@@ -349,20 +358,24 @@ def reference_kirszbraun(map_, X):
         else:
             raise ExtensionFeasibilityError(worst, extend._ITERATION_CAP)
         Y[q] = y
-        if last == -1 and nearest < m:
-            kept[q] = nearest
+        held = source[nearest] if last == -1 else -1
+        if held >= 0:
+            kept[q] = held
         if d[nearest] > 0.0:
             cx[n_c] = x
             cf[n_c] = y
+            source.append(held)
+            answered.append(q)
             slack[n_c] = max(worst, 0.0) + 100.0 * extend.EVAL_TOL
             n_c += 1
-    if hull is None:
-        return Y
-    origin, basis, _ = hull
-    out = Y @ basis.T + origin
-    for q, sample in kept.items():
-        out[q] = map_.fs[sample]
-    return out
+    if hull is not None:
+        origin, basis, _ = hull
+        Y = Y @ basis.T + origin
+        for q, sample in kept.items():
+            Y[q] = map_.fs[sample]
+    for q, earlier in repeats.items():
+        Y[q] = Y[earlier]
+    return Y
 
 
 def _surface_case(dim_in, dim_out, gamma, seed, shift=0.0, count=60):
@@ -438,6 +451,21 @@ def test_default_roundtrips_return_the_net_bit_for_bit():
         assert extend._hull_coordinates(pair.encoder.fs)[1].shape[1] == 2**n - 1
         recon = pair.roundtrip_batch(pair.net.points)
         assert np.array_equal(recon, pair.net.points)
+
+
+def test_default_roundtrips_decode_equal_codes_to_equal_rows():
+    # stable-width's default pairs, n = 2..5 at seed 0's task seeds: about a
+    # thousand cloud points share a code with an earlier one at each n, and
+    # a repeated code decodes to its first answer bit for bit
+    K = generate_Kq(32, 1.0, 2000, seed=0)
+    for n, seed in zip(range(2, 6), _task_seeds(0, 4)):
+        pair = build_stable_pair(K, n, seed=seed)
+        Z = pair.encoder.eval_batch(K.points)
+        codes, first, inverse = np.unique(Z, axis=0, return_index=True,
+                                          return_inverse=True)
+        assert len(Z) - len(codes) > 900
+        recon = pair.decoder.eval_batch(Z)
+        assert np.array_equal(recon, recon[first[inverse.ravel()]])
 
 
 def test_screened_kernel_equals_the_full_scan_on_the_default_roundtrip():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widthlab.demos as demos
 from widthlab.demos import pipeline_budget
 from widthlab.extend import lipschitz_audit, sample_pairs
 import widthlab.interp as interp
@@ -467,6 +468,42 @@ def test_smooth_grid_temporaries_stay_below_one_grid_component():
     finally:
         tracemalloc.stop()
     assert peak < values[:, 0].nbytes
+
+
+@pytest.mark.parametrize("budget", [1, 7, spaces._BLOCK_ELEMENTS])
+@pytest.mark.parametrize("n,subdivisions", [(1, 9), (2, 5), (3, 3)])
+def test_chunked_mesh_eval_equals_the_meshgrid_evaluation(n, subdivisions, budget,
+                                                          monkeypatch):
+    # blocks of 1 and 7 rows end mid-plane; the default budget is one block
+    mesh = KuhnMesh(n, 0.7, subdivisions)
+
+    def fn(X):
+        return np.concatenate([X, np.sin(3.0 * X[:, :1]) * np.cos(X[:, -1:])], axis=1)
+
+    rows = []
+
+    def recorded(X):
+        rows.append(X.shape[0])
+        return fn(X)
+
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", budget)
+    out = interp._chunked_mesh_eval(mesh, recorded, n + 1)
+    assert np.array_equal(out, fn(grid_points(mesh)))
+    assert sum(rows) == mesh.vertex_count and max(rows) <= budget
+
+
+def test_chunked_mesh_eval_temporaries_stay_below_one_value_component():
+    # no array but the vertex values may grow with the mesh: 2^20 vertices
+    # of a 1-d mesh, three components of 8 MB each
+    mesh = KuhnMesh(1, 1.0, 2**20 - 1)
+    interp._chunked_mesh_eval(KuhnMesh(1, 1.0, 15), demos._scalar_wave, 3)
+    tracemalloc.start()
+    try:
+        out = interp._chunked_mesh_eval(mesh, demos._scalar_wave, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < out[:, 0].nbytes
 
 
 def test_smooth_grid_refuses_a_strided_grid():
