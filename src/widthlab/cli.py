@@ -182,6 +182,15 @@ def _n_range(cfg: dict[str, str], section: str) -> range:
     return range(n_min, n_max + 1)
 
 
+def _float_list(section: str, key: str, text: str) -> list[float]:
+    """A setting's comma-separated numbers; an empty list is refused."""
+    values = [float(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise SystemExit(f"bad [{section}] setting: {key} = {text!r} lists "
+                         "no value")
+    return values
+
+
 def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     n_values = _n_range(cfg, "entropy")
     K = _build_class(cfg)
@@ -274,7 +283,7 @@ def cmd_counterexample(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     n, N, k = int(cfg["n"]), int(cfg["ambient_dim"]), int(cfg["k"])
-    p_values = [float(tok) for tok in cfg["p_values"].split(",") if tok]
+    p_values = _float_list("cs", "p_values", cfg["p_values"])
     seeds = _task_seeds(int(cfg["seed"]), int(cfg["matrices"]))
     bound_rows = []
     for idx, matrix_seed in enumerate(seeds):
@@ -366,6 +375,7 @@ def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 
 def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
+    eps_values = _float_list("carl", "eps_values", cfg["eps_values"])
     K = _build_class(cfg)
     results = _width_series(K, cfg, "carl", threads)
     reports = [rep for _, rep in results]
@@ -381,7 +391,7 @@ def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
 
     R = 2.0 * delta0
     bound_rows = []
-    for eps in (float(tok) for tok in cfg["eps_values"].split(",") if tok):
+    for eps in eps_values:
         bound = carl_cover_bound(inputs, eps, R)
         bound_rows.append((bound.eps, bound.R, bound.A, bound.L,
                            bound.exponent, bound.log2_bound))

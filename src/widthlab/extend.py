@@ -37,11 +37,11 @@ rule run unchanged on (fs - fs[0]) B, and values map back as
 fs[0] + C B^T.  That is exact in exact arithmetic, and each scan
 multiplies m - 1 columns in place of df: a stable-width encoder's 2^n
 values span 2^n - 1 of its 26n code coordinates, 3 of 52 at n=2.  A
-query that never moves from a sample's value, such as a query at that
-sample, returns the sample's row of fs bit for bit, and a query at the
-point of an earlier query returns that query's row, so equal queries get
-equal rows after the map back.  Maps whose values span their space
-(m - 1 >= df) run in the value coordinates.
+query at the point of a stored row, a sample or an earlier query, gets
+that row's answer bit for bit with no scan, and so does a query that
+never moves from its start row's value, so equal queries get equal rows
+after the map back.  Maps whose values span their space (m - 1 >= df)
+run in the value coordinates.
 
 Every map here is a batch map on the rows of a 2-d array; one point is a
 one-row batch.  Kirszbraun batches extend lazily: each solved query joins
@@ -242,19 +242,19 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
     slack: the EVAL_TOL-level error of one solve is absorbed rather than
     compounded into a later infeasible system.
     The sample constraints themselves are always enforced without slack.
-    A query equal to a sample returns that sample's value (the sample's
-    ball has radius 0).  A query equal to an earlier stored query gets that
-    query's answer bit for bit, with no scan, so the realized map is a
-    function.  When the m sample values span a proper affine subspace
-    (m - 1 < df), the loop runs in that hull's coordinates and maps its
-    values back (module docstring); a query that never moves from a
-    sample's value, whether it started at the sample or at a stored query
-    that kept that value, returns the sample's row of map_.fs bit for bit:
-    each stored row records the sample whose value it holds.  A query
-    still infeasible after _ITERATION_CAP projections raises
-    ExtensionFeasibilityError; a query that is not finite, or whose squared
-    norm overflows, and a query row whose length is not the samples' raise
-    ValueError.
+    One rule covers a query at distance 0 from a stored row, a sample or
+    an earlier query: it gets that row's answer bit for bit, with no scan,
+    and does not join the store.  So the realized map is a function, and a
+    query at a sample returns the sample's value even where that value
+    misses another sample's ball by more than EVAL_TOL, as the 1e-9
+    relative slack of SampledLipschitzMap allows at a large enough scale.
+    Each stored row records its owner, the sample or the query whose
+    returned row it holds; a query that never moves from its start row's
+    value returns that owner's row too, also when the loop ran in the
+    hull's coordinates (module docstring).  A query still infeasible after
+    _ITERATION_CAP projections raises ExtensionFeasibilityError; a query
+    that is not finite, or whose squared norm overflows, and a query row
+    whose length is not the samples' raise ValueError.
     Each scan evaluates exactly only the rows the Gram-form screen of the
     module docstring keeps.
     """
@@ -287,15 +287,12 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
     # bound on its squared radius
     hi_cf = up_f * hi_cf + _UNDERFLOW
     slack = np.zeros(m + Q)
-    # the sample whose value each stored row holds untouched, or -1, and
-    # the query that each stored query row answered
-    source = list(range(m))
-    answered = []
+    # whose returned row each stored row holds: sample s as -1 - s, query q
+    # as q
+    owner = [-1 - s for s in range(m)]
     Y = np.empty((Q, fs.shape[1]))
-    # (query, sample) for each query that kept a sample's value untouched,
-    # and (query, earlier query) for each query at an earlier stored query
-    kept = []
-    repeats = []
+    # (query, owner) for each query that returns a stored row's answer
+    copies = []
     n_c = m
     # the loops call np.add.reduce and the argmin/argmax methods directly:
     # np.sum, np.argmin and np.argmax run the same reductions behind a
@@ -314,8 +311,8 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
         d_near = np.sqrt(np.add.reduce((cx[near] - x) ** 2, axis=1))
         k = int(d_near.argmin())
         nearest = int(near[k])
-        if d_near[k] == 0.0 and nearest >= m:
-            repeats.append((q, answered[nearest - m]))
+        if d_near[k] == 0.0:
+            copies.append((q, owner[nearest]))
             continue
         # gamma^2 lo_i + slack_i^2 <= (gamma d_i + slack_i)^2 bounds every
         # squared radius from below; row i is kept while
@@ -354,29 +351,27 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
         else:
             raise ExtensionFeasibilityError(worst, _ITERATION_CAP)
         Y[q] = y
-        held = source[nearest] if last < 0 else -1
-        if held >= 0:
-            kept.append((q, held))
-        if d_near[k] > 0.0:
-            cx[n_c] = x
-            cf[n_c] = y
-            source.append(held)
-            answered.append(q)
-            sq_cx[n_c] = sq_x[q]
-            lo_cx[n_c] = (1.0 - margin_x) * sq_x[q]
-            slack[n_c] = max(worst, 0.0) + 100.0 * EVAL_TOL
-            hi_cf[n_c] = up_f * (y @ y) + _UNDERFLOW - down_f * slack[n_c] * slack[n_c]
-            n_c += 1
+        if last < 0:
+            copies.append((q, owner[nearest]))
+            owner.append(owner[nearest])
+        else:
+            owner.append(q)
+        cx[n_c] = x
+        cf[n_c] = y
+        sq_cx[n_c] = sq_x[q]
+        lo_cx[n_c] = (1.0 - margin_x) * sq_x[q]
+        slack[n_c] = max(worst, 0.0) + 100.0 * EVAL_TOL
+        hi_cf[n_c] = up_f * (y @ y) + _UNDERFLOW - down_f * slack[n_c] * slack[n_c]
+        n_c += 1
     if hull is not None:
         origin, basis, _ = hull
         Y = Y @ basis.T + origin
-        # a sample's value kept untouched is its row of fs, bit for bit;
-        # row by row, as the kernel runs no fancy-index assignment
-        # elsewhere and its first one pages in about 68 KB of numpy's code
-        for q, row in kept:
-            Y[q] = map_.fs[row]
-    for q, earlier in repeats:
-        Y[q] = Y[earlier]
+    # an owner's row, bit for bit: a sample's row of fs, or the answer of
+    # a query that moved, which is never itself a copy.  Row by row, as the
+    # kernel runs no fancy-index assignment elsewhere and its first one
+    # pages in about 68 KB of numpy's code
+    for q, row in copies:
+        Y[q] = map_.fs[-1 - row] if row < 0 else Y[row]
     return Y
 
 

@@ -323,21 +323,6 @@ class AlphaSequence:
         return float(out) if np.isscalar(j) else out
 
 
-# redraws _dedupe_resample makes before it gives up
-_DEDUPE_ROUNDS = 16
-
-
-def _dedupe_resample(draw, count: int) -> np.ndarray:
-    """Draw ``count`` points, redrawing until rows are pairwise distinct."""
-    pts = draw(count)
-    for _ in range(_DEDUPE_ROUNDS):
-        uniq = np.unique(pts, axis=0)
-        if uniq.shape[0] == count and pts.shape[0] == count:
-            return pts
-        pts = np.concatenate([uniq, draw(count - uniq.shape[0])], axis=0)
-    raise RuntimeError("could not draw pairwise distinct points")
-
-
 def generate_Kq(N: int, q: float, count: int, seed: int) -> ModelClassSurrogate:
     """Sample ``count`` points uniformly from the unit l_q ball in R^N.
 
@@ -369,7 +354,9 @@ def generate_Kq(N: int, q: float, count: int, seed: int) -> ModelClassSurrogate:
         radius = rng.uniform(size=k) ** (1.0 / N)
         return direction * radius[:, None]
 
-    pts = _dedupe_resample(draw, count)
+    # continuous draws repeat a row with probability 0; the surrogate
+    # refuses a repeated row
+    pts = draw(count)
     return ModelClassSurrogate(points=pts, resolution=0.0)
 
 
@@ -413,7 +400,9 @@ def generate_sparse_class(
             pts[i, support] = g * rng.uniform() ** (1.0 / k)
         return pts
 
-    pts = _dedupe_resample(draw, count)
+    # continuous draws repeat a row with probability 0; the surrogate
+    # refuses a repeated row
+    pts = draw(count)
     # estimated covering density of the cloud in Sigma_k cap B: max distance
     # from fresh probe draws to their nearest cloud point (a lower estimate
     # of the true covering radius; callers fold in realized distances too)

@@ -13,8 +13,8 @@ import pytest
 
 import widthlab
 from widthlab import __version__
-from widthlab.cli import (COMMANDS, DEFAULTS, _build_class, _parallel, main,
-                          resolve_config)
+from widthlab.cli import (COMMANDS, DEFAULTS, _build_class, _float_list,
+                          _parallel, main, resolve_config)
 from widthlab.counterexample import DiagMaps, decoder_lipschitz
 from widthlab.csrecovery import L1ConvergenceError
 from widthlab.extend import ExtensionFeasibilityError
@@ -434,6 +434,24 @@ def test_empty_n_range_fails_in_one_line(tmp_path, command):
     assert str(exit_info.value) == (f"bad [{command}] setting: n_min = 3 "
                                     "exceeds n_max = 2, so no level would run")
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command,key", [("cs", "p_values"),
+                                         ("carl", "eps_values")])
+@pytest.mark.parametrize("text", ["", ","])
+def test_empty_list_setting_fails_in_one_line(tmp_path, command, key, text):
+    # an empty list wrote an empty operator_bounds.csv or carl_cover.csv,
+    # and cs reported its bounds as holding in 0 of 0 rows
+    out = tmp_path / command
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{key} = {text}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert str(exit_info.value) == (f"bad [{command}] setting: {key} = "
+                                    f"{text!r} lists no value")
+    assert not list(out.iterdir())
+    # a trailing comma is an empty token, and empty tokens are skipped
+    assert _float_list(command, key, "1.0,2.0,") == [1.0, 2.0]
 
 
 def test_every_default_setting_is_read_by_the_cli():

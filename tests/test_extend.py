@@ -309,9 +309,10 @@ def reference_kirszbraun(map_, X):
     same trigger, the kernel's coordinates in the affine hull of the
     values through the same helper, and the kernel's tolerance,
     extend.EVAL_TOL, so its values are the screened kernel's bit for bit.
-    Like the kernel, it gives a query at an earlier stored query's point
-    that query's answer unscanned, and restores a kept sample's value also
-    through a stored query that kept it.
+    Like the kernel, it gives a query at the point of any stored row, a
+    sample or an earlier query, that row's answer unscanned, and records
+    the owner of each stored row, the sample (-1 - s) or query whose
+    returned row it holds, which a query that never moves also returns.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Q = X.shape[0]
@@ -322,17 +323,15 @@ def reference_kirszbraun(map_, X):
     cf = np.concatenate([fs, np.empty((Q, fs.shape[1]))], axis=0)
     slack = np.zeros(m + Q)
     Y = np.empty((Q, fs.shape[1]))
-    source = list(range(m))  # stored row -> the sample whose value it holds, or -1
-    answered = []  # stored query row - m -> the query it answered
-    kept = {}  # query -> the sample whose value it kept untouched
-    repeats = {}  # query -> the earlier stored query at its point
+    owner = [-1 - s for s in range(m)]  # stored row -> whose returned row it holds
+    copies = {}  # query -> the owner whose returned row it gets
     n_c = m
     for q in range(Q):
         x = X[q]
         d = np.sqrt(np.sum((cx[:n_c] - x) ** 2, axis=1))
         nearest = int(np.argmin(d))
-        if d[nearest] == 0.0 and nearest >= m:
-            repeats[q] = answered[nearest - m]
+        if d[nearest] == 0.0:
+            copies[q] = owner[nearest]
             continue
         radii = map_.gamma * d + slack[:n_c]
         y = cf[nearest].copy()
@@ -358,23 +357,18 @@ def reference_kirszbraun(map_, X):
         else:
             raise ExtensionFeasibilityError(worst, extend._ITERATION_CAP)
         Y[q] = y
-        held = source[nearest] if last == -1 else -1
-        if held >= 0:
-            kept[q] = held
-        if d[nearest] > 0.0:
-            cx[n_c] = x
-            cf[n_c] = y
-            source.append(held)
-            answered.append(q)
-            slack[n_c] = max(worst, 0.0) + 100.0 * extend.EVAL_TOL
-            n_c += 1
+        if last == -1:
+            copies[q] = owner[nearest]
+        owner.append(copies.get(q, q))
+        cx[n_c] = x
+        cf[n_c] = y
+        slack[n_c] = max(worst, 0.0) + 100.0 * extend.EVAL_TOL
+        n_c += 1
     if hull is not None:
         origin, basis, _ = hull
         Y = Y @ basis.T + origin
-        for q, sample in kept.items():
-            Y[q] = map_.fs[sample]
-    for q, earlier in repeats.items():
-        Y[q] = Y[earlier]
+    for q, row in copies.items():
+        Y[q] = map_.fs[-1 - row] if row < 0 else Y[row]
     return Y
 
 
@@ -439,6 +433,18 @@ def test_kirszbraun_returns_the_samples_bit_for_bit(count):
     one = SampledLipschitzMap(xs=map_.xs[:1], fs=map_.fs[:1], gamma=1.0)
     assert np.array_equal(kirszbraun_eval_batch(one, X),
                           np.repeat(map_.fs[:1], len(X), axis=0))
+
+
+def test_a_query_at_a_sample_returns_a_value_the_check_accepts_at_its_slack():
+    # the sample check accepts a pair ratio up to gamma (1 + 1e-9), so at
+    # scale 1000 each value misses the other sample's ball by 5e-7, more
+    # than EVAL_TOL; a query at a sample is not scanned, so it returns the
+    # sample's value where a scan would cycle to the iteration cap
+    xs = np.array([[0.0], [1000.0]])
+    fs = np.array([[0.0], [1000.0 * (1.0 + 5e-10)]])
+    f = SampledLipschitzMap(xs=xs, fs=fs, gamma=1.0)
+    assert np.array_equal(f.eval_batch(xs), fs)
+    assert np.array_equal(reference_kirszbraun(f, xs), fs)
 
 
 def test_default_roundtrips_return_the_net_bit_for_bit():
