@@ -183,8 +183,14 @@ def _n_range(cfg: dict[str, str], section: str) -> range:
 
 
 def _float_list(section: str, key: str, text: str) -> list[float]:
-    """A setting's comma-separated numbers; an empty list is refused."""
-    values = [float(tok) for tok in text.split(",") if tok]
+    """A setting's comma-separated numbers; a bad token or none is refused."""
+    values = []
+    for tok in filter(None, text.split(",")):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise SystemExit(f"bad [{section}] setting: {key} = {text!r} has "
+                             f"token {tok!r}, not a number") from None
     if not values:
         raise SystemExit(f"bad [{section}] setting: {key} = {text!r} lists "
                          "no value")
@@ -284,21 +290,22 @@ def cmd_counterexample(cfg: dict[str, str], out: Path, threads: int) -> None:
 def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     n, N, k = int(cfg["n"]), int(cfg["ambient_dim"]), int(cfg["k"])
     p_values = _float_list("cs", "p_values", cfg["p_values"])
+    if bad := [p for p in p_values if not 1.0 <= p <= 2.0]:
+        raise SystemExit(f"bad [cs] setting: p_values = {cfg['p_values']!r} "
+                         f"lists {bad[0]!r}, outside [1, 2]")
     seeds = _task_seeds(int(cfg["seed"]), int(cfg["matrices"]))
     bound_rows = []
     for idx, matrix_seed in enumerate(seeds):
         Phi = gaussian_matrix(n, N, seed=matrix_seed)
         for p in p_values:
-            rep = operator_norm_bound_check(Phi, p, seed=matrix_seed)
+            rep = operator_norm_bound_check(Phi, p)
             bound_rows.append((idx, p, rep.delta, rep.bracket.lower,
                                rep.bracket.upper, rep.upper_bound,
-                               rep.derived_lower, rep.inverted_lower,
-                               rep.upper_holds, rep.lower_holds,
-                               rep.inverted_variant_holds))
+                               rep.derived_lower, rep.upper_holds,
+                               rep.lower_holds))
     write_csv(out / "operator_bounds.csv", "sensing operator norm bounds", cfg,
               ["matrix", "p", "delta", "norm_lower", "norm_upper",
-               "upper_bound", "derived_lower", "inverted_lower",
-               "upper_holds", "lower_holds", "inverted_variant_holds"],
+               "upper_bound", "derived_lower", "upper_holds", "lower_holds"],
               bound_rows)
 
     trials = int(cfg["trials"])
@@ -324,7 +331,7 @@ def cmd_cs(cfg: dict[str, str], out: Path, threads: int) -> None:
     rip = rip_check(Phi, 2 * k, seed=int(cfg["seed"]))
     lines = [
         f"- operator bound rows holding (derived form): "
-        f"{sum(r[8] and r[9] for r in bound_rows)}/{len(bound_rows)}",
+        f"{sum(r[7] and r[8] for r in bound_rows)}/{len(bound_rows)}",
         f"- planted recovery: {sum(r[2] for r in recovery_rows)}/{trials} "
         f"(capped solves scored as-is: {capped})",
         f"- delta_2k, {'exact' if rip.exhaustive else 'sampled lower estimate'}"

@@ -20,9 +20,10 @@ l_p -> l_2 operator norm:
     lower:  (1 - delta) n^(-1/2) N^(1 - 1/p) <= ||Phi||_{p->2}
 
 The lower factor follows from evaluating Phi on the sign pattern of its
-largest row, normalized in l_p.  The inverted variant of that factor,
-1 / (1 - delta), is also reported for comparison but never asserted, since
-the row argument above yields the (1 - delta) form.
+largest row, normalized in l_p.  Both inequalities are checked against
+the bracket op_norm_bracket measures, whose ends are closed forms: the
+lower end a witness vector's value, the upper end an interpolation of the
+p = 1 and p = 2 norms.
 
 The l_1 decoder, min ||x||_1 subject to Phi x = y, follows the lasso
 homotopy down to an exact support S.  It returns x only with the dual
@@ -191,73 +192,21 @@ class NormBracket:
             raise ValueError("bracket out of order")
 
 
-# fixed-point steps _boyd_ascent takes at most from one start point
-_BOYD_ITERATIONS = 60
-
-
-def _boyd_ascent(mat: np.ndarray, p: float, starts: np.ndarray) -> np.ndarray:
-    """Monotone fixed-point ascent for ||Phi x||_2 / ||x||_p: a value a start.
-
-    Every row of starts is a start point, and all of them advance together
-    until each stops on its own rule: no relative gain above 1e-12, or a
-    zero image or iterate.  A start that stops drops out of the stack.  The
-    stacked products are one gemv a start and the l_2 norms one ddot, as
-    for a single start; the l_p roots are taken one start at a time on
-    scalars, whose pow rounds unlike numpy's array power, so every value is
-    that of the same ascent run from its start alone.
-    """
-    dual_exp = 1.0 / (p - 1.0)
-    inv_p = 1.0 / p
-
-    def lp_norms(X):
-        sums = (np.abs(X) ** p).sum(axis=1).tolist()
-        return np.array([s ** inv_p for s in sums])
-
-    def images(X):
-        # the (s, n, 1) images and their l_2 norms
-        Y = np.matmul(mat, X[:, :, None])
-        return Y, np.sqrt(np.matmul(Y.transpose(0, 2, 1), Y)[:, 0, 0])
-
-    X = starts / lp_norms(starts)[:, None]
-    Y, ny = images(X)
-    best = ny.copy()
-    keep = ny != 0.0
-    Y, ny, live = Y[keep], ny[keep], np.flatnonzero(keep)
-    for _ in range(_BOYD_ITERATIONS):
-        if not live.size:
-            break
-        Z = np.matmul(mat.T, Y / ny[:, None, None])[:, :, 0]
-        X = np.sign(Z) * np.abs(Z) ** dual_exp
-        nx = lp_norms(X)
-        if not nx.all():
-            keep = nx != 0.0
-            X, nx, live = X[keep], nx[keep], live[keep]
-        X /= nx[:, None]
-        Y, ny = images(X)
-        last = best[live]
-        stop = ny <= last * (1.0 + 1e-12)
-        best[live] = np.where(stop, np.maximum(last, ny), ny)
-        if stop.any() or not ny.all():
-            keep = ~stop & (ny != 0.0)
-            Y, ny, live = Y[keep], ny[keep], live[keep]
-    return best
-
-
-def op_norm_bracket(Phi: SensingMatrix, p: float, seed: int = 0) -> NormBracket:
+def op_norm_bracket(Phi: SensingMatrix, p: float) -> NormBracket:
     """Bracket ||Phi||_{p -> 2} for 1 <= p <= 2.
 
     p = 1 is exact (max column norm), p = 2 is the largest singular value
     from an SVD, bracketed by a relative 1e-8 (far above the SVD's backward
     error).  In between, the upper bound interpolates the endpoint norms
     (||.||_{1->2}^(2/p - 1) * ||.||_{2->2}^(2 - 2/p)) and the lower bound is
-    the best objective value over column, singular-vector, random, and
-    ascent-refined candidates.
+    the better of two witnesses in closed form: the largest column, whose
+    value is the p = 1 norm, and the top right singular vector v, whose
+    value is ||Phi||_{2->2} / ||v||_p.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p must lie in [1, 2], got {p}")
     mat = Phi.matrix
-    col_norms = np.linalg.norm(mat, axis=0)
-    norm_1 = float(np.max(col_norms))
+    norm_1 = float(np.max(np.linalg.norm(mat, axis=0)))
     if p == 1.0:
         return NormBracket(p=1.0, lower=norm_1, upper=norm_1)
     _, svals, vt = np.linalg.svd(mat, full_matrices=False)
@@ -267,12 +216,8 @@ def op_norm_bracket(Phi: SensingMatrix, p: float, seed: int = 0) -> NormBracket:
                            upper=norm_2 * (1.0 + 1e-8))
     theta = 2.0 / p - 1.0
     upper = norm_1**theta * norm_2 ** (1.0 - theta)
-    rng = np.random.default_rng(seed)
-    column = np.zeros(Phi.N)
-    column[int(np.argmax(col_norms))] = 1.0
-    starts = np.vstack([column, vt[0], rng.standard_normal((6, Phi.N))])
-    lower = max(_boyd_ascent(mat, p, starts).tolist())
-    # float noise can push the ascent a hair past the interpolation bound
+    lower = max(norm_1, norm_2 / float(norm(vt[0], p)))
+    # float noise can push a witness a hair past the interpolation bound
     return NormBracket(p=p, lower=min(lower, upper), upper=upper)
 
 
@@ -280,8 +225,7 @@ def op_norm_bracket(Phi: SensingMatrix, p: float, seed: int = 0) -> NormBracket:
 class OperatorBoundReport:
     """Column-norm certificate bounds against a measured norm bracket.
 
-    upper_holds and lower_holds are the asserted inequalities; the
-    inverted-factor variant is carried as data only.
+    upper_holds and lower_holds are the two inequalities of the certificate.
     """
 
     p: float
@@ -289,7 +233,6 @@ class OperatorBoundReport:
     bracket: NormBracket
     upper_bound: float
     derived_lower: float
-    inverted_lower: float
 
     @property
     def upper_holds(self) -> bool:
@@ -299,19 +242,14 @@ class OperatorBoundReport:
     def lower_holds(self) -> bool:
         return self.derived_lower <= self.bracket.upper * (1.0 + 1e-9)
 
-    @property
-    def inverted_variant_holds(self) -> bool:
-        return self.inverted_lower <= self.bracket.upper * (1.0 + 1e-9)
 
-
-def operator_norm_bound_check(
-    Phi: SensingMatrix, p: float, seed: int = 0
-) -> OperatorBoundReport:
+def operator_norm_bound_check(Phi: SensingMatrix,
+                              p: float) -> OperatorBoundReport:
     """Check the delta_1 operator-norm bracket at one p."""
     delta = rip_check(Phi, 1).delta
     if delta >= 1.0:
         raise ValueError("column norms deviate past 1; certificate undefined")
-    bracket = op_norm_bracket(Phi, p, seed=seed)
+    bracket = op_norm_bracket(Phi, p)
     scale = Phi.N ** (1.0 - 1.0 / p)
     return OperatorBoundReport(
         p=p,
@@ -319,7 +257,6 @@ def operator_norm_bound_check(
         bracket=bracket,
         upper_bound=(1.0 + delta) * scale,
         derived_lower=(1.0 - delta) * scale / math.sqrt(Phi.n),
-        inverted_lower=scale / (math.sqrt(Phi.n) * (1.0 - delta)),
     )
 
 

@@ -176,7 +176,7 @@ def test_sensing_norm_inequalities_hold():
     for seed in range(20):
         Phi = gaussian_matrix(40, 128, seed=seed)
         for p in (1.0, 1.5, 2.0):
-            rep = operator_norm_bound_check(Phi, p, seed=seed)
+            rep = operator_norm_bound_check(Phi, p)
             total += 1
             upper_ok += rep.upper_holds
             lower_ok += rep.lower_holds

@@ -438,20 +438,48 @@ def test_empty_n_range_fails_in_one_line(tmp_path, command):
 
 @pytest.mark.parametrize("command,key", [("cs", "p_values"),
                                          ("carl", "eps_values")])
-@pytest.mark.parametrize("text", ["", ","])
-def test_empty_list_setting_fails_in_one_line(tmp_path, command, key, text):
+@pytest.mark.parametrize("text,refusal", [
+    pytest.param("", "lists no value", id=""),
+    pytest.param(",", "lists no value", id=","),
+    pytest.param("1.0, ,2.0", "has token ' ', not a number", id="1.0, ,2.0"),
+    pytest.param("1.0,x", "has token 'x', not a number", id="1.0,x"),
+])
+def test_empty_list_setting_fails_in_one_line(tmp_path, command, key, text,
+                                              refusal):
     # an empty list wrote an empty operator_bounds.csv or carl_cover.csv,
-    # and cs reported its bounds as holding in 0 of 0 rows
+    # and cs reported its bounds as holding in 0 of 0 rows; a blank or
+    # non-number token stopped with a ValueError traceback
     out = tmp_path / command
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{key} = {text}\n")
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--config", str(cfg), "--out", str(out)])
     assert str(exit_info.value) == (f"bad [{command}] setting: {key} = "
-                                    f"{text!r} lists no value")
+                                    f"{text!r} {refusal}")
     assert not list(out.iterdir())
     # a trailing comma is an empty token, and empty tokens are skipped
     assert _float_list(command, key, "1.0,2.0,") == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("text,p", [("1.0,3.0", "3.0"), ("0.5", "0.5"),
+                                    ("1.5,nan", "nan")])
+def test_cs_p_outside_1_2_fails_before_any_matrix(tmp_path, monkeypatch,
+                                                   text, p):
+    # op_norm_bracket raised a ValueError traceback on such a p
+    import widthlab.cli as cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(cli, "gaussian_matrix", no_draw)
+    out = tmp_path / "cs"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[cs]\np_values = {text}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cs", "--config", str(cfg), "--out", str(out)])
+    assert str(exit_info.value) == (f"bad [cs] setting: p_values = {text!r} "
+                                    f"lists {p}, outside [1, 2]")
+    assert not list(out.iterdir())
 
 
 def test_every_default_setting_is_read_by_the_cli():
