@@ -3,14 +3,18 @@
 Each subcommand resolves its settings (defaults, then the matching section
 of an INI config file, then command-line overrides), calls the library and
 writes files; every random draw happens in the library, from the seeds it
-is given.  The resolved settings are embedded as comment headers in every
-CSV so runs are reproducible from their outputs alone.  Floats are written
-with repr so reruns are byte-identical.  Only the width series of
-stable-width and carl runs on worker processes (--threads), forked from
-the running CLI on Linux and spawned elsewhere; its items get their seeds
-from SeedSequence.spawn before any worker starts, so --threads never
-changes the numbers.  The other subcommands run in the calling process:
-their items cost less than the pool that would run them (see _parallel).
+is given.  A bad setting (a number that does not parse as its default's
+kind, an empty level range or list, or a value that the class generator
+or the interp budget refuses) stops the run in one line naming its
+section and key, before any file is written.  The resolved settings are
+embedded as comment headers in every CSV so runs are reproducible from
+their outputs alone.  Floats are written with repr so reruns are
+byte-identical.  Only the width series of stable-width and carl runs on
+worker processes (--threads), forked from the running CLI on Linux and
+spawned elsewhere; its items get their seeds from SeedSequence.spawn
+before any worker starts, so --threads never changes the numbers.  The
+other subcommands run in the calling process: their items cost less than
+the pool that would run them (see _parallel).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .spaces import (
     generate_Kq,
     generate_diag_class,
     generate_sparse_class,
+    pairwise_distances,
 )
 from .stablewidth import (
     build_stable_pair,
@@ -160,17 +165,31 @@ def _parallel(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _build_class(cfg: dict[str, str]) -> ModelClassSurrogate:
+# the settings each class kind's generator reads
+_CLASS_KEYS = {
+    "kq": ("ambient_dim", "q", "count", "seed"),
+    "diag": ("ambient_dim", "r"),
+    "sparse": ("ambient_dim", "k", "count", "seed"),
+}
+
+
+def _build_class(cfg: dict[str, str], section: str) -> ModelClassSurrogate:
+    """The section's class; settings its generator refuses stop in one line."""
     kind = cfg["class"]
+    if kind not in _CLASS_KEYS:
+        raise SystemExit(f"unknown class kind {kind!r} (want kq, diag or sparse)")
     seed = int(cfg["seed"])
     dim = int(cfg["ambient_dim"])
-    if kind == "kq":
-        return generate_Kq(dim, float(cfg["q"]), int(cfg["count"]), seed)
-    if kind == "diag":
-        return generate_diag_class(AlphaSequence(float(cfg["r"])), dim)
-    if kind == "sparse":
+    try:
+        if kind == "kq":
+            return generate_Kq(dim, float(cfg["q"]), int(cfg["count"]), seed)
+        if kind == "diag":
+            return generate_diag_class(AlphaSequence(float(cfg["r"])), dim)
         return generate_sparse_class(dim, int(cfg["k"]), int(cfg["count"]), seed)
-    raise SystemExit(f"unknown class kind {kind!r} (want kq, diag or sparse)")
+    except ValueError as exc:
+        settings = ", ".join(f"{key} = {cfg[key]}" for key in _CLASS_KEYS[kind])
+        raise SystemExit(f"bad [{section}] setting: {kind} class with "
+                         f"{settings}: {exc}") from None
 
 
 def _n_range(cfg: dict[str, str], section: str) -> range:
@@ -199,18 +218,21 @@ def _float_list(section: str, key: str, text: str) -> list[float]:
 
 def cmd_entropy(cfg: dict[str, str], out: Path, threads: int) -> None:
     n_values = _n_range(cfg, "entropy")
-    K = _build_class(cfg)
+    K = _build_class(cfg, "entropy")
     seed = int(cfg["seed"])
-    rows = []
-    for n in n_values:
-        bracket = entropy_bracket(K, n)
-        rows.append((n, bracket.lower, bracket.upper, bracket.cover.count,
-                     seed))
+    brackets = [entropy_bracket(K, n) for n in n_values]
+    rows = [(b.n, b.lower, b.upper, b.cover.count, seed) for b in brackets]
     write_csv(out / "entropy.csv", "entropy brackets", cfg,
               ["n", "lower", "upper", "cover_size", "seed"], rows)
     lines = [f"- n={r[0]}: lower {_fmt(r[1])}, upper {_fmt(r[2])}" for r in rows]
-    ok = all(r[1] <= r[2] + 1e-12 for r in rows)
-    lines.append(f"- bracket ordering holds: {_fmt(ok)}")
+    # each lower end rests on its witness, 2^n + 1 cloud points at least
+    # 2 lower apart; an empty witness, from a cloud too small, holds
+    ok = True
+    for b in brackets:
+        gaps = pairwise_distances(b.packing_witness)
+        ok &= bool(np.all(gaps[np.triu_indices(len(gaps), 1)] >= 2.0 * b.lower))
+    lines.append(f"- packing witnesses of 2^n + 1 points at least 2 lower "
+                 f"apart: {_fmt(ok)}")
     _write_report(out, "entropy", cfg, lines)
 
 
@@ -232,7 +254,7 @@ def _width_series(K: ModelClassSurrogate, cfg: dict[str, str], section: str,
 
 
 def cmd_stable_width(cfg: dict[str, str], out: Path, threads: int) -> None:
-    K = _build_class(cfg)
+    K = _build_class(cfg, "stable-width")
     results = _width_series(K, cfg, "stable-width", threads)
     rows = [
         (rep.n, rep.sup_error, rep.three_eps_upper, rep.lip_a, rep.lip_M,
@@ -383,7 +405,7 @@ def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
 
 def cmd_carl(cfg: dict[str, str], out: Path, threads: int) -> None:
     eps_values = _float_list("carl", "eps_values", cfg["eps_values"])
-    K = _build_class(cfg)
+    K = _build_class(cfg, "carl")
     results = _width_series(K, cfg, "carl", threads)
     reports = [rep for _, rep in results]
     delta0 = float(np.max(np.linalg.norm(K.points, axis=1)))
@@ -442,7 +464,23 @@ def resolve_config(section: str, config_path: str | None,
                 cfg[key] = value
     if seed is not None:
         cfg["seed"] = str(seed)
+    for key, default in DEFAULTS[section].items():
+        # a numeric setting parses as the kind of its default
+        for kind, noun in ((int, "an integer"), (float, "a number")):
+            if _parses(kind, default):
+                if not _parses(kind, cfg[key]):
+                    raise SystemExit(f"bad [{section}] setting: {key} = "
+                                     f"{cfg[key]!r} is not {noun}")
+                break
     return cfg
+
+
+def _parses(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:

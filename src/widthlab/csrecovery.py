@@ -474,10 +474,6 @@ class InstanceOptimalityReport:
     net_resolution: float
     trials: tuple[RecoveryTrial, ...]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(t.passed for t in self.trials)
-
 
 def instance_optimality_trials(
     pair: EncoderDecoderPair,

@@ -68,8 +68,9 @@ violation that needs a projection nor decide a stop: values, iteration
 counts and ExtensionFeasibilityError are bit-identical to scanning every
 row.
 
-Audits measure l_2 constants on a (count, 2, dim) array of sampled pairs
-with one batch call, and are lower bounds on the true constant: honest
+An audit measures l_2 ratios on a (count, 2, dim) array of sampled pairs
+with one batch call and returns them, one per pair; their maximum, which
+each caller takes, is a lower bound on the true constant: honest
 measurement beats silent failure.
 """
 
@@ -85,7 +86,6 @@ from .spaces import _UNDERFLOW, _screen_margin, norm, pair_ratio_extremes
 __all__ = [
     "EVAL_TOL",
     "SampledLipschitzMap",
-    "LipschitzAudit",
     "ExtensionFeasibilityError",
     "kirszbraun_eval_batch",
     "lipschitz_audit",
@@ -165,14 +165,6 @@ class SampledLipschitzMap:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Kirszbraun extension at the rows of X."""
         return kirszbraun_eval_batch(self, X)
-
-
-@dataclass(frozen=True)
-class LipschitzAudit:
-    """Ratios ||F(x)-F(x')|| / ||x-x'|| over sampled pairs, and their maximum."""
-
-    measured: float
-    ratios: np.ndarray
 
 
 def _two_ball_step(y, a, r_a, b, r_b):
@@ -290,7 +282,9 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
     # whose returned row each stored row holds: sample s as -1 - s, query q
     # as q
     owner = [-1 - s for s in range(m)]
-    Y = np.empty((Q, fs.shape[1]))
+    # zeros, not empty: a copied query's row is written only after the map
+    # back, which would otherwise multiply whatever bits the row held
+    Y = np.zeros((Q, fs.shape[1]))
     # (query, owner) for each query that returns a stored row's answer
     copies = []
     n_c = m
@@ -375,8 +369,8 @@ def kirszbraun_eval_batch(map_: SampledLipschitzMap, X: np.ndarray) -> np.ndarra
     return Y
 
 
-def lipschitz_audit(fn, pairs: np.ndarray) -> LipschitzAudit:
-    """Measure ||fn(x)-fn(x')|| / ||x-x'|| on each pair of a (count, 2, dim) array.
+def lipschitz_audit(fn, pairs: np.ndarray) -> np.ndarray:
+    """The ratio ||fn(x)-fn(x')|| / ||x-x'|| of each pair of a (count, 2, dim) array.
 
     fn maps the rows of a 2-d array to their images.  The maximum ratio is
     a sampled lower bound on the true constant.  Pairs at zero domain
@@ -409,8 +403,7 @@ def lipschitz_audit(fn, pairs: np.ndarray) -> LipschitzAudit:
     vals = np.asarray(fn(rows[new]), dtype=float)
     ends = inverse.reshape(-1, 2)
     df = norm(vals[ends[:, 0]] - vals[ends[:, 1]], 2.0)
-    ratios = df / dx
-    return LipschitzAudit(measured=float(np.max(ratios)), ratios=ratios)
+    return df / dx
 
 
 def sample_pairs(points: np.ndarray, count: int, seed: int) -> np.ndarray:

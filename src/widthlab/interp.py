@@ -1,8 +1,8 @@
 """Finite-rank Lipschitz surrogates: cutoff, mollify, piecewise-linear interpolate.
 
-Given an evaluable gamma-Lipschitz map M on R^n and a bounded set S, the
-pipeline builds a map of finite rank that stays gamma-Lipschitz and tracks
-M on S to a requested accuracy:
+Given an evaluable gamma-Lipschitz map M on R^n, n = 1 or 2, and a
+bounded set S, the pipeline builds a map of finite rank that stays
+gamma-Lipschitz and tracks M on S to a requested accuracy:
 
   1. radial cutoff  Phi(x) = clip(1 - lam(||x|| - R1), 0, 1) * x with
      lam R1 = delta / (2 gamma); this keeps M o Phi equal to M on S, makes
@@ -163,7 +163,7 @@ def kernel_scale(gamma: float, delta: float, eps: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class KuhnMesh:
-    """Uniform simplicial mesh of [-D, D]^n by sorted-coordinate subdivision.
+    """Uniform sorted-coordinate simplicial mesh of [-D, D]^n, n = 1 or 2.
 
     Each subcube splits into n! simplices, one per coordinate ordering; the
     simplex for ordering pi is the chain from the subcube corner adding h
@@ -175,8 +175,8 @@ class KuhnMesh:
     subdivisions: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= 3):
-            raise ValueError("mesh dimension limited to 1..3")
+        if self.n not in (1, 2):
+            raise ValueError(f"mesh dimension must be 1 or 2, got {self.n}")
         if self.D <= 0:
             raise ValueError("D must be positive")
         if self.subdivisions < 1:
@@ -193,13 +193,6 @@ class KuhnMesh:
     @property
     def vertex_count(self) -> int:
         return self.points_per_axis**self.n
-
-    @property
-    def simplex_count(self) -> int:
-        return self.subdivisions**self.n * math.factorial(self.n)
-
-    def axis_coordinates(self) -> np.ndarray:
-        return -self.D + self.h * np.arange(self.points_per_axis)
 
     def vertex_strides(self) -> np.ndarray:
         """Row-major strides into the flattened vertex array."""
@@ -291,8 +284,8 @@ def pl_lipschitz(f: PLInterpolant) -> float:
     simplices' Jacobians.  On the simplex of ordering pi the Jacobian's
     columns are the successive vertex differences along pi's chain, divided
     by h.  The top eigenvalue of their n x n Gram matrix is the squared
-    norm for n = 1, (a + c)/2 + hypot((a - c)/2, b) for n = 2, and
-    numpy.linalg.eigvalsh's for n = 3.  Cells go through in blocks of
+    column norm for n = 1, and (a + c)/2 + hypot((a - c)/2, b) for the
+    Gram matrix [[a, b], [b, c]] of n = 2.  Cells go through in blocks of
     first-axis planes holding about spaces._BLOCK_ELEMENTS values, so no
     temporary grows with the mesh.
     """
@@ -321,18 +314,11 @@ def pl_lipschitz(f: PLInterpolant) -> float:
         for chain in chains:
             cols = [corner_values(b) - corner_values(a)
                     for a, b in zip(chain, chain[1:])]
-            # the Gram matrix's lower triangle, (i, j) with j <= i
-            gram = {(i, j): np.einsum("...k,...k->...", cols[i], cols[j])
-                    for i in range(n) for j in range(i + 1)}
-            if n == 1:
-                lam = gram[0, 0]
-            elif n == 2:
-                a, b, c = gram[0, 0], gram[1, 0], gram[1, 1]
+            lam = np.einsum("...k,...k->...", cols[0], cols[0])
+            if n == 2:
+                a, c = lam, np.einsum("...k,...k->...", cols[1], cols[1])
+                b = np.einsum("...k,...k->...", cols[1], cols[0])
                 lam = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
-            else:
-                lam = np.linalg.eigvalsh(np.stack(
-                    [np.stack([gram[max(i, j), min(i, j)] for j in range(n)],
-                              axis=-1) for i in range(n)], axis=-2))[..., -1]
             top = max(top, float(np.max(lam)))
     return math.sqrt(top) / mesh.h
 
@@ -393,18 +379,11 @@ def _upper_tail(values: np.ndarray) -> float:
 
 
 def _unit_directions(n: int, count: int) -> np.ndarray:
-    """Deterministic well-spread unit vectors: signs, a circle, or a spiral."""
+    """Unit vectors: the two signs for n = 1, count equal angles for n = 2."""
     if n == 1:
         return np.array([[1.0], [-1.0]])
-    if n == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    j = np.arange(count)
-    z = 1.0 - (2.0 * j + 1.0) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    ang = 2.0 * np.pi * j / golden
-    return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
+    ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int) -> np.ndarray:
@@ -412,9 +391,10 @@ def _chunked_mesh_eval(mesh: KuhnMesh, fn_batch, d_out: int) -> np.ndarray:
 
     The vertices go to fn_batch in blocks of spaces._BLOCK_ELEMENTS rows.
     Each block's coordinates come from its flat vertex indices, as
-    -D + h * index per axis, the elementwise expression of
-    axis_coordinates, so every row is bit for bit the vertex's meshgrid
-    row.  No array but the returned values grows with the mesh.
+    -D + h * index per axis, elementwise the expression of the axis
+    -D + h * arange(points_per_axis), so every row is bit for bit the
+    vertex's meshgrid row.  No array but the returned values grows with
+    the mesh.
     """
     D, h, total = mesh.D, mesh.h, mesh.vertex_count
     shape = (mesh.points_per_axis,) * mesh.n
@@ -559,18 +539,19 @@ def finite_rank_pipeline(
 ) -> PipelineResult:
     """Cutoff, mollify, interpolate, rescale; check every budget along the way.
 
-    M must be a batch map (Q, n) -> (Q, d) that is gamma-Lipschitz on the
-    ball the cutoff can reach (checked on sampled pairs).  S_points are the
-    probes, one per row, on which the final deviation is reported.  The mesh
-    is halved until the audited interpolation deviation is below eps/2 and
-    the audited extra Lipschitz constant below delta/2, with at least
-    min_levels levels recorded for convergence regressions; a level past
-    _MAX_VERTICES vertices raises MeshBudgetError.  The result's
-    lip_measured is the rescaled interpolant's exact constant, pl_lipschitz.
+    M must be a batch map (Q, n) -> (Q, d), n = 1 or 2 as for KuhnMesh,
+    that is gamma-Lipschitz on the ball the cutoff can reach (checked on
+    sampled pairs).  S_points are the probes, one per row, on which the
+    final deviation is reported.  The mesh is halved until the audited
+    interpolation deviation is below eps/2 and the audited extra Lipschitz
+    constant below delta/2, with at least min_levels levels recorded for
+    convergence regressions; a level past _MAX_VERTICES vertices raises
+    MeshBudgetError.  The result's lip_measured is the rescaled
+    interpolant's exact constant, pl_lipschitz.
     """
     S_points = np.asarray(S_points, dtype=float)
-    if S_points.ndim != 2 or not (1 <= S_points.shape[1] <= 3):
-        raise ValueError("pipeline supports domain dimension 1..3")
+    if S_points.ndim != 2 or S_points.shape[1] not in (1, 2):
+        raise ValueError("pipeline supports domain dimension 1 or 2")
     n = S_points.shape[1]
     if eps <= 0 or delta <= 0 or gamma <= 0:
         raise ValueError("gamma, eps, delta must be positive")
@@ -592,7 +573,8 @@ def finite_rank_pipeline(
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
     probe *= img_radius * rng.uniform(size=(512, 1)) ** (1.0 / n)
     partner = probe + rng.standard_normal((512, n)) * (0.05 * img_radius)
-    worst = lipschitz_audit(M, np.stack([probe, partner], axis=1)).measured
+    ratios = lipschitz_audit(M, np.stack([probe, partner], axis=1))
+    worst = float(np.max(ratios))
     if worst > gamma * (1.0 + 1e-9):
         raise ValueError(
             f"map violates its gamma certificate: measured {worst:.6g} > {gamma:.6g}"
@@ -617,7 +599,7 @@ def finite_rank_pipeline(
     # so the mesh audits must probe them deterministically: random anchors hit
     # a thin shell only by luck, and an audit that misses it would certify a
     # Lipschitz excess the interpolant does not actually satisfy.
-    ring = _unit_directions(n, 64 if n == 2 else 128 if n == 3 else 2)
+    ring = _unit_directions(n, 64)
     blocks = [
         (ring * (radius + off), ring)
         for radius in (R1, R_cut)
@@ -673,8 +655,8 @@ def finite_rank_pipeline(
         sup_err_smooth = _upper_tail(dev_errs[dev_smooth])
         pairs, scales = _probe_pairs(anchor, directions, scale_mix,
                                      shell_anchor, shell_dirs, h, D)
-        audit = lipschitz_audit(lambda X: interp.eval_batch(X) - M2(X), pairs)
-        lip_excess = audit.measured
+        ratios = lipschitz_audit(lambda X: interp.eval_batch(X) - M2(X), pairs)
+        lip_excess = float(np.max(ratios))
         # smooth pairs: both endpoints a kernel radius clear of each shell
         # and on the same side of it, so the segment cannot cross one;
         # only the within-cell pair scales measure the local error slope
@@ -691,7 +673,7 @@ def finite_rank_pipeline(
             subdivisions=subdivisions, h=h,
             sup_err=sup_err, lip_excess=lip_excess,
             sup_err_smooth=sup_err_smooth,
-            lip_excess_smooth=_upper_tail(audit.ratios[smooth_pair]),
+            lip_excess_smooth=_upper_tail(ratios[smooth_pair]),
         ))
         achieved = (sup_err, lip_excess)
         passed = sup_err <= eps / 2.0 and lip_excess <= delta / 2.0

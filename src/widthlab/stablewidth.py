@@ -226,7 +226,7 @@ def evaluate_width(
     sup_error = float(np.max(norm(X - recon, 2.0)))
 
     enc_pairs = sample_pairs(X, pair_samples, seed=seed)
-    audit_a = lipschitz_audit(pair.encoder.eval_batch, enc_pairs)
+    lip_a = float(np.max(lipschitz_audit(pair.encoder.eval_batch, enc_pairs)))
     rng = np.random.default_rng(seed + 1)
     images = pair.encoder.eval_batch(
         X[rng.choice(X.shape[0], size=min(512, X.shape[0]), replace=False)]
@@ -239,13 +239,13 @@ def evaluate_width(
     clones = clones + jitter * rng.standard_normal(clones.shape)
     pool = np.concatenate([images, clones], axis=0)
     dec_pairs = sample_pairs(pool, pair_samples, seed=seed + 1)
-    audit_M = lipschitz_audit(pair.decoder.eval_batch, dec_pairs)
+    lip_M = float(np.max(lipschitz_audit(pair.decoder.eval_batch, dec_pairs)))
     return WidthReport(
         n=pair.net.count.bit_length() - 1,
         sup_error=sup_error,
         net_radius=pair.net.resolution,
-        lip_a=audit_a.measured,
-        lip_M=audit_M.measured,
+        lip_a=lip_a,
+        lip_M=lip_M,
         seed=seed,
     )
 

@@ -19,6 +19,7 @@ from widthlab.counterexample import DiagMaps, decoder_lipschitz
 from widthlab.csrecovery import L1ConvergenceError
 from widthlab.extend import ExtensionFeasibilityError
 from widthlab.interp import MeshBudgetError
+from widthlab.nets import entropy_bracket
 from widthlab.spaces import AlphaSequence
 from widthlab.stablewidth import JLDistortionError
 
@@ -410,6 +411,8 @@ def test_unknown_interp_map_fails_listing_the_maps(tmp_path):
     ("eps = -0.01", "eps must be positive and finite, got -0.01"),
     ("eps = nan", "eps must be positive and finite, got nan"),
     ("min_levels = 0", "min_levels must be at least 1, got 0"),
+    ("eps = x", "eps = 'x' is not a number"),
+    ("min_levels = 2.0", "min_levels = '2.0' is not an integer"),
 ])
 def test_bad_interp_setting_fails_in_one_line(tmp_path, ini, message):
     out = tmp_path / "interp"
@@ -424,7 +427,7 @@ def test_bad_interp_setting_fails_in_one_line(tmp_path, ini, message):
 @pytest.mark.parametrize("command", ["entropy", "stable-width", "carl"])
 def test_empty_n_range_fails_in_one_line(tmp_path, command):
     # with n_min > n_max, stable-width and carl stopped on an empty result
-    # list and entropy reported an empty table as a bracket ordering that holds
+    # list and entropy reported an empty table as a check that holds
     out = tmp_path / command
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\ncount = 60\nambient_dim = 8\n"
@@ -482,6 +485,81 @@ def test_cs_p_outside_1_2_fails_before_any_matrix(tmp_path, monkeypatch,
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command,ini,refusal", [
+    # int() or float() of the value raised a ValueError traceback
+    pytest.param("cs", "n = 4.5", "n = '4.5' is not an integer", id="cs-n"),
+    pytest.param("stable-width", "q = one", "q = 'one' is not a number",
+                 id="stable-width-q"),
+    pytest.param("carl", "seed = 1e3", "seed = '1e3' is not an integer",
+                 id="carl-seed"),
+    # the generator's ValueError ended in a traceback
+    pytest.param("stable-width", "count = -5",
+                 "kq class with ambient_dim = 32, q = 1.0, count = -5, "
+                 "seed = 0: count must be positive", id="stable-width-count"),
+    pytest.param("entropy", "class = sparse\nk = 40",
+                 "sparse class with ambient_dim = 32, k = 40, count = 2000, "
+                 "seed = 0: need 1 <= k <= N, got k=40, N=32",
+                 id="entropy-sparse-k"),
+    pytest.param("carl", "class = diag\nr = -1",
+                 "diag class with ambient_dim = 64, r = -1: r must be "
+                 "positive, got -1.0", id="carl-diag-r"),
+])
+def test_bad_setting_fails_in_one_line_naming_section_and_key(
+        tmp_path, command, ini, refusal):
+    out = tmp_path / command
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{ini}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert str(exit_info.value) == f"bad [{command}] setting: {refusal}"
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_numeric_settings_resolve_as_written(tmp_path):
+    # an integer where the default is a float parses as one, and every
+    # value is echoed as it was written
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[stable-width]\nq = 2\nr = inf\ncount = 0300\n")
+    resolved = resolve_config("stable-width", str(cfg), None)
+    assert (resolved["q"], resolved["r"], resolved["count"]) == ("2", "inf", "0300")
+
+
+def entropy_report_lines(tmp_path, ini):
+    out = run_cli(tmp_path, "entropy", ini)
+    return (out / "report.md").read_text().split("## results")[1].splitlines()
+
+
+WITNESS_LINE = "- packing witnesses of 2^n + 1 points at least 2 lower apart: "
+
+
+def test_entropy_checks_each_lower_end_against_its_witness(tmp_path):
+    # at defaults, and on a cloud of 60 points whose n = 6 witness is empty
+    assert WITNESS_LINE + "true" in entropy_report_lines(tmp_path, "")
+    small = "[entropy]\ncount = 60\nn_max = 6\n"
+    lines = entropy_report_lines(tmp_path, small)
+    assert "- n=6: lower 0.0, upper 0.0" in lines
+    assert WITNESS_LINE + "true" in lines
+
+
+def test_entropy_witness_check_reads_false_on_a_close_pair(tmp_path, monkeypatch):
+    import dataclasses
+
+    import widthlab.cli as cli
+
+    def close_pair(K, n):
+        bracket = entropy_bracket(K, n)
+        if n != 3:
+            return bracket
+        # two witness points half a lower end apart
+        w = bracket.packing_witness.copy()
+        step = w[1] - w[0]
+        w[1] = w[0] + step * (0.5 * bracket.lower / np.linalg.norm(step))
+        return dataclasses.replace(bracket, packing_witness=w)
+
+    monkeypatch.setattr(cli, "entropy_bracket", close_pair)
+    assert WITNESS_LINE + "false" in entropy_report_lines(tmp_path, SMALL_ENTROPY)
+
+
 def test_every_default_setting_is_read_by_the_cli():
     import widthlab.cli as cli
 
@@ -500,7 +578,7 @@ def test_readme_ini_example_runs_as_written(tmp_path):
     path.write_text(block)
     assert block.startswith("[stable-width]\n")
     cfg = resolve_config("stable-width", str(path), None)
-    K = _build_class(cfg)
+    K = _build_class(cfg, "stable-width")
     assert K.count == int(cfg["count"])
     assert K.points.shape[1] == int(cfg["ambient_dim"])
 

@@ -71,8 +71,8 @@ def test_cutoff_lipschitz_budget_audited(R1, lam):
     anchors = np.random.default_rng(17).standard_normal((60, 2)) * (R1 + 1.0)
     pairs = sample_pairs(anchors, 10_000, seed=17)
     pairs += 0.5 * R1 * np.random.default_rng(18).standard_normal(pairs.shape)
-    audit = lipschitz_audit(lambda X: cutoff_eval(cut, X), pairs)
-    assert audit.measured <= 1.0 + lam * R1 + 1e-6
+    ratios = lipschitz_audit(lambda X: cutoff_eval(cut, X), pairs)
+    assert np.max(ratios) <= 1.0 + lam * R1 + 1e-6
 
 
 def kuhn_simplices(mesh: KuhnMesh):
@@ -99,16 +99,15 @@ def test_kuhn_mesh_counts_oracle():
     assert mesh.h == pytest.approx(1.0)
     simplices = list(kuhn_simplices(mesh))
     assert len(simplices) == 8  # 4 cells x 2! simplices
-    assert mesh.simplex_count == 8
 
 
-@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("n", [0, 3, 4])
 def test_kuhn_mesh_refuses_dimensions_the_pipeline_does_not_support(n):
-    with pytest.raises(ValueError, match="limited to 1..3"):
+    with pytest.raises(ValueError, match=f"must be 1 or 2, got {n}$"):
         KuhnMesh(n, 1.0, 2)
 
 
-@pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3)])
 def test_kuhn_mesh_tiles_the_cube(n, subdiv):
     D = 0.8
     mesh = KuhnMesh(n, D, subdiv)
@@ -121,9 +120,14 @@ def test_kuhn_mesh_tiles_the_cube(n, subdiv):
     assert total == pytest.approx((2.0 * D) ** n, rel=1e-12)
 
 
+def axis_coordinates(mesh: KuhnMesh) -> np.ndarray:
+    """The vertex coordinates along each axis."""
+    return -mesh.D + mesh.h * np.arange(mesh.points_per_axis)
+
+
 def grid_points(mesh: KuhnMesh) -> np.ndarray:
     """Mesh vertices, row-major."""
-    axes = [mesh.axis_coordinates() for _ in range(mesh.n)]
+    axes = [axis_coordinates(mesh) for _ in range(mesh.n)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -140,7 +144,7 @@ def test_pl_reproduces_vertex_values_and_affine_maps():
     affine = lambda x: A @ x + b
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, affine, 3),
                       outside_value=np.zeros(3))
-    axes = mesh.axis_coordinates()
+    axes = axis_coordinates(mesh)
     for x0 in axes:
         for x1 in axes:
             v = np.array([x0, x1])
@@ -201,7 +205,7 @@ def in_cube_pairs(mesh: KuhnMesh, count: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,subdiv", [(1, 4), (2, 3)])
 def test_pl_lipschitz_is_the_largest_simplex_jacobian_norm(n, subdiv, d,
                                                           monkeypatch):
     mesh = KuhnMesh(n, 0.8, subdiv)
@@ -212,8 +216,8 @@ def test_pl_lipschitz_is_the_largest_simplex_jacobian_norm(n, subdiv, d,
     exact = pl_lipschitz(f)
     assert exact == pytest.approx(max(simplex_jacobian_norms(f)), rel=1e-12)
     # sampled pairs in the closed cube only bound it from below
-    audit = lipschitz_audit(f.eval_batch, in_cube_pairs(mesh, 4000, n))
-    assert audit.measured <= exact * (1.0 + 1e-9)
+    ratios = lipschitz_audit(f.eval_batch, in_cube_pairs(mesh, 4000, n))
+    assert np.max(ratios) <= exact * (1.0 + 1e-9)
     # one plane of cells per block
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 1)
     assert pl_lipschitz(f) == exact
@@ -225,7 +229,7 @@ def test_pl_continuous_across_shared_faces():
     f = PLInterpolant(mesh=mesh, values=grid_values(mesh, wavy, 1),
                       outside_value=np.zeros(1))
     rng = np.random.default_rng(3)
-    axes = mesh.axis_coordinates()
+    axes = axis_coordinates(mesh)
     delta = 1e-12
     for _ in range(200):
         # a random point on a random interior grid plane, approached from
@@ -298,7 +302,7 @@ def test_next_fast_len_equals_scipy_up_to_2_17():
     assert [_next_fast_len(t) for t in targets] == expected
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
 def test_smooth_grid_with_a_single_tap_keeps_the_values(n):
     mesh = KuhnMesh(n, 1.0, 6)
     _, _, _, stencil = bump_kernel(1.0 / (0.5 * mesh.h), n, mesh.h)
@@ -374,7 +378,7 @@ def block_length(stencil: np.ndarray) -> int:
 
 
 @pytest.mark.parametrize("n,subdivisions", [
-    (1, 40), (1, 41), (2, 20), (2, 21), (3, 8), (3, 9),
+    (1, 40), (1, 41), (2, 20), (2, 21),
 ])
 @pytest.mark.parametrize("d", [1, 3])
 def test_smooth_grid_in_one_block_equals_the_shifted_sum(n, subdivisions, d):
@@ -471,7 +475,7 @@ def test_smooth_grid_temporaries_stay_below_one_grid_component():
 
 
 @pytest.mark.parametrize("budget", [1, 7, spaces._BLOCK_ELEMENTS])
-@pytest.mark.parametrize("n,subdivisions", [(1, 9), (2, 5), (3, 3)])
+@pytest.mark.parametrize("n,subdivisions", [(1, 9), (2, 5)])
 def test_chunked_mesh_eval_equals_the_meshgrid_evaluation(n, subdivisions, budget,
                                                           monkeypatch):
     # blocks of 1 and 7 rows end mid-plane; the default budget is one block
@@ -537,6 +541,16 @@ def test_pipeline_linear_map_is_reproduced_cheaply():
     assert result.levels[-1].subdivisions >= 8
 
 
+@pytest.mark.parametrize("S", [np.zeros((4, 3)), np.zeros((4, 0)), np.zeros(4)],
+                         ids=["three-columns", "no-column", "one-d"])
+def test_pipeline_refuses_domains_the_mesh_does_not_support(S):
+    with pytest.raises(ValueError, match="^pipeline supports domain dimension 1 or 2$"):
+        finite_rank_pipeline(
+            linear_demo, S, gamma=0.7, eps=0.02, delta=0.04,
+            seed=0, initial_subdivisions=8, min_levels=1,
+        )
+
+
 def test_pipeline_halves_the_mesh_and_reports_levels():
     S = np.linspace(-0.4, 0.4, 33)[:, None]
     result = finite_rank_pipeline(
@@ -565,8 +579,8 @@ def test_pipeline_reports_the_exact_constant_at_every_seed():
     final = results[1].interpolant
     assert results[1].lip_measured == pl_lipschitz(final)
     # a sampled audit in the cube may read above it by rounding only
-    audit = lipschitz_audit(final.eval_batch, in_cube_pairs(final.mesh, 4000, 1))
-    assert audit.measured <= results[1].lip_measured * (1.0 + 1e-9)
+    ratios = lipschitz_audit(final.eval_batch, in_cube_pairs(final.mesh, 4000, 1))
+    assert np.max(ratios) <= results[1].lip_measured * (1.0 + 1e-9)
 
 
 def test_pipeline_smooth_audit_slope_is_quadratic():
