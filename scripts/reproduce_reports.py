@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from widthlab.cli import COMMANDS, main
+from widthlab.cli import COMMANDS, DEFAULTS, main
 
 QUICK_OVERLAY = """
 [entropy]
@@ -56,7 +56,8 @@ def run(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="runs",
                         help="root output directory (default runs/)")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of every section that draws random numbers")
     args = parser.parse_args(argv)
 
     config_args: list[str] = []
@@ -72,7 +73,7 @@ def run(argv: list[str] | None = None) -> int:
         for name in COMMANDS:
             argv_cmd = [name, "--out", str(Path(args.out) / name),
                         "--threads", str(args.threads)] + config_args
-            if args.seed is not None:
+            if args.seed is not None and "seed" in DEFAULTS[name]:
                 argv_cmd += ["--seed", str(args.seed)]
             print(f"--- widthlab {name}")
             code = main(argv_cmd)

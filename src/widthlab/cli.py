@@ -4,17 +4,18 @@ Each subcommand resolves its settings (defaults, then the matching section
 of an INI config file, then command-line overrides), calls the library and
 writes files; every random draw happens in the library, from the seeds it
 is given.  A bad setting (a number that does not parse as its default's
-kind, an empty level range or list, or a value that the class generator
-or the interp budget refuses) stops the run in one line naming its
-section and key, before any file is written.  The resolved settings are
-embedded as comment headers in every CSV so runs are reproducible from
-their outputs alone.  Floats are written with repr so reruns are
-byte-identical.  Only the width series of stable-width and carl runs on
-worker processes (--threads), forked from the running CLI on Linux and
-spawned elsewhere; its items get their seeds from SeedSequence.spawn
-before any worker starts, so --threads never changes the numbers.  The
-other subcommands run in the calling process: their items cost less than
-the pool that would run them (see _parallel).
+kind, an integer below its least value in _LEAST, an empty level range or
+list, or a value that the class generator or the interp budget refuses)
+stops the run in one line naming its section and key, before any file is
+written; so does --seed on counterexample, which has no seed.  The
+resolved settings are embedded as comment headers in every CSV so runs
+are reproducible from their outputs alone.  Floats are written with repr
+so reruns are byte-identical.  Only the width series of stable-width and
+carl runs on worker processes (--threads), forked from the running CLI on
+Linux and spawned elsewhere; its items get their seeds from
+SeedSequence.spawn before any worker starts, so --threads never changes
+the numbers.  The other subcommands run in the calling process: their
+items cost less than the pool that would run them (see _parallel).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "k": "4", "r": "2.0", "n_min": "2", "n_max": "5",
         "pair_samples": "10000", "seed": "0", "probes": "8",
     },
-    "counterexample": {"r": "2.0", "k_max": "10", "n_max": "6", "seed": "0"},
+    "counterexample": {"r": "2.0", "k_max": "10", "n_max": "6"},
     "cs": {
         "n": "40", "ambient_dim": "128", "k": "4",
         "trials": "100", "net_count": "400", "p_values": "1.0,1.5,2.0",
@@ -376,10 +377,10 @@ def cmd_interp(cfg: dict[str, str], out: Path, threads: int) -> None:
     except ValueError as exc:  # a setting the budget cannot plan with
         raise SystemExit(f"bad [interp] setting: {exc}") from None
     result = finite_rank_pipeline(
-        budget.demo.fn, budget.S_points, gamma=budget.gamma,
-        delta=budget.delta, eps=budget.eps, seed=int(cfg["seed"]),
+        DEMOS[cfg["map"]].fn, budget.S_points, gamma=budget.gamma,
+        delta=budget.delta, eps=eps, seed=int(cfg["seed"]),
         initial_subdivisions=budget.initial_subdivisions,
-        min_levels=budget.min_levels,
+        min_levels=min_levels,
     )
     rows = [
         (i, lvl.subdivisions, lvl.h, lvl.sup_err, lvl.lip_excess,
@@ -447,6 +448,11 @@ COMMANDS = {
 }
 
 
+# the least value of an integer setting, in every section that has it; n is
+# the row count of [cs]'s sensing matrices
+_LEAST = {"seed": 0, "pair_samples": 1, "n": 1}
+
+
 def resolve_config(section: str, config_path: str | None,
                    seed: int | None) -> dict[str, str]:
     cfg = dict(DEFAULTS[section])
@@ -463,6 +469,9 @@ def resolve_config(section: str, config_path: str | None,
                         f"setting {key!r} in [{section}] spans several lines")
                 cfg[key] = value
     if seed is not None:
+        if "seed" not in cfg:
+            raise SystemExit(f"bad [{section}] setting: --seed {seed}, but "
+                             f"{section} draws no random number")
         cfg["seed"] = str(seed)
     for key, default in DEFAULTS[section].items():
         # a numeric setting parses as the kind of its default
@@ -472,6 +481,10 @@ def resolve_config(section: str, config_path: str | None,
                     raise SystemExit(f"bad [{section}] setting: {key} = "
                                      f"{cfg[key]!r} is not {noun}")
                 break
+    for key, least in _LEAST.items():
+        if key in cfg and int(cfg[key]) < least:
+            raise SystemExit(f"bad [{section}] setting: {key} = {cfg[key]!r} "
+                             f"is below {least}")
     return cfg
 
 

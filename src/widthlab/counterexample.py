@@ -100,22 +100,13 @@ def diag_decode(maps: DiagMaps, T: np.ndarray) -> np.ndarray:
     nan = np.flatnonzero(np.isnan(t))
     if nan.size:
         raise ValueError(f"row {nan[0]} is NaN")
+    knots = np.concatenate([[0.0], maps.breakpoints])  # 0, alpha_k, ..., alpha_1
+    # knot i is alpha_j for j = k + 1 - i; atom j's coordinate j - 1 is the
+    # hat that peaks there, which np.interp clamps beyond both end knots
+    hats = np.diag(knots)
     out = np.zeros((len(t), maps.dim))
-    bp = maps.breakpoints  # ascending: alpha_k .. alpha_1
-    k = maps.k
-    inside = (t > 0.0) & (t < bp[-1])
-    out[t >= bp[-1], 0] = bp[-1]
-    # segment origin -> atom k
-    seg = np.flatnonzero(inside & (t <= bp[0]))
-    out[seg, k - 1] = t[seg]
-    # bp[i-1] < t <= bp[i]; bp[i] = alpha_{k-i}, between atoms k-i+1 and k-i
-    mid = np.flatnonzero(inside & (t > bp[0]))
-    i = np.searchsorted(bp, t[mid])
-    lo, hi = bp[i - 1], bp[i]
-    w = (t[mid] - lo) / (hi - lo)
-    j_hi = k - i  # atom j sits at 0-indexed coordinate j - 1
-    out[mid, j_hi - 1] = w * hi
-    out[mid, j_hi] = (1.0 - w) * lo
+    for i in range(1, maps.k + 1):
+        out[:, maps.k - i] = np.interp(t, knots, hats[i])
     return out
 
 

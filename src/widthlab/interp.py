@@ -22,17 +22,18 @@ gamma-Lipschitz and tracks M on S to a requested accuracy:
      gamma at a sup cost proportional to delta.
 
 The result factors through the mesh's vertex values, so its rank is at most
-the vertex count plus one.  Its Lipschitz constant on the closed cube is
-exact: the interpolant is affine on each Kuhn simplex, so the constant is
-the largest spectral norm of the simplex Jacobians (pl_lipschitz).  The
-other statements are audited on sampled points and pairs, and are honest
-lower bounds: the certificate check of M, the sup deviation, and each
-level's Lipschitz excess, since the interpolant minus the mollified map is
-not piecewise linear and certifying its suprema would need mesh sizes far
-below the kernel scale.  The level audits always include deterministic
-probes on the two spheres where the cutoff breaks differentiability; those
-shells hold the worst curvature after mollification, and random probes
-alone would miss them.
+the vertex count plus one.  The two statements made of it are exact, and
+the pipeline refuses a result that breaks either: its Lipschitz constant
+on the closed cube, the largest spectral norm of the Kuhn-simplex
+Jacobians (pl_lipschitz), is at most gamma, and its deviation from M on
+the finite set S is at most eps.  Only the halving decision rests on
+sampled points and pairs: each level's interpolation error and Lipschitz
+excess against the mollified map are honest lower bounds, since their
+difference is not piecewise linear and certifying its suprema would need
+mesh sizes far below the kernel scale.  The level audits always include
+deterministic probes on the two spheres where the cutoff breaks
+differentiability; those shells hold the worst curvature after
+mollification, and random probes alone would miss them.
 """
 
 from __future__ import annotations
@@ -540,14 +541,16 @@ def finite_rank_pipeline(
     """Cutoff, mollify, interpolate, rescale; check every budget along the way.
 
     M must be a batch map (Q, n) -> (Q, d), n = 1 or 2 as for KuhnMesh,
-    that is gamma-Lipschitz on the ball the cutoff can reach (checked on
-    sampled pairs).  S_points are the probes, one per row, on which the
-    final deviation is reported.  The mesh is halved until the audited
-    interpolation deviation is below eps/2 and the audited extra Lipschitz
-    constant below delta/2, with at least min_levels levels recorded for
-    convergence regressions; a level past _MAX_VERTICES vertices raises
-    MeshBudgetError.  The result's lip_measured is the rescaled
-    interpolant's exact constant, pl_lipschitz.
+    that is gamma-Lipschitz on the ball the cutoff can reach.  S_points
+    are the probes, one per row, on which the final deviation is reported.
+    The mesh is halved until the audited interpolation deviation is below
+    eps/2 and the audited extra Lipschitz constant below delta/2, with at
+    least min_levels levels recorded for convergence regressions; a level
+    past _MAX_VERTICES vertices raises MeshBudgetError.  The result's
+    lip_measured is the rescaled interpolant's exact constant,
+    pl_lipschitz, and sup_dev_on_S its largest deviation from M on S; a
+    result whose constant exceeds gamma (up to rounding) or whose
+    deviation exceeds eps raises ValueError.
     """
     S_points = np.asarray(S_points, dtype=float)
     if S_points.ndim != 2 or S_points.shape[1] not in (1, 2):
@@ -566,19 +569,6 @@ def finite_rank_pipeline(
 
     M0 = M(np.zeros((1, n)))[0]
     d_out = M0.shape[0]
-
-    # certificate audit: gamma must hold where the cutoff sends points
-    img_radius = cutoff_image_radius(R1, lam)
-    probe = rng.standard_normal((512, n))
-    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    probe *= img_radius * rng.uniform(size=(512, 1)) ** (1.0 / n)
-    partner = probe + rng.standard_normal((512, n)) * (0.05 * img_radius)
-    ratios = lipschitz_audit(M, np.stack([probe, partner], axis=1))
-    worst = float(np.max(ratios))
-    if worst > gamma * (1.0 + 1e-9):
-        raise ValueError(
-            f"map violates its gamma certificate: measured {worst:.6g} > {gamma:.6g}"
-        )
 
     def M1(X: np.ndarray) -> np.ndarray:
         return M(cutoff_eval(cut, X))
@@ -690,9 +680,16 @@ def finite_rank_pipeline(
         outside_value=interp.outside_value * scale,
     )
 
+    lip_measured = pl_lipschitz(final)
+    if lip_measured > gamma * (1.0 + 1e-9):
+        raise ValueError(f"the interpolant's exact constant {lip_measured:.6g} "
+                         f"exceeds gamma {gamma:.6g}")
     sup_dev_on_S = float(
         np.max(norm(final.eval_batch(S_points) - M(S_points), 2.0))
     )
+    if sup_dev_on_S > eps:
+        raise ValueError(f"the deviation on S {sup_dev_on_S:.6g} exceeds eps "
+                         f"{eps:.6g}")
     return PipelineResult(
         interpolant=final,
         gamma=gamma,
@@ -702,6 +699,6 @@ def finite_rank_pipeline(
         D=D,
         rank=final.rank_bound,
         sup_dev_on_S=sup_dev_on_S,
-        lip_measured=pl_lipschitz(final),
+        lip_measured=lip_measured,
         levels=tuple(levels),
     )

@@ -21,7 +21,7 @@ from widthlab.csrecovery import (
     planted_recovery_trials,
     rip_check,
 )
-from widthlab.demos import pipeline_budget
+from widthlab.demos import DEMOS, pipeline_budget
 from widthlab.extend import SampledLipschitzMap, kirszbraun_eval_batch
 from widthlab.interp import finite_rank_pipeline
 from widthlab.nets import build_net, entropy_bracket
@@ -228,10 +228,10 @@ def test_finite_rank_pipeline_convergence_orders():
     for name in ("scalar-wave", "plane-wave"):
         budget = pipeline_budget(name, eps=1e-2)
         result = finite_rank_pipeline(
-            budget.demo.fn, budget.S_points, gamma=budget.gamma,
-            delta=budget.delta, eps=budget.eps, seed=0,
+            DEMOS[name].fn, budget.S_points, gamma=budget.gamma,
+            delta=budget.delta, eps=1e-2, seed=0,
             initial_subdivisions=budget.initial_subdivisions,
-            min_levels=budget.min_levels,
+            min_levels=4,
         )
         tail = result.levels[-4:]
         assert len(tail) == 4

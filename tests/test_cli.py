@@ -485,32 +485,46 @@ def test_cs_p_outside_1_2_fails_before_any_matrix(tmp_path, monkeypatch,
     assert not list(out.iterdir())
 
 
-@pytest.mark.parametrize("command,ini,refusal", [
+@pytest.mark.parametrize("command,ini,flags,refusal", [
     # int() or float() of the value raised a ValueError traceback
-    pytest.param("cs", "n = 4.5", "n = '4.5' is not an integer", id="cs-n"),
-    pytest.param("stable-width", "q = one", "q = 'one' is not a number",
+    pytest.param("cs", "n = 4.5", [], "n = '4.5' is not an integer", id="cs-n"),
+    pytest.param("stable-width", "q = one", [], "q = 'one' is not a number",
                  id="stable-width-q"),
-    pytest.param("carl", "seed = 1e3", "seed = '1e3' is not an integer",
+    pytest.param("carl", "seed = 1e3", [], "seed = '1e3' is not an integer",
                  id="carl-seed"),
     # the generator's ValueError ended in a traceback
-    pytest.param("stable-width", "count = -5",
+    pytest.param("stable-width", "count = -5", [],
                  "kq class with ambient_dim = 32, q = 1.0, count = -5, "
                  "seed = 0: count must be positive", id="stable-width-count"),
-    pytest.param("entropy", "class = sparse\nk = 40",
+    pytest.param("entropy", "class = sparse\nk = 40", [],
                  "sparse class with ambient_dim = 32, k = 40, count = 2000, "
                  "seed = 0: need 1 <= k <= N, got k=40, N=32",
                  id="entropy-sparse-k"),
-    pytest.param("carl", "class = diag\nr = -1",
+    pytest.param("carl", "class = diag\nr = -1", [],
                  "diag class with ambient_dim = 64, r = -1: r must be "
                  "positive, got -1.0", id="carl-diag-r"),
+    # the seed tree, the pair audit or the sensing matrix raised
+    pytest.param("cs", "", ["--seed", "-1"], "seed = '-1' is below 0",
+                 id="cs-seed-flag"),
+    pytest.param("interp", "seed = -3", [], "seed = '-3' is below 0",
+                 id="interp-seed"),
+    pytest.param("stable-width", "pair_samples = 0", [],
+                 "pair_samples = '0' is below 1", id="stable-width-pair-samples"),
+    pytest.param("carl", "pair_samples = -2", [],
+                 "pair_samples = '-2' is below 1", id="carl-pair-samples"),
+    pytest.param("cs", "n = 0", [], "n = '0' is below 1", id="cs-n-zero"),
+    # counterexample has no seed, which the headers would echo as applied
+    pytest.param("counterexample", "", ["--seed", "5"],
+                 "--seed 5, but counterexample draws no random number",
+                 id="counterexample-seed-flag"),
 ])
 def test_bad_setting_fails_in_one_line_naming_section_and_key(
-        tmp_path, command, ini, refusal):
+        tmp_path, command, ini, flags, refusal):
     out = tmp_path / command
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{ini}\n")
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "--config", str(cfg), "--out", str(out)])
+        main([command, "--config", str(cfg), "--out", str(out), *flags])
     assert str(exit_info.value) == f"bad [{command}] setting: {refusal}"
     assert not out.exists() or not list(out.iterdir())
 
@@ -649,6 +663,17 @@ def test_reproduce_script_advertises_usage():
     proc = run_python([str(SCRIPT), "--help"], timeout=60)
     assert proc.returncode == 0
     assert "--quick" in proc.stdout
+
+
+def test_reproduce_script_passes_the_seed_only_where_one_is_drawn(monkeypatch):
+    script = runpy.run_path(str(SCRIPT))
+    calls = []
+    monkeypatch.setitem(script["run"].__globals__, "main",
+                        lambda argv: calls.append(argv) or 0)
+    assert script["run"](["--seed", "7", "--out", "runs"]) == 0
+    assert [argv[0] for argv in calls] == list(COMMANDS)
+    seeded = [argv[0] for argv in calls if argv[-2:] == ["--seed", "7"]]
+    assert seeded == [name for name in COMMANDS if name != "counterexample"]
 
 
 def test_reproduce_script_quick_run_writes_every_artifact(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -541,6 +542,30 @@ def test_pipeline_linear_map_is_reproduced_cheaply():
     assert result.levels[-1].subdivisions >= 8
 
 
+def test_pipeline_refuses_a_constant_above_gamma():
+    # the wave is three times the size its gamma admits; the refusal reads
+    # the interpolant's exact constant, not a sample of M
+    S = np.linspace(-0.4, 0.4, 33)[:, None]
+    with pytest.raises(ValueError, match=r"^the interpolant's exact constant "
+                                         r"2\.92\d* exceeds gamma 1\.1$"):
+        finite_rank_pipeline(
+            lambda X: 3.0 * unit_wave(X), S, gamma=1.1, eps=0.05, delta=0.045,
+            seed=0, initial_subdivisions=8, min_levels=1,
+        )
+
+
+def test_pipeline_refuses_a_deviation_above_eps():
+    # at delta = 0.5 the final rescale moves the map by 0.5 / 1.2 of its
+    # size on S, past eps, though every level audit passes
+    S = np.linspace(-0.5, 0.5, 41)[:, None]
+    with pytest.raises(ValueError, match=r"^the deviation on S 0\.117\d* "
+                                         r"exceeds eps 0\.02$"):
+        finite_rank_pipeline(
+            linear_demo, S, gamma=0.7, eps=0.02, delta=0.5,
+            seed=0, initial_subdivisions=8, min_levels=1,
+        )
+
+
 @pytest.mark.parametrize("S", [np.zeros((4, 3)), np.zeros((4, 0)), np.zeros(4)],
                          ids=["three-columns", "no-column", "one-d"])
 def test_pipeline_refuses_domains_the_mesh_does_not_support(S):
@@ -609,6 +634,22 @@ def test_pipeline_budget_exhaustion_raises(monkeypatch):
         )
     assert info.value.achieved_dev > 0
     assert info.value.vertices > 64
+
+
+@pytest.mark.parametrize("name, eps, min_levels, initial", [
+    ("scalar-wave", 0.01, 4, 441723),
+    ("scalar-wave", 0.003, 4, 16399570),
+    ("plane-wave", 0.01, 4, 139),
+    ("plane-wave", 0.02, 2, 68),
+])
+def test_pipeline_budget_holds_only_what_the_caller_lacks(name, eps, min_levels,
+                                                          initial):
+    # the plan is set by the cutoff-shell mesh scale alone; the caller
+    # already holds the map, eps and min_levels
+    budget = pipeline_budget(name, eps, min_levels=min_levels)
+    assert [f.name for f in dataclasses.fields(budget)] == [
+        "S_points", "gamma", "delta", "initial_subdivisions"]
+    assert budget.initial_subdivisions == initial
 
 
 @pytest.mark.parametrize("eps, min_levels, message", [
